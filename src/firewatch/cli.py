@@ -25,6 +25,7 @@ from .errors import DomainError, ParameterError
 from .geometry import RectRegion
 from .montecarlo import (
     ScenarioConfig,
+    _check_master_seed,
     _splitmix64,
     ks_distance,
     outcomes_to_csv,
@@ -264,8 +265,15 @@ def _summary_laws(config: ScenarioConfig):
     return td_law, ad_law
 
 
+def _check_trials(trials: int) -> None:
+    # summarize needs two outcomes; say so before running any trial.
+    if trials < 2:
+        raise ParameterError(f"trials must be >= 2 to summarize, got {trials}")
+
+
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
+    _check_trials(config.trials)
     outcomes = run_trials(config, workers=args.workers)
     stats = summarize(outcomes)
     td_law, ad_law = _summary_laws(config)
@@ -318,6 +326,7 @@ def compare_random_sweep(
     under a seed derived from (master_seed, n) so sweep entries are
     decorrelated but reproducible.
     """
+    _check_master_seed(master_seed)
     rows = []
     ecdf_rows = []
     for n in sensor_counts:
@@ -328,7 +337,7 @@ def compare_random_sweep(
             placement=RandomPlacement(count=n),
             model=model,
             trials=trials,
-            master_seed=_splitmix64((master_seed & 0xFFFFFFFFFFFFFFFF) ^ n) >> 1,
+            master_seed=_splitmix64(master_seed ^ n) >> 1,
             ignition_count=ignition_count,
         )
         stats = summarize(run_trials(config, workers=workers))
@@ -424,6 +433,7 @@ def _cmd_compare(args) -> int:
     )
     seed = args.seed if args.seed is not None else 0
     trials = args.trials if args.trials is not None else 10000
+    _check_trials(trials)
     if args.spacing is not None:
         if not args.region:
             raise ParameterError("grid comparison requires --region")

@@ -3,8 +3,19 @@
 Every trial draws from its own counter-based substream (Philox keyed by
 (master_seed, trial_index)), so results are a pure function of the scenario
 configuration: independent of execution order, chunking and worker count.
-Within a trial the draw order is fixed: sensor positions first (when the
-layout is resampled), then ignition points.
+
+Within a trial the draw order is fixed: ignition points first, then, when the
+layout is resampled, the sensors near them. The region is split into a fixed
+grid of equal cells, and rings of cells are visited outward from each
+ignition's cell. For each step's new cells the sensor count is drawn as
+Binomial(remaining sensors, new area / undrawn area), then that many positions
+i.i.d. uniform in the new cells. The search stops once every front's bounding
+box at the best reach time so far lies inside the drawn cells: fronts only
+grow, so no undrawn sensor can be reached sooner. Given the counts drawn so
+far, the undrawn sensors are i.i.d. uniform over the undrawn area, whichever
+cells were chosen from what was drawn; so this is the binomial point process
+of N i.i.d. uniform sensors drawn in another order, and ``(1 - x/A)^N`` holds
+exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+# numpy loads numpy.random lazily; load it here, once, so that the worker
+# processes run_trials forks do not each import it again.
+import numpy.random  # noqa: F401
 
 from .analytic import AnalyticLaw
 from .errors import EstimatorError, ParameterError
@@ -38,6 +52,13 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_TRIAL_INDEX = 1 << 62
+# Mean sensors per cell of the lazy sampler. A step of the ring search costs
+# about as much as drawing and timing a few hundred sensors, and the first
+# cell holds the nearest sensor in most trials. From 16 to 128 the cost per
+# trial at N=1e4 is flat; 64 also makes any layout of fewer than 128 sensors
+# one cell, so that several ignitions at small N take one step, as a dense
+# draw would.
+_SENSORS_PER_CELL = 64
 
 
 class TrialOutcome(NamedTuple):
@@ -77,8 +98,7 @@ class ScenarioConfig:
             raise ParameterError(f"trials must be <= {_MAX_TRIAL_INDEX}")
         if self.ignition_count < 1:
             raise ParameterError(f"ignition count must be >= 1, got {self.ignition_count}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ParameterError(f"master seed must be a nonnegative integer, got {self.master_seed}")
+        _check_master_seed(self.master_seed)
         if not self.area_tol > 0:
             raise ParameterError(f"area tolerance must be positive, got {self.area_tol}")
         is_random = isinstance(self.placement, RandomPlacement)
@@ -90,6 +110,12 @@ class ScenarioConfig:
             object.__setattr__(self, "clip_to_region", is_random)
 
 
+def _check_master_seed(seed) -> None:
+    # Philox keys are 64-bit words: a wider seed would alias a smaller one.
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ParameterError(f"master seed must be an integer in [0, 2^64), got {seed}")
+
+
 class _TrialStreams:
     """Reusable Philox generator rebased per trial.
 
@@ -99,7 +125,7 @@ class _TrialStreams:
     """
 
     def __init__(self, master_seed: int):
-        key = np.array([master_seed & _MASK64, 0], dtype=np.uint64)
+        key = np.array([master_seed, 0], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self.generator = np.random.Generator(self._bitgen)
         self._template = self._bitgen.state
@@ -121,13 +147,117 @@ def _splitmix64(z: int) -> int:
 
 def _area_seed(master_seed: int, trial_index: int) -> int:
     # Hash-derived key for the union-area jitter stream of one trial.
-    return _splitmix64((master_seed & _MASK64) ^ _splitmix64(trial_index))
+    return _splitmix64(master_seed ^ _splitmix64(trial_index))
 
 
-def detection_time(model: SpreadModel, positions: np.ndarray, ignitions: np.ndarray) -> float:
-    """Minimum reach time over all (ignition, sensor) pairs."""
-    positions = np.asarray(positions, dtype=float)
+class _CellSampler:
+    """Uniform random sensors, drawn cell by cell near the ignitions.
+
+    Built once per run; each ``first_reach`` call is one trial's draw from
+    ``rng``, a generator the caller rebases before every trial. See the
+    module docstring for the draw and why it is exact.
+    """
+
+    def __init__(self, region: RectRegion, count: int, rng: np.random.Generator):
+        cells = max(1, count // _SENSORS_PER_CELL)
+        nx = min(cells, max(1, round(math.sqrt(cells * region.width / region.height))))
+        ny = max(1, cells // nx)
+        self.count = count
+        self.rng = rng
+        self.nx, self.ny = nx, ny
+        self.cw, self.ch = region.width / nx, region.height / ny
+        self._drawn = np.zeros(nx * ny, dtype=bool)
+        origin = np.zeros(1, dtype=np.intp)
+        self._rings = [(origin, origin, origin)]  # ring 0 is the cell itself
+
+    def _ring(self, r: int):
+        """Offsets (dx, dy, dx * ny + dy) of the 8r cells at Chebyshev distance r >= 1."""
+        while len(self._rings) <= r:
+            k = len(self._rings)
+            side = np.arange(-k, k)
+            edge = np.full(2 * k, k)
+            dx = np.concatenate([side, edge, -side, -edge])
+            dy = np.concatenate([-edge, side, edge, -side])
+            self._rings.append((dx, dy, dx * self.ny + dy))
+        return self._rings[r]
+
+    def _ring_cells(self, cx: int, cy: int, r: int) -> np.ndarray:
+        """Flat indices of the grid cells at Chebyshev distance r from (cx, cy)."""
+        dx, dy, flat = self._ring(r)
+        if r <= cx < self.nx - r and r <= cy < self.ny - r:
+            return flat + (cx * self.ny + cy)
+        gx, gy = dx + cx, dy + cy
+        inside = (gx >= 0) & (gx < self.nx) & (gy >= 0) & (gy < self.ny)
+        return (gx * self.ny + gy)[inside]
+
+    def _covered(self, model: SpreadModel, ignition: Point, t: float, cx, cy, r) -> bool:
+        """Whether the front at ``t``, clipped to the region, lies in the
+        square of cells of radius r around (cx, cy)."""
+        x0, y0, x1, y1 = model.bounding_box(ignition, t)
+        return (
+            (cx - r <= 0 or x0 >= (cx - r) * self.cw)
+            and (cy - r <= 0 or y0 >= (cy - r) * self.ch)
+            and (cx + r >= self.nx - 1 or x1 <= (cx + r + 1) * self.cw)
+            and (cy + r >= self.ny - 1 or y1 <= (cy + r + 1) * self.ch)
+        )
+
+    def first_reach(self, model: SpreadModel, ignitions: np.ndarray) -> float:
+        """Draw one trial's sensors near ``ignitions``; return the first reach time."""
+        rng, drawn, ny = self.rng, self._drawn, self.ny
+        points = [Point(x, y) for x, y in ignitions.tolist()]
+        cells = [
+            (min(int(p.x / self.cw), self.nx - 1), min(int(p.y / self.ch), ny - 1)) for p in points
+        ]
+        radius = [-1] * len(points)
+        shared = len(points) > 1  # rings of different ignitions may overlap
+        remaining, undrawn = self.count, self.nx * ny
+        best = math.inf
+        touched = []
+        while remaining:
+            new = []
+            for j, p in enumerate(points):
+                if best < math.inf and self._covered(model, p, best, *cells[j], radius[j]):
+                    continue
+                radius[j] += 1
+                ring = self._ring_cells(*cells[j], radius[j])
+                if shared:
+                    ring = ring[~drawn[ring]]
+                    drawn[ring] = True
+                    touched.append(ring)
+                new.append(ring)
+            if not new:
+                break
+            ids = np.concatenate(new) if shared else new[0]
+            if ids.size == 0:
+                continue
+            n = int(rng.binomial(remaining, ids.size / undrawn))
+            remaining -= n
+            undrawn -= ids.size
+            if n == 0:
+                continue
+            if ids.size > 1:
+                ids = ids[rng.integers(ids.size, size=n)]
+            gx, gy = np.divmod(ids, ny)
+            u = rng.random((n, 2))
+            xs = (gx + u[:, 0]) * self.cw
+            ys = (gy + u[:, 1]) * self.ch
+            for p in points:
+                best = min(best, float(model.reach_times(p, xs, ys).min()))
+        for ids in touched:
+            drawn[ids] = False
+        return best
+
+
+def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> float:
+    """Minimum reach time over all (ignition, sensor) pairs.
+
+    ``positions`` is an (n, 2) array of sensors, or the lazy sampler of a run
+    that resamples its layout, which draws only the sensors that can be first.
+    """
     ignitions = np.atleast_2d(np.asarray(ignitions, dtype=float))
+    if isinstance(positions, _CellSampler):
+        return positions.first_reach(model, ignitions)
+    positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ParameterError("sensor layout is empty")
     best = math.inf
@@ -142,21 +272,18 @@ def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarra
     model = config.model
     k = config.ignition_count
     scale = np.array([region.width, region.height])
-    resample = config.resample_layout_each_trial
-    if resample:
-        n_sensors = config.placement.count
-        fixed = None
-    else:
-        fixed = build_layout(config.placement, region, seed=config.master_seed).positions
-
     streams = _TrialStreams(config.master_seed)
+    if config.resample_layout_each_trial:
+        sensors = _CellSampler(region, config.placement.count, streams.generator)
+    else:
+        sensors = build_layout(config.placement, region, seed=config.master_seed).positions
+
     t_out = np.empty(hi - lo)
     a_out = np.empty(hi - lo)
     for i in range(lo, hi):
         rng = streams.trial(i)
-        positions = rng.random((n_sensors, 2)) * scale if resample else fixed
         ignitions = rng.random((k, 2)) * scale
-        t_d = detection_time(model, positions, ignitions)
+        t_d = detection_time(model, sensors, ignitions)
         if k == 1 and not config.clip_to_region:
             a_d = model.area(t_d)
         else:
@@ -177,9 +304,10 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    # Validate the layout up front so configuration errors surface before
-    # any worker is spawned.
-    build_layout(config.placement, config.region, seed=config.master_seed)
+    # A grid spacing must divide the region; check it before any worker is
+    # spawned. Random placements are checked when they are built.
+    if isinstance(config.placement, GridPlacement):
+        build_layout(config.placement, config.region)
 
     trials = config.trials
     workers = min(workers, trials)

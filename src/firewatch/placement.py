@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,11 @@ class RandomPlacement:
     """Independent uniform positions over the region."""
 
     count: int
+
+    def __post_init__(self):
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ParameterError(f"sensor count must be an integer >= 1, got {self.count!r}")
 
 
 def characteristic_distance(area: float, n: int) -> float:

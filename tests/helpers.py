@@ -2,16 +2,19 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
-chord-length quadrature for circle/rectangle overlap, and the textbook
-two-circle lens formula.
+chord-length quadrature for circle/rectangle overlap, the textbook two-circle
+lens formula, and a dense per-trial sensor draw for the engine's lazy
+cell-by-cell sampler.
 """
 
 import math
 import warnings
 
+import numpy as np
 from scipy import integrate
 
 from firewatch.geometry import ellipse_axis_rates
+from firewatch.montecarlo import detection_time
 
 
 def front_member(rate, hb, lb, heading, ign, tgt, t):
@@ -79,3 +82,21 @@ def lens_union_area(r, d):
     """Union area of two radius-r disks with centers ``d`` apart (d < 2r)."""
     lens = 2 * r * r * math.acos(d / (2 * r)) - 0.5 * d * math.sqrt(4 * r * r - d * d)
     return 2 * math.pi * r * r - lens
+
+
+def dense_detection_times(config, seed):
+    """Detection times of ``config.trials`` trials drawn densely.
+
+    Each trial draws all N sensors i.i.d. uniform over the region, then the
+    ignitions, from the Philox key ``(seed, trial)``, and takes the minimum
+    reach time over every (ignition, sensor) pair.
+    """
+    region = config.region
+    scale = np.array([region.width, region.height])
+    out = np.empty(config.trials)
+    for i in range(config.trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        positions = rng.random((config.placement.count, 2)) * scale
+        ignitions = rng.random((config.ignition_count, 2)) * scale
+        out[i] = detection_time(config.model, positions, ignitions)
+    return out

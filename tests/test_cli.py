@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import firewatch.cli
 from firewatch.cli import PlanRequest, main, plan
 from firewatch.propagation import CircularModel, EllipticalModel
 from firewatch.errors import ParameterError
@@ -130,6 +131,42 @@ class TestSimulateCommand:
             "--trials", "10",
         )
         assert code == 2
+
+    def test_seed_beyond_64_bits_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "5", "--trials", "10",
+            "--seed", str(2**64 + 5),
+        )
+        assert code == 2
+        assert out == "" and "seed" in err
+
+    def test_zero_sensors_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "0", "--trials", "10",
+        )
+        assert code == 2
+        assert "sensor count" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--region", "10x10", "--sensors", "5", "--trials", "1"],
+        ["compare", "--sensor-counts", "10", "--trials", "1"],
+        ["compare", "--region", "4x4", "--spacing", "1", "--trials", "1"],
+        ["compare", "--sensor-counts", "10", "--trials", "10", "--seed", str(2**64)],
+    ],
+    ids=["simulate one trial", "compare one trial", "compare grid one trial", "compare seed"],
+)
+def test_rejected_before_any_trial_runs(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(firewatch.cli, "run_trials", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("configuration error:")
 
 
 class TestCompareCommand:

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import firewatch.montecarlo
 from firewatch.analytic import (
     exact_burned_area_law,
     grid_td_law,
@@ -25,6 +27,8 @@ from firewatch.montecarlo import (
 )
 from firewatch.placement import GridPlacement, RandomPlacement
 from firewatch.propagation import CircularModel, EllipticalModel, burned_area
+
+from helpers import dense_detection_times
 
 
 def small_random_config(**kw):
@@ -61,6 +65,10 @@ class TestConfig:
             small_random_config(ignition_count=0)
         with pytest.raises(ParameterError):
             small_random_config(master_seed=-1)
+        # Philox keys are 64 bits: 2^64 + 5 would silently run as seed 5
+        with pytest.raises(ParameterError):
+            small_random_config(master_seed=2**64 + 5)
+        assert small_random_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
         with pytest.raises(ParameterError):
             ScenarioConfig(
                 region=RectRegion(10, 10),
@@ -81,6 +89,13 @@ class TestConfig:
         )
         with pytest.raises(ParameterError):
             run_trials(cfg)
+
+    def test_random_layout_is_not_built_to_validate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_layout called")
+
+        monkeypatch.setattr(firewatch.montecarlo, "build_layout", refuse)
+        assert len(run_trials(small_random_config(trials=5))) == 5
 
 
 class TestDetectionTime:
@@ -194,6 +209,86 @@ class TestRunTrials:
                     assert o.a_d <= region.area + 1e-9
                 # sampled unions may overshoot by the area tolerance
                 assert o.a_d <= k * burned_area(model, o.t_d) * (1 + 5 * cfg.area_tol) + 1e-9
+
+
+class TestLazySampler:
+    """The cell-by-cell sampler against a dense draw of all N sensors."""
+
+    @pytest.mark.parametrize(
+        "region,n,model,ignitions,trials",
+        [
+            (RectRegion(40, 5), 1, CircularModel(rate=1.0), 1, 3000),
+            (RectRegion(40, 5), 7, CircularModel(rate=2.0), 3, 1000),
+            (RectRegion(10, 10), 7, EllipticalModel(1.0, 3.0, 2.0, heading=2.3), 1, 600),
+            (RectRegion(40, 5), 500, EllipticalModel(1.0, 2.0, 2.0, heading=0.6), 1, 2000),
+            (RectRegion(10, 10), 500, EllipticalModel(1.0, 2.0, 1.5, heading=4.0), 3, 1500),
+        ],
+        ids=["N=1 40x5", "N=7 40x5 3 ignitions", "N=7 elliptical", "N=500 40x5 elliptical",
+             "N=500 elliptical 3 ignitions"],
+    )
+    def test_matches_dense_draw_and_exact_area_law(self, region, n, model, ignitions, trials):
+        cfg = ScenarioConfig(
+            region=region,
+            placement=RandomPlacement(count=n),
+            model=model,
+            trials=trials,
+            master_seed=21,
+            ignition_count=ignitions,
+        )
+        st = summarize(run_trials(cfg))
+        dense = dense_detection_times(cfg, seed=22)
+        assert stats.ks_2samp(st.ecdf_td, dense).pvalue > 0.01
+        law = exact_burned_area_law(region.area, n)
+        assert ks_distance(st.ecdf_ad, law) < ks_critical(st.n, alpha=0.01)
+
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """Stop the sampler only when every sensor is drawn, and log each
+        batch of sensor coordinates passed to the circular reach times."""
+        monkeypatch.setattr(firewatch.montecarlo._CellSampler, "_covered", lambda *a: False)
+        draws = []
+        reach_times = CircularModel.reach_times
+
+        def logged(self, ignition, xs, ys):
+            draws.append((np.array(xs), np.array(ys)))
+            return reach_times(self, ignition, xs, ys)
+
+        monkeypatch.setattr(CircularModel, "reach_times", logged)
+        return draws
+
+    def test_stopping_early_never_changes_detection_time(self, monkeypatch):
+        # With one ignition the rings are drawn in the same order whether or
+        # not the search stops, so every trial must find the same minimum.
+        cfg = small_random_config(
+            region=RectRegion(40, 5), placement=RandomPlacement(count=2000), trials=3000
+        )
+        stopped = run_trials(cfg)
+        self._record_draws(monkeypatch)
+        assert run_trials(cfg) == stopped
+
+    def test_full_draw_is_n_uniform_sensors(self, monkeypatch):
+        draws = self._record_draws(monkeypatch)
+        n, trials = 300, 200
+        cfg = small_random_config(
+            region=RectRegion(40, 5), placement=RandomPlacement(count=n), trials=trials
+        )
+        run_trials(cfg)
+        xs = np.concatenate([x for x, _ in draws])
+        ys = np.concatenate([y for _, y in draws])
+        assert xs.size == n * trials
+        assert stats.kstest(xs / 40, "uniform").pvalue > 0.01
+        assert stats.kstest(ys / 5, "uniform").pvalue > 0.01
+
+    def test_million_sensors(self):
+        cfg = ScenarioConfig(
+            region=RectRegion(1000, 1000),
+            placement=RandomPlacement(count=1_000_000),
+            model=CircularModel(rate=1.0),
+            trials=400,
+            master_seed=23,
+        )
+        st = summarize(run_trials(cfg))
+        assert abs(st.mean_ad - 1e6 / (1e6 + 1)) < 4 * st.se_ad
 
 
 class TestSummarize:

@@ -109,6 +109,12 @@ def test_uniform_layout_validation():
         uniform_layout(RectRegion(1, 1), 0, seed=0)
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, "7"])
+def test_random_placement_rejects_bad_count(count):
+    with pytest.raises(ParameterError):
+        RandomPlacement(count)
+
+
 def test_build_layout_dispatch():
     region = RectRegion(2, 2)
     assert len(build_layout(GridPlacement(1.0), region)) == 9
