@@ -25,7 +25,6 @@ from .errors import DomainError, ParameterError
 from .geometry import RectRegion
 from .montecarlo import (
     ScenarioConfig,
-    _check_master_seed,
     _splitmix64,
     ks_distance,
     outcomes_to_csv,
@@ -36,6 +35,7 @@ from .montecarlo import (
 from .placement import (
     GridPlacement,
     RandomPlacement,
+    _check_master_seed,
     build_layout,
     characteristic_distance,
     layout_to_csv,

@@ -1,9 +1,10 @@
 """Planar primitives for fire-front geometry.
 
 Provides the protected rectangle, reach-time solving for elliptically
-growing fronts, an exact circle/rectangle intersection area, and a
-deterministic union-area estimator for collections of spread fronts
-clipped to the region.
+growing fronts, the exact area of a disk intersected with a convex polygon
+(which gives the clipped area of one circular or elliptical front), and a
+deterministic union-area estimator for groups of overlapping fronts clipped
+to the region.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "RectRegion",
     "ellipse_reach_time",
     "ellipse_reach_times",
+    "disk_polygon_area",
     "disk_rect_area",
     "burned_union_area",
 ]
@@ -28,6 +30,10 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # High-bit tag keeps union-area jitter streams disjoint from trial substreams.
 _AREA_STREAM_TAG = 1 << 63
+# Jittered points per block of the union-area sampler. The jitter stream is
+# consumed in the same row-major order for any block size, so the estimate
+# does not depend on it; the block only bounds the temporaries (~1 MB each).
+_SAMPLER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,22 @@ def _tri_disk_area(ax: float, ay: float, bx: float, by: float, r: float) -> floa
     return _sector_area(ax, ay, bx, by, r2)
 
 
+def disk_polygon_area(vertices, radius: float) -> float:
+    """Exact area of disk(origin, radius) intersected with a convex polygon.
+
+    ``vertices`` lists the polygon's corners counterclockwise, relative to
+    the disk's center. The area is the sum, over the edges, of the signed
+    overlap of the disk with the triangle spanned by the center and the edge.
+    """
+    n = len(vertices)
+    total = 0.0
+    for i in range(n):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % n]
+        total += _tri_disk_area(ax, ay, bx, by, radius)
+    return max(total, 0.0)
+
+
 def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     """Exact area of disk(center, radius) intersected with ``region``."""
     if radius < 0:
@@ -191,12 +213,7 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
         (region.width - cx, region.height - cy),
         (0.0 - cx, region.height - cy),
     )
-    total = 0.0
-    for i in range(4):
-        ax, ay = corners[i]
-        bx, by = corners[(i + 1) % 4]
-        total += _tri_disk_area(ax, ay, bx, by, radius)
-    return max(total, 0.0)
+    return disk_polygon_area(corners, radius)
 
 
 def _clip_box(box, region: RectRegion):
@@ -250,7 +267,7 @@ def _stratified_union_area(fronts, box, tol: float, seed: int) -> float:
         key = np.array([seed & _MASK64, _AREA_STREAM_TAG | n], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         hits = 0
-        block = max(1, (1 << 21) // n)
+        block = max(1, _SAMPLER_BLOCK // n)
         cols = np.arange(n)
         for r0 in range(0, n, block):
             rows = np.arange(r0, min(r0 + block, n))
@@ -284,8 +301,10 @@ def burned_union_area(
     ``fronts`` is a sequence of ``(ignition, model, t)`` triples; each model
     must expose ``area(t)``, ``bounding_box(ignition, t)``, ``covers`` and
     ``clipped_area_exact``.  Fronts whose bounding boxes stay disjoint are
-    measured independently (exactly, where a closed form exists); interacting
-    groups fall back to stratified sampling at relative tolerance ``tol``.
+    measured independently and exactly: ``area(t)`` inside the region,
+    ``clipped_area_exact`` across its edge.  Only groups of overlapping
+    fronts are estimated, by stratified sampling at relative tolerance
+    ``tol``.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
@@ -319,13 +338,8 @@ def burned_union_area(
                 and box[2] <= region.width
                 and box[3] <= region.height
             )
-            if inside:
-                total += model.area(t)
-                continue
-            exact = model.clipped_area_exact(ignition, t, region)
-            if exact is not None:
-                total += exact
-                continue
+            total += model.area(t) if inside else model.clipped_area_exact(ignition, t, region)
+            continue
         hull = (
             min(m[2][0] for m in members),
             min(m[2][1] for m in members),

@@ -34,7 +34,7 @@ import numpy.random  # noqa: F401
 from .analytic import AnalyticLaw
 from .errors import EstimatorError, ParameterError
 from .geometry import Point, RectRegion, burned_union_area
-from .placement import GridPlacement, RandomPlacement, build_layout
+from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
 from .propagation import SpreadModel
 
 __all__ = [
@@ -108,12 +108,6 @@ class ScenarioConfig:
             raise ParameterError("grid layouts have nothing to resample")
         if self.clip_to_region is None:
             object.__setattr__(self, "clip_to_region", is_random)
-
-
-def _check_master_seed(seed) -> None:
-    # Philox keys are 64-bit words: a wider seed would alias a smaller one.
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ParameterError(f"master seed must be an integer in [0, 2^64), got {seed}")
 
 
 class _TrialStreams:

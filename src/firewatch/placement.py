@@ -68,6 +68,12 @@ class RandomPlacement:
             raise ParameterError(f"sensor count must be an integer >= 1, got {self.count!r}")
 
 
+def _check_master_seed(seed) -> None:
+    # Philox keys are 64-bit words: a wider seed would alias a smaller one.
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ParameterError(f"master seed must be an integer in [0, 2^64), got {seed}")
+
+
 def characteristic_distance(area: float, n: int) -> float:
     """Density parameter sqrt(area / n) summarizing sensor spacing."""
     if not area > 0:
@@ -106,10 +112,14 @@ def grid_layout(region: RectRegion, spacing: float) -> SensorLayout:
 
 
 def uniform_layout(region: RectRegion, n: int, seed: int) -> SensorLayout:
-    """``n`` i.i.d. uniform sensor positions; deterministic for a fixed seed."""
+    """``n`` i.i.d. uniform sensor positions; deterministic for a fixed seed.
+
+    The seed must lie in [0, 2^64), like a master seed.
+    """
     if n < 1:
         raise ParameterError(f"sensor count must be >= 1, got {n}")
-    key = np.array([seed & _MASK64, _LAYOUT_STREAM_TAG], dtype=np.uint64)
+    _check_master_seed(seed)
+    key = np.array([seed, _LAYOUT_STREAM_TAG], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     positions = rng.random((n, 2)) * np.array([region.width, region.height])
     return SensorLayout(

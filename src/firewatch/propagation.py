@@ -18,6 +18,7 @@ from .errors import DomainError, ParameterError
 from .geometry import (
     Point,
     RectRegion,
+    disk_polygon_area,
     disk_rect_area,
     ellipse_axis_rates,
     ellipse_reach_time,
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 
+def _check_rate(rate) -> None:
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ParameterError(f"spread rate must be positive and finite, got {rate}")
+
+
 @dataclass(frozen=True)
 class CircularModel:
     """Front spreads at ``rate`` m/s in every direction."""
@@ -43,8 +49,7 @@ class CircularModel:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError(f"spread rate must be positive, got {self.rate}")
+        _check_rate(self.rate)
 
     def area(self, t):
         return math.pi * (self.rate * t) ** 2
@@ -82,12 +87,15 @@ class EllipticalModel:
     heading: float = 0.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError(f"spread rate must be positive, got {self.rate}")
-        if not self.hb_ratio >= 1:
-            raise ParameterError(f"head-to-back ratio must be >= 1, got {self.hb_ratio}")
-        if not self.lb_ratio >= 1:
-            raise ParameterError(f"length-to-breadth ratio must be >= 1, got {self.lb_ratio}")
+        _check_rate(self.rate)
+        if not 1 <= self.hb_ratio < math.inf:
+            raise ParameterError(f"head-to-back ratio must be finite and >= 1, got {self.hb_ratio}")
+        if not 1 <= self.lb_ratio < math.inf:
+            raise ParameterError(
+                f"length-to-breadth ratio must be finite and >= 1, got {self.lb_ratio}"
+            )
+        if not math.isfinite(self.heading):
+            raise ParameterError(f"heading must be finite, got {self.heading}")
 
     @property
     def axis_rates(self) -> tuple[float, float, float]:
@@ -127,7 +135,24 @@ class EllipticalModel:
         return (cx - ex, cy - ey, cx + ex, cy + ey)
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
-        return None
+        # The inverse affine map of the front (shift to its center, rotate by
+        # -heading, scale by 1/(a t) and 1/(b t)) takes the ellipse to the
+        # unit disk and the region to a parallelogram, with areas scaled by
+        # 1/(a b t^2) and the corners still counterclockwise.
+        if t <= 0.0:
+            return 0.0
+        a, b, c = self.axis_rates
+        cos_h = math.cos(self.heading)
+        sin_h = math.sin(self.heading)
+        cx = ignition.x + c * t * cos_h
+        cy = ignition.y + c * t * sin_h
+        at, bt = a * t, b * t
+        w, h = region.width, region.height
+        corners = []
+        for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):
+            dx, dy = x - cx, y - cy
+            corners.append(((dx * cos_h + dy * sin_h) / at, (dy * cos_h - dx * sin_h) / bt))
+        return at * bt * disk_polygon_area(corners, 1.0)
 
 
 SpreadModel = Union[CircularModel, EllipticalModel]

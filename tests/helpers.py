@@ -2,9 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
-chord-length quadrature for circle/rectangle overlap, the textbook two-circle
-lens formula, and a dense per-trial sensor draw for the engine's lazy
-cell-by-cell sampler.
+chord-length quadrature for circle/rectangle and ellipse/rectangle overlap,
+the textbook two-circle lens formula, and a dense per-trial sensor draw for
+the engine's lazy cell-by-cell sampler.
 """
 
 import math
@@ -75,6 +75,54 @@ def quad_disk_rect(cx, cy, r, width, height):
             epsrel=1e-12,
             points=[p for p in (cx - r, cx, cx + r) if lo < p < hi],
         )
+    return val
+
+
+def quad_ellipse_rect(rate, hb, lb, heading, ign, t, width, height):
+    """Elliptical front/rectangle overlap via chord-length quadrature.
+
+    Integrates, in the region frame, the length of the front's vertical
+    chord at ``x`` clipped to ``[0, height]``. With ``x = xc - X cos(s)``,
+    where ``xc +- X`` bound the front, the chord's endpoints are smooth in
+    ``s``; the only kinks left are where they cross ``y = 0`` or
+    ``y = height``, and quad is told about those.
+    """
+    a, b, c = ellipse_axis_rates(rate, hb, lb)
+    ax, by = a * t, b * t
+    ch, sh = math.cos(heading), math.sin(heading)
+    xc, yc = ign.x + c * t * ch, ign.y + c * t * sh
+    # At offset dx from the center the chord solves
+    # p y^2 + 2 q dx y + r dx^2 = 1, with p r - q^2 = 1 / (ax by)^2.
+    p = (sh / ax) ** 2 + (ch / by) ** 2
+    q = ch * sh * (1 / ax**2 - 1 / by**2)
+    rp = math.sqrt(p)
+    half = rp * ax * by
+
+    def chord(s):
+        # The chord's ends are y = yc + (q X cos s -+ sqrt(p) sin s) / p.
+        mid = yc + q * half * math.cos(s) / p
+        lo, hi = mid - math.sin(s) / rp, mid + math.sin(s) / rp
+        return max(0.0, min(hi, height) - max(lo, 0.0)) * half * math.sin(s)
+
+    s_lo = math.acos(min(1.0, max(-1.0, xc / half)))
+    s_hi = math.acos(min(1.0, max(-1.0, (xc - width) / half)))
+    if s_lo >= s_hi:
+        return 0.0
+    # Each chord end is yc + m cos(s -+ phi) / p: solve it for y = 0, height.
+    m = math.hypot(q * half, rp)
+    phi = math.atan2(rp, q * half)
+    kinks = []
+    for level in (0.0, height):
+        z = p * (level - yc) / m
+        if abs(z) < 1:
+            for sign in (-1, 1):
+                for root in (math.acos(z), -math.acos(z)):
+                    s = (sign * phi + root) % (2 * math.pi)
+                    if s_lo < s < s_hi:
+                        kinks.append(s)
+    val, _ = integrate.quad(
+        chord, s_lo, s_hi, limit=400, epsabs=1e-13, epsrel=1e-13, points=sorted(kinks) or None
+    )
     return val
 
 

@@ -140,6 +140,18 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "seed" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--model", "elliptical", "--heading", "nan"], ["--rate", "inf"]],
+        ids=["heading nan", "rate inf"],
+    )
+    def test_non_finite_model_parameter_exit_2(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "5", "--trials", "10", *flags,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("configuration error:")
+
     def test_zero_sensors_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--region", "10x10", "--sensors", "0", "--trials", "10",
@@ -285,6 +297,16 @@ class TestPlanCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y"
         assert len(lines) == 10001
+
+    def test_export_negative_seed_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "layout.csv"
+        code, out, err = run_cli(
+            capsys, "plan", "--placement", "random", "--region", "10x10",
+            "--target-area", "1.0", "--seed", "-1", "--export-layout", str(path),
+        )
+        assert code == 2
+        assert out == "" and "seed" in err
+        assert not path.exists()
 
     def test_export_grid_layout_needs_multiple_sides(self, capsys, tmp_path):
         path = tmp_path / "layout.csv"

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from firewatch import geometry
 from firewatch.errors import DomainError, ParameterError
 from firewatch.geometry import (
     Point,
@@ -13,7 +15,7 @@ from firewatch.geometry import (
 )
 from firewatch.propagation import CircularModel, EllipticalModel
 
-from helpers import bisect_reach_time, lens_union_area, quad_disk_rect
+from helpers import bisect_reach_time, lens_union_area, quad_disk_rect, quad_ellipse_rect
 
 REGION = RectRegion(10.0, 10.0)
 
@@ -165,8 +167,9 @@ class TestBurnedUnionArea:
         assert a == pytest.approx(disk_rect_area(ign, 1.8, REGION), rel=1e-9)
 
     def test_clipped_ellipse_matches_quadrature_scale(self):
-        # Sampling path: ellipse sticking out of the region; oracle is a fine
-        # midpoint grid evaluated here, independent of the jittered sampler.
+        # Exact-clip path: ellipse sticking out of the region; oracle is a
+        # fine midpoint grid of the membership predicate (its own error is
+        # about 6e-4 here).
         ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=2.1)
         ign = Point(0.3, 5.0)
         t = 1.4
@@ -177,7 +180,7 @@ class TestBurnedUnionArea:
         gx, gy = np.meshgrid(xs, ys)
         inside = ell.covers(ign, t, gx, gy) & (gx >= 0)
         want = inside.mean() * 12.0
-        assert got == pytest.approx(want, rel=3e-3)
+        assert got == pytest.approx(want, rel=1e-3)
 
     def test_monotone_in_time_and_bounded_by_region(self):
         ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=1.5, heading=0.7)
@@ -206,3 +209,80 @@ class TestBurnedUnionArea:
     def test_bad_tol_rejected(self):
         with pytest.raises(ParameterError):
             burned_union_area([(Point(5, 5), CircularModel(1.0), 1.0)], REGION, tol=0.0)
+
+
+class TestEllipseClip:
+    def test_against_chord_quadrature(self):
+        rng = np.random.Generator(np.random.Philox(key=[41, 0]))
+        for i in range(200):
+            w, h = rng.random() * 10 + 0.5, rng.random() * 10 + 0.5
+            rate = 0.5 + 2 * rng.random()
+            hb = 1.0 + 4 * rng.random()
+            lb = 1.0 + 3 * rng.random()
+            heading = rng.random() * 2 * math.pi
+            t = 10 ** rng.uniform(-4, math.log10(20))
+            if i % 2:
+                ign = Point(rng.random() * w, rng.random() * h)
+            else:  # near a corner, so that small fronts are clipped too
+                reach = rate * t
+                ign = Point(min(w, rng.random() * reach), min(h, rng.random() * reach))
+            model = EllipticalModel(rate, hb, lb, heading)
+            got = model.clipped_area_exact(ign, t, RectRegion(w, h))
+            want = quad_ellipse_rect(rate, hb, lb, heading, ign, t, w, h)
+            assert got == pytest.approx(want, rel=1e-8)
+
+    def test_unit_ratios_match_disk_rect_area(self):
+        rng = np.random.Generator(np.random.Philox(key=[43, 0]))
+        for _ in range(100):
+            ign = Point(rng.random() * 12 - 1, rng.random() * 12 - 1)
+            t = rng.random() * 8 + 1e-3
+            model = EllipticalModel(1.3, 1.0, 1.0, rng.random() * 7)
+            got = model.clipped_area_exact(ign, t, REGION)
+            assert got == pytest.approx(disk_rect_area(ign, 1.3 * t, REGION), rel=1e-12, abs=1e-14)
+
+    def test_interior_ellipse_gives_full_area(self):
+        model = EllipticalModel(1.0, 3.0, 2.5, 0.8)
+        assert model.clipped_area_exact(Point(4, 5), 1.5, REGION) == pytest.approx(
+            model.area(1.5), rel=1e-12
+        )
+
+    def test_zero_time(self):
+        model = EllipticalModel(1.0, 2.0, 2.0, 0.3)
+        assert model.clipped_area_exact(Point(0, 0), 0.0, REGION) == 0.0
+
+    def test_lone_clipped_ellipse_is_not_sampled(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a lone front reached the sampler")
+
+        monkeypatch.setattr(geometry, "_stratified_union_area", fail)
+        ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=2.1)
+        fronts = [(Point(0.3, 5.0), ell, 1.4), (Point(9.9, 9.0), ell, 0.5)]
+        got = burned_union_area(fronts, REGION)
+        want = [ell.clipped_area_exact(ign, t, REGION) for ign, _, t in fronts]
+        assert want[1] < ell.area(0.5)
+        assert got == pytest.approx(sum(want), rel=1e-15)
+
+
+class TestSampler:
+    FRONTS = [
+        (Point(1.0, 1.5), EllipticalModel(1.0, 2.0, 2.0, 0.7), 1.2),
+        (Point(2.0, 1.0), EllipticalModel(1.0, 2.0, 2.0, 0.7), 1.2),
+    ]
+
+    def test_block_size_does_not_change_estimate(self, monkeypatch):
+        got = []
+        for block in (1 << 10, 1 << 21):
+            monkeypatch.setattr(geometry, "_SAMPLER_BLOCK", block)
+            got.append(burned_union_area(self.FRONTS, REGION, tol=1e-4, seed=5))
+        assert got[0] == got[1]
+
+    def test_finest_grid_allocates_little(self):
+        # A tolerance no estimate meets refines the grid up to 4096 a side.
+        box = (0.0, 0.0, 4.0, 4.0)
+        tracemalloc.start()
+        try:
+            geometry._stratified_union_area(self.FRONTS, box, 1e-15, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

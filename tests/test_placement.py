@@ -109,6 +109,14 @@ def test_uniform_layout_validation():
         uniform_layout(RectRegion(1, 1), 0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 9])
+def test_uniform_layout_rejects_seed_outside_64_bits(seed):
+    # Masking would alias -1 to 2^64 - 1 and 2^64 + 9 to 9.
+    with pytest.raises(ParameterError, match="seed"):
+        uniform_layout(RectRegion(1, 1), 3, seed=seed)
+    assert len(uniform_layout(RectRegion(1, 1), 3, seed=2**64 - 1)) == 3
+
+
 @pytest.mark.parametrize("count", [0, -3, 2.5, True, "7"])
 def test_random_placement_rejects_bad_count(count):
     with pytest.raises(ParameterError):

@@ -139,3 +139,22 @@ def test_model_validation():
         EllipticalModel(rate=1.0, hb_ratio=0.9)
     with pytest.raises(ParameterError):
         EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CircularModel(rate=math.inf),
+        lambda: CircularModel(rate=math.nan),
+        lambda: EllipticalModel(rate=math.inf),
+        lambda: EllipticalModel(rate=1.0, heading=math.nan),
+        lambda: EllipticalModel(rate=1.0, heading=-math.inf),
+        lambda: EllipticalModel(rate=1.0, hb_ratio=math.inf),
+        lambda: EllipticalModel(rate=1.0, lb_ratio=math.inf),
+    ],
+    ids=["circ rate inf", "circ rate nan", "ell rate inf", "heading nan", "heading -inf",
+         "hb inf", "lb inf"],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ParameterError):
+        make()
