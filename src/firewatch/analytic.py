@@ -76,8 +76,8 @@ class TdMoments:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def grid_td_cdf(x, spacing: float, rate: float):

@@ -66,16 +66,23 @@ def _parse_counts(text: str) -> list[int]:
 def _parse_points(args) -> Optional[np.ndarray]:
     if args.x is not None:
         try:
-            return np.array([float(tok) for tok in args.x.split(",") if tok])
+            xs = np.array([float(tok) for tok in args.x.split(",") if tok])
         except ValueError as exc:
             raise ParameterError(f"bad point list {args.x!r}") from exc
-    if args.x_range is not None:
+    elif args.x_range is not None:
         try:
             start, stop, count = args.x_range.split(":")
-            return np.linspace(float(start), float(stop), int(count))
+            start, stop = float(start), float(stop)
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValueError("the range must be finite")
+            xs = np.linspace(start, stop, int(count))
         except ValueError as exc:
             raise ParameterError(f"bad range {args.x_range!r}: expected START:STOP:COUNT") from exc
-    return None
+    else:
+        return None
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError("evaluation points must be finite")
+    return xs
 
 
 def _model_from(kind: str, rate: float, hb: float, lb: float, heading: float) -> SpreadModel:
@@ -99,7 +106,17 @@ def _load_config_file(path: str) -> dict:
 def _scenario_from_args(args) -> ScenarioConfig:
     """Merge the optional JSON config file with flag overrides."""
     cfg = _load_config_file(args.config) if args.config else {}
+    try:
+        return _scenario_from(cfg, args)
+    except (ParameterError, DomainError):
+        raise
+    except KeyError as exc:
+        raise ParameterError(f"config file {args.config} has no key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParameterError(f"config file {args.config} has a mistyped value: {exc}") from exc
 
+
+def _scenario_from(cfg: dict, args) -> ScenarioConfig:
     region = None
     if "region" in cfg:
         raw = cfg["region"]
@@ -494,10 +511,10 @@ def plan(req: PlanRequest) -> dict:
     Grid targets use the exact grid moment formulas (circular spread only);
     random targets invert the exponential-limit moments.
     """
-    if not req.area > 0:
-        raise ParameterError(f"area must be positive, got {req.area}")
-    if not req.target_value > 0:
-        raise ParameterError(f"target must be positive, got {req.target_value}")
+    if not (req.area > 0 and math.isfinite(req.area)):
+        raise ParameterError(f"area must be positive and finite, got {req.area}")
+    if not (req.target_value > 0 and math.isfinite(req.target_value)):
+        raise ParameterError(f"target must be positive and finite, got {req.target_value}")
     assumptions = []
     if req.placement_kind == "grid":
         if not isinstance(req.model, CircularModel):
@@ -521,8 +538,11 @@ def plan(req: PlanRequest) -> dict:
             assumptions.append(f"time scale k = 2*sqrt(lb)/(1 + 1/hb) = {k!r}")
     else:
         raise ParameterError(f"unknown placement kind {req.placement_kind!r}")
+    quotient = req.area / (d * d) if 0 < d * d < math.inf else math.inf
+    if not math.isfinite(quotient):
+        raise ParameterError(f"target {req.target_value} is out of range for area {req.area}")
     # Relative guard so exact-intent quotients (e.g. 10000.0) don't round up.
-    n = math.ceil(req.area / (d * d) * (1.0 - 1e-12))
+    n = math.ceil(quotient * (1.0 - 1e-12))
     return {"D": d, "N": int(n), "assumptions": assumptions}
 
 

@@ -59,9 +59,9 @@ class RectRegion:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ParameterError(
-                f"region sides must be positive, got {self.width} x {self.height}"
+                f"region sides must be positive and finite, got {self.width} x {self.height}"
             )
 
     @property

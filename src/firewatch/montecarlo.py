@@ -5,7 +5,17 @@ Every trial draws from its own counter-based substream (Philox keyed by
 configuration: independent of execution order, chunking and worker count.
 
 Within a trial the draw order is fixed: ignition points first, then, when the
-layout is resampled, the sensors near them. The region is split into a fixed
+layout is resampled, the sensors near them.
+
+A fixed layout (a grid, or random sensors with resampling off) needs only
+each trial's ignitions from its stream, so such runs are array work over
+blocks of trials: the Philox4x64-10 words of many trial keys are computed at
+once, bit for bit as numpy's ``Philox(key=[master_seed, i])`` would give
+them, and the reach times of a block come from broadcast calls of the
+spread model. The outcomes are byte for byte those of timing every sensor
+trial by trial.
+
+A resampled layout runs trial by trial. The region is split into a fixed
 grid of equal cells, and rings of cells are visited outward from each
 ignition's cell. For each step's new cells the sensor count is drawn as
 Binomial(remaining sensors, new area / undrawn area), then that many positions
@@ -59,6 +69,18 @@ _MAX_TRIAL_INDEX = 1 << 62
 # one cell, so that several ignitions at small N take one step, as a dense
 # draw would.
 _SENSORS_PER_CELL = 64
+# Philox4x64-10 (Salmon et al., SC'11) round multipliers and key increments,
+# as numpy's Philox uses them.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# A fixed-layout run draws the ignitions of _TRIAL_BLOCK trials at a time and
+# times them against the sensors in slices of at most _PAIR_BLOCK (trial,
+# sensor) pairs (one trial per slice once the layout alone is larger), so that
+# each temporary holds 64 KB or less where it can: below glibc's mmap
+# threshold, so the heap reuses them and peak memory does not grow.
+_TRIAL_BLOCK = 1 << 11
+_PAIR_BLOCK = 1 << 13
 
 
 class TrialOutcome(NamedTuple):
@@ -111,7 +133,7 @@ class ScenarioConfig:
 
 
 class _TrialStreams:
-    """Reusable Philox generator rebased per trial.
+    """Reusable Philox generator rebased per trial, for resampled layouts.
 
     Resetting the key/counter through the state dict is bit-identical to
     constructing ``Philox(key=[master_seed, index])`` afresh, but an order
@@ -142,6 +164,73 @@ def _splitmix64(z: int) -> int:
 def _area_seed(master_seed: int, trial_index: int) -> int:
     # Hash-derived key for the union-area jitter stream of one trial.
     return _splitmix64(master_seed ^ _splitmix64(trial_index))
+
+
+def _mulhilo(a, b):
+    """High and low words of the 128-bit products ``a * b`` of uint64 values."""
+    a_lo, a_hi = a & _LO32, a >> _S32
+    b_lo, b_hi = b & _LO32, b >> _S32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> _S32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32), a * b
+
+
+def _philox_words(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """The first ``count`` words of ``Philox(key=[master_seed, i]).random_raw()``
+    for each trial ``i`` in [lo, hi), as a (hi - lo, count) uint64 array.
+
+    numpy's Philox4x64-10 adds one to its 256-bit counter before it computes
+    each block of four words, so its first block is at counter 1.
+    """
+    n = hi - lo
+    words = []
+    for counter in range(1, (count + 3) // 4 + 1):
+        c0 = np.full(n, counter, dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
+        k0, k1 = master_seed, np.arange(lo, hi, dtype=np.uint64)
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = k1 + np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        words += [c0, c1, c2, c3]
+    return np.stack(words[:count], axis=1)
+
+
+def _trial_uniforms(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """Row ``i - lo`` holds ``Generator(Philox(key=[master_seed, i])).random(count)``:
+    the top 53 bits of each word, scaled to [0, 1)."""
+    return (_philox_words(master_seed, lo, hi, count) >> np.uint64(11)) * 2.0**-53
+
+
+class _Ignitions(NamedTuple):
+    """One ignition of each trial in a block, as column arrays: passed to a
+    spread model in place of a ``Point``, it broadcasts against the sensors."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+class _FixedSensors:
+    """A layout that stays put across trials, timed for blocks of trials."""
+
+    def __init__(self, config: ScenarioConfig):
+        positions = build_layout(config.placement, config.region, seed=config.master_seed).positions
+        self.model = config.model
+        self.sensors = (positions[:, 0], positions[:, 1])
+        self.rows = max(1, _PAIR_BLOCK // len(positions))
+
+    def first_reach(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Detection times of the trials whose ignitions are the rows of ``(xs, ys)``."""
+        best = np.full(len(xs), math.inf)
+        for r0 in range(0, len(xs), self.rows):
+            rows = slice(r0, r0 + self.rows)
+            for x, y in zip(xs[rows].T, ys[rows].T):
+                t = self.model.reach_times(_Ignitions(x[:, None], y[:, None]), *self.sensors)
+                np.minimum(best[rows], t.min(axis=1), out=best[rows])
+        return best
 
 
 class _CellSampler:
@@ -261,16 +350,46 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
     return best
 
 
+def _union_area(config: ScenarioConfig, index: int, t_d: float, ignitions) -> float:
+    """Burned area of trial ``index``: the union of its fronts, clipped to the region."""
+    fronts = [(Point(x, y), config.model, t_d) for x, y in ignitions]
+    return burned_union_area(
+        fronts, config.region, tol=config.area_tol, seed=_area_seed(config.master_seed, index)
+    )
+
+
+def _simulate_fixed(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    region, model, k = config.region, config.model, config.ignition_count
+    sensors = _FixedSensors(config)
+    t_out = np.empty(hi - lo)
+    a_out = np.empty(hi - lo)
+    for b0 in range(lo, hi, _TRIAL_BLOCK):
+        b1 = min(b0 + _TRIAL_BLOCK, hi)
+        u = _trial_uniforms(config.master_seed, b0, b1, 2 * k)
+        xs, ys = u[:, 0::2] * region.width, u[:, 1::2] * region.height
+        t_d = sensors.first_reach(xs, ys)
+        t_out[b0 - lo : b1 - lo] = t_d
+        if k == 1 and not config.clip_to_region:
+            # Python floats: numpy's square differs from libm pow in the last bit.
+            a_out[b0 - lo : b1 - lo] = [model.area(t) for t in t_d.tolist()]
+        else:
+            ignitions = np.stack([xs, ys], axis=2).tolist()
+            a_out[b0 - lo : b1 - lo] = [
+                _union_area(config, i, t, ign)
+                for i, t, ign in zip(range(b0, b1), t_d.tolist(), ignitions)
+            ]
+    return t_out, a_out
+
+
 def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    if not config.resample_layout_each_trial:
+        return _simulate_fixed(config, lo, hi)
     region = config.region
     model = config.model
     k = config.ignition_count
     scale = np.array([region.width, region.height])
     streams = _TrialStreams(config.master_seed)
-    if config.resample_layout_each_trial:
-        sensors = _CellSampler(region, config.placement.count, streams.generator)
-    else:
-        sensors = build_layout(config.placement, region, seed=config.master_seed).positions
+    sensors = _CellSampler(region, config.placement.count, streams.generator)
 
     t_out = np.empty(hi - lo)
     a_out = np.empty(hi - lo)
@@ -281,10 +400,7 @@ def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarra
         if k == 1 and not config.clip_to_region:
             a_d = model.area(t_d)
         else:
-            fronts = [(Point(float(x), float(y)), model, t_d) for x, y in ignitions]
-            a_d = burned_union_area(
-                fronts, region, tol=config.area_tol, seed=_area_seed(config.master_seed, i)
-            )
+            a_d = _union_area(config, i, t_d, ignitions.tolist())
         t_out[i - lo] = t_d
         a_out[i - lo] = a_d
     return t_out, a_out

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap,
-the textbook two-circle lens formula, and a dense per-trial sensor draw for
-the engine's lazy cell-by-cell sampler.
+the textbook two-circle lens formula, a dense per-trial sensor draw for
+the engine's lazy cell-by-cell sampler, and a trial-by-trial run of a fixed
+layout for the engine's batched one.
 """
 
 import math
@@ -13,8 +14,9 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from firewatch.geometry import ellipse_axis_rates
-from firewatch.montecarlo import detection_time
+from firewatch.geometry import Point, burned_union_area, ellipse_axis_rates
+from firewatch.montecarlo import _area_seed, detection_time
+from firewatch.placement import build_layout
 
 
 def front_member(rate, hb, lb, heading, ign, tgt, t):
@@ -148,3 +150,30 @@ def dense_detection_times(config, seed):
         ignitions = rng.random((config.ignition_count, 2)) * scale
         out[i] = detection_time(config.model, positions, ignitions)
     return out
+
+
+def per_trial_outcomes(config, lo, hi):
+    """``(t_d, a_d)`` arrays of trials [lo, hi) of a fixed-layout run, trial by trial.
+
+    Each trial draws its ignitions from a fresh ``Philox(key=[master_seed,
+    i])``, times every sensor of the layout with ``detection_time``, and takes
+    F(t_d) for one unclipped front, else the clipped union of its fronts
+    under the trial's jitter seed.
+    """
+    region, model, k = config.region, config.model, config.ignition_count
+    positions = build_layout(config.placement, region, seed=config.master_seed).positions
+    scale = np.array([region.width, region.height])
+    t_out, a_out = np.empty(hi - lo), np.empty(hi - lo)
+    for i in range(lo, hi):
+        key = np.array([config.master_seed, i], dtype=np.uint64)
+        ignitions = np.random.Generator(np.random.Philox(key=key)).random((k, 2)) * scale
+        t_d = detection_time(model, positions, ignitions)
+        if k == 1 and not config.clip_to_region:
+            a_d = model.area(t_d)
+        else:
+            fronts = [(Point(float(x), float(y)), model, t_d) for x, y in ignitions]
+            seed = _area_seed(config.master_seed, i)
+            a_d = burned_union_area(fronts, region, tol=config.area_tol, seed=seed)
+        t_out[i - lo] = t_d
+        a_out[i - lo] = a_d
+    return t_out, a_out

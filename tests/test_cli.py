@@ -55,6 +55,23 @@ class TestAnalyticCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rate", "inf", "--x", "0.5"],
+            ["--rate", "nan", "--x", "0.5"],
+            ["--x", "nan"],
+            ["--x", "0.5,inf"],
+            ["--x-range", "0:inf:3"],
+        ],
+        ids=["rate inf", "rate nan", "x nan", "x inf", "x-range inf"],
+    )
+    def test_non_finite_input_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "analytic", "grid-td", "--spacing", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("configuration error:")
+
 
 class TestSimulateCommand:
     def test_summary_and_outcomes(self, capsys, tmp_path):
@@ -151,6 +168,31 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert out == "" and err.startswith("configuration error:")
+
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"region": "10x10", "placement": {"kind": "random"}}, "has no key 'count'"),
+            ({"region": {"width": 10}, "placement": {"kind": "grid", "spacing": 1}},
+             "has no key 'height'"),
+            ({"region": 7, "placement": {"kind": "grid", "spacing": 1}}, "mistyped value"),
+            ({"region": "10x10", "placement": "grid"}, "mistyped value"),
+            ({"region": "10x10", "placement": {"kind": "random", "count": [5]}},
+             "mistyped value"),
+            ({"region": "10x10", "placement": {"kind": "grid", "spacing": 1},
+              "model": {"rate": "fast"}}, "mistyped value"),
+            ([1, 2], "a region is required"),
+        ],
+        ids=["no count", "no height", "region number", "placement string", "count list",
+             "rate string", "not an object"],
+    )
+    def test_bad_config_file_exit_2(self, capsys, tmp_path, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
     def test_zero_sensors_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -286,6 +328,19 @@ class TestPlanCommand:
             "--target-area", "-1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--area", "100", "--target-area", "inf"], ["--area", "inf", "--target-area", "1"],
+         ["--area", "100", "--target-time", "nan"], ["--area", "100", "--target-area", "1e-320"],
+         ["--area", "100", "--target-time", "1e308"]],
+        ids=["target inf", "area inf", "target nan", "spacing underflows", "spacing overflows"],
+    )
+    def test_non_finite_request_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "plan", "--placement", "grid", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("configuration error:")
 
     def test_export_random_layout(self, capsys, tmp_path):
         path = tmp_path / "layout.csv"

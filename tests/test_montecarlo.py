@@ -17,6 +17,9 @@ from firewatch.montecarlo import (
     ScenarioConfig,
     SummaryStats,
     TrialOutcome,
+    _philox_words,
+    _simulate_range,
+    _trial_uniforms,
     detection_time,
     ks_critical,
     ks_distance,
@@ -25,10 +28,10 @@ from firewatch.montecarlo import (
     summarize,
     summary_to_json,
 )
-from firewatch.placement import GridPlacement, RandomPlacement
+from firewatch.placement import GridPlacement, RandomPlacement, build_layout
 from firewatch.propagation import CircularModel, EllipticalModel, burned_area
 
-from helpers import dense_detection_times
+from helpers import dense_detection_times, per_trial_outcomes
 
 
 def small_random_config(**kw):
@@ -289,6 +292,94 @@ class TestLazySampler:
         )
         st = summarize(run_trials(cfg))
         assert abs(st.mean_ad - 1e6 / (1e6 + 1)) < 4 * st.se_ad
+
+
+def fixed_config(region=RectRegion(10, 10), placement=GridPlacement(spacing=1.0), **kw):
+    base = dict(
+        region=region,
+        placement=placement,
+        model=CircularModel(rate=1.0),
+        trials=20_000,
+        master_seed=31,
+    )
+    base.update(kw)
+    return ScenarioConfig(**base)
+
+
+class TestFixedLayoutBatch:
+    """Batched fixed-layout runs against the trial-by-trial oracle, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config,trials",
+        [
+            (fixed_config(), 3000),
+            (fixed_config(clip_to_region=True), 1000),
+            (fixed_config(ignition_count=3), 300),
+            (fixed_config(ignition_count=3, clip_to_region=True), 300),
+            (fixed_config(model=EllipticalModel(1.0, 2.0, 1.5, heading=0.7)), 1000),
+            (fixed_config(region=RectRegion(40, 5), placement=GridPlacement(spacing=2.5)), 3000),
+            (fixed_config(placement=RandomPlacement(count=50), resample_layout_each_trial=False),
+             1000),
+            (fixed_config(
+                placement=RandomPlacement(count=50),
+                model=EllipticalModel(1.0, 3.0, 2.0, heading=2.3),
+                resample_layout_each_trial=False,
+            ), 1000),
+            # More sensors than one slice of pairs holds: one trial per slice.
+            (fixed_config(region=RectRegion(100, 100), placement=RandomPlacement(count=9000),
+                          resample_layout_each_trial=False), 2100),
+        ],
+        ids=["grid", "grid clipped", "grid 3 ignitions", "grid 3 ignitions clipped",
+             "grid elliptical", "grid 40x5", "fixed random", "fixed random elliptical",
+             "fixed random large"],
+    )
+    def test_matches_per_trial_oracle(self, config, trials):
+        t, a = _simulate_range(config, 0, trials)
+        t_ref, a_ref = per_trial_outcomes(config, 0, trials)
+        assert t.tobytes() == t_ref.tobytes()
+        assert a.tobytes() == a_ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [fixed_config(), fixed_config(placement=RandomPlacement(count=50),
+                                      resample_layout_each_trial=False)],
+        ids=["grid", "fixed random"],
+    )
+    def test_sub_range_across_blocks(self, config):
+        # Neither end is a multiple of the block size.
+        t, a = _simulate_range(config, 37, 9001)
+        t_ref, a_ref = per_trial_outcomes(config, 37, 9001)
+        assert t.tobytes() == t_ref.tobytes()
+        assert a.tobytes() == a_ref.tobytes()
+
+    def test_workers_do_not_change_results(self):
+        cfg = fixed_config(trials=20_001)
+        assert run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
+
+
+class TestPhiloxWords:
+    """The vectorised Philox must give numpy's words; if numpy ever changes
+    its Philox, these fail and the fixed-layout bytes must be revisited."""
+
+    SEEDS = [0, 1, 2**64 - 1, 0x9B3F_21C4_07D2_E855]
+    INDICES = [0, 1, 2**62 - 1, 0x1D0C_57A2_8E41_963]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_words_match_numpy(self, seed, index):
+        words = _philox_words(seed, index, index + 1, 8)
+        key = np.array([seed, index], dtype=np.uint64)
+        assert words.tolist() == [np.random.Philox(key=key).random_raw(8).tolist()]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_doubles_match_generator(self, seed, k):
+        lo = 2**62 - 5
+        u = _trial_uniforms(seed, lo, lo + 5, 2 * k)
+        for row, i in zip(u, range(lo, lo + 5)):
+            key = np.array([seed, i], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random((k, 2))
+            assert row.tobytes() == want.ravel().tobytes()
 
 
 class TestSummarize:
