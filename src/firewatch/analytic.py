@@ -178,22 +178,26 @@ def random_td_moments(model: SpreadModel, char_distance: float) -> TdMoments:
     return TdMoments(mean_td=mean, second_moment_td=second, var_td=var)
 
 
-def grid_td_law(spacing: float, rate: float) -> AnalyticLaw:
-    """Detection-time law of a regular grid, with closed-form moments."""
+def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
+    """Detection-time law of a regular grid: ``(1 - c(t))^k`` for ``k``
+    independent ignitions, with closed-form moments for one."""
     m = grid_moments(spacing, rate)
+    if ignitions < 1:
+        raise ParameterError(f"ignition count must be >= 1, got {ignitions}")
 
     def survival(x):
         xa = np.clip(np.asarray(x, dtype=float), 0.0, None)
-        s = 1.0 - grid_td_cdf(xa, spacing, rate)
+        s = (1.0 - grid_td_cdf(xa, spacing, rate)) ** ignitions
         return float(s) if np.ndim(x) == 0 else s
 
+    one = ignitions == 1
     return AnalyticLaw(
         survival=survival,
-        mean=m.mean_td,
-        second_moment=m.second_moment_td,
-        variance=m.var_td,
+        mean=m.mean_td if one else None,
+        second_moment=m.second_moment_td if one else None,
+        variance=m.var_td if one else None,
         support_upper=spacing / (math.sqrt(2.0) * rate),
-        name="grid detection time",
+        name="grid detection time" if one else f"grid detection time ({ignitions} ignitions)",
     )
 
 

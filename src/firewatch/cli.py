@@ -180,6 +180,14 @@ def _write_text(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _json(payload) -> str:
+    """JSON text of ``payload``; a NaN or infinite value is a domain error."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError("the result has a value that is not finite") from exc
+
+
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     def fmt(v):
         if v is None:
@@ -195,7 +203,7 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        _write_text(json.dumps(rows, indent=2) + "\n", out)
+        _write_text(_json(rows), out)
     else:
         _write_text(_rows_to_csv(rows, columns), out)
 
@@ -242,7 +250,7 @@ def _cmd_analytic(args) -> int:
             "variance": law.variance,
             "support_upper": law.support_upper,
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_text(_json(payload), args.out)
         return 0
     xs = _parse_points(args)
     if xs is None:
@@ -263,19 +271,23 @@ def _cmd_analytic(args) -> int:
 # simulate
 
 def _summary_laws(config: ScenarioConfig):
-    """Default laws for the summary KS columns, chosen by placement kind."""
+    """Laws for the summary KS columns, chosen by placement kind and ignition
+    count; None where no law applies."""
+    k = config.ignition_count
+    clipped = config.clip_to_region or k > 1  # several fronts are always clipped
     if isinstance(config.placement, GridPlacement):
         if not isinstance(config.model, CircularModel):
             return None, None  # the grid closed forms assume circular spread
         spacing = config.placement.spacing
         rate = config.model.rate
-        td_law = analytic.grid_td_law(spacing, rate)
-        ad_law = None if config.clip_to_region else analytic.grid_ad_law(spacing, rate)
+        td_law = analytic.grid_td_law(spacing, rate, k)
+        ad_law = None if clipped else analytic.grid_ad_law(spacing, rate)
         return td_law, ad_law
     n = config.placement.count
     d = characteristic_distance(config.region.area, n)
-    td_law = analytic.random_td_law(config.model, d)
-    if config.clip_to_region:
+    # k independent ignitions: exp(-k F(t) / D^2), the law of D / sqrt(k).
+    td_law = analytic.random_td_law(config.model, d / math.sqrt(k))
+    if clipped:
         ad_law = analytic.exact_burned_area_law(config.region.area, n)
     else:
         ad_law = analytic.limit_burned_area_law(d)
@@ -358,10 +370,12 @@ def compare_random_sweep(
             ignition_count=ignition_count,
         )
         stats = summarize(run_trials(config, workers=workers))
-        td_law = analytic.random_td_law(model, char_distance)
+        # k independent ignitions detect as one front with D / sqrt(k).
+        td_d = char_distance / math.sqrt(ignition_count)
+        td_law = analytic.random_td_law(model, td_d)
         exact_law = analytic.exact_burned_area_law(area, n)
         limit_law = analytic.limit_burned_area_law(char_distance)
-        td_m = analytic.random_td_moments(model, char_distance)
+        td_m = analytic.random_td_moments(model, td_d)
         rows.append(
             {
                 "n_sensors": n,
@@ -474,7 +488,7 @@ def _cmd_compare(args) -> int:
         )
     if args.format == "json":
         payload = {"rows": rows, "ecdf": ecdf_rows}
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_text(_json(payload), args.out)
     else:
         _write_text(_rows_to_csv(rows, _COMPARE_COLUMNS), args.out)
         if args.ecdf_out:
@@ -576,7 +590,7 @@ def _cmd_plan(args) -> int:
         with open(args.export_layout, "w") as fh:
             layout_to_csv(layout, fh)
         result = dict(result, layout_file=args.export_layout)
-    sys.stdout.write(json.dumps(result, indent=2) + "\n")
+    sys.stdout.write(_json(result))
     return 0
 
 

@@ -1,31 +1,33 @@
 """Deterministic, seedable Monte Carlo trial engine.
 
-Every trial draws from its own counter-based substream (Philox keyed by
-(master_seed, trial_index)), so results are a pure function of the scenario
-configuration: independent of execution order, chunking and worker count.
+Trial ``i`` draws its ignition points from its own counter-based substream,
+Philox keyed by (master_seed, i). Trials run as array work over blocks of
+trials: the Philox4x64-10 words of many trial keys are computed at once, bit
+for bit as numpy's ``Philox(key=[master_seed, i])`` would give them. Results
+are a pure function of the scenario configuration: independent of execution
+order, chunking and worker count.
 
-Within a trial the draw order is fixed: ignition points first, then, when the
-layout is resampled, the sensors near them.
+A fixed layout (a grid, or random sensors with resampling off) needs nothing
+more, and the reach times of a block come from broadcast calls of the spread
+model. The outcomes are byte for byte those of timing every sensor trial by
+trial.
 
-A fixed layout (a grid, or random sensors with resampling off) needs only
-each trial's ignitions from its stream, so such runs are array work over
-blocks of trials: the Philox4x64-10 words of many trial keys are computed at
-once, bit for bit as numpy's ``Philox(key=[master_seed, i])`` would give
-them, and the reach times of a block come from broadcast calls of the
-spread model. The outcomes are byte for byte those of timing every sensor
-trial by trial.
-
-A resampled layout runs trial by trial. The region is split into a fixed
-grid of equal cells, and rings of cells are visited outward from each
-ignition's cell. For each step's new cells the sensor count is drawn as
-Binomial(remaining sensors, new area / undrawn area), then that many positions
-i.i.d. uniform in the new cells. The search stops once every front's bounding
-box at the best reach time so far lies inside the drawn cells: fronts only
-grow, so no undrawn sensor can be reached sooner. Given the counts drawn so
-far, the undrawn sensors are i.i.d. uniform over the undrawn area, whichever
-cells were chosen from what was drawn; so this is the binomial point process
-of N i.i.d. uniform sensors drawn in another order, and ``(1 - x/A)^N`` holds
-exactly.
+A resampled layout draws its sensors near the ignitions, for a block of
+_BLOCK trials at a time, from one stream per block keyed by (master_seed,
+_BLOCK_TAG | block index); blocks start at multiples of _BLOCK, and the last
+one ends at the run's last trial. The region is split into a fixed grid of
+equal cells, and rings of cells are visited outward from each ignition's
+cell, one ring per step for every trial of the block that is still
+searching. For each trial's new cells in a step, the sensor count is drawn as
+Binomial(remaining sensors, new area / undrawn area), then that many
+positions i.i.d. uniform in the new cells. A trial stops searching around an
+ignition once that front's bounding box at the trial's best reach time so far
+lies inside the drawn cells: fronts only grow, so no undrawn sensor can be
+reached sooner. Given the counts drawn so far, the undrawn sensors of a trial
+are i.i.d. uniform over its undrawn area, whichever cells were chosen from
+what was drawn, and whatever the other trials of the block drew; so each
+trial sees the binomial point process of N i.i.d. uniform sensors drawn in
+another order, and ``(1 - x/A)^N`` holds exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .analytic import AnalyticLaw
-from .errors import EstimatorError, ParameterError
+from .errors import DomainError, EstimatorError, ParameterError
 from .geometry import Point, RectRegion, burned_union_area
 from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
 from .propagation import SpreadModel
@@ -62,13 +64,16 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_TRIAL_INDEX = 1 << 62
-# Mean sensors per cell of the lazy sampler. A step of the ring search costs
-# about as much as drawing and timing a few hundred sensors, and the first
-# cell holds the nearest sensor in most trials. From 16 to 128 the cost per
-# trial at N=1e4 is flat; 64 also makes any layout of fewer than 128 sensors
-# one cell, so that several ignitions at small N take one step, as a dense
-# draw would.
-_SENSORS_PER_CELL = 64
+# Mean sensors per cell of the lazy sampler. A step of the ring search is
+# array work over every searching trial of a block, so its cost is the
+# sensors it draws and times, not the steps: small cells are cheapest. At
+# N=1e4 the resampled run cost 8-10 us per trial at 2 and 4 sensors per cell,
+# 13 at 16 and 23 at 64, and at 4 almost every search ends by ring 1.
+_SENSORS_PER_CELL = 4
+# A resampled run draws its sensors in blocks of _BLOCK trials, block b from
+# the key (master_seed, _BLOCK_TAG | b); trial keys stay below _BLOCK_TAG.
+_BLOCK = 1 << 9
+_BLOCK_TAG = 1 << 62
 # Philox4x64-10 (Salmon et al., SC'11) round multipliers and key increments,
 # as numpy's Philox uses them.
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -130,28 +135,6 @@ class ScenarioConfig:
             raise ParameterError("grid layouts have nothing to resample")
         if self.clip_to_region is None:
             object.__setattr__(self, "clip_to_region", is_random)
-
-
-class _TrialStreams:
-    """Reusable Philox generator rebased per trial, for resampled layouts.
-
-    Resetting the key/counter through the state dict is bit-identical to
-    constructing ``Philox(key=[master_seed, index])`` afresh, but an order
-    of magnitude cheaper.
-    """
-
-    def __init__(self, master_seed: int):
-        key = np.array([master_seed, 0], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
-        self.generator = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
-
-    def trial(self, index: int) -> np.random.Generator:
-        state = self._template
-        state["state"]["key"][1] = index
-        state["state"]["counter"][:] = 0
-        self._bitgen.state = state
-        return self.generator
 
 
 def _splitmix64(z: int) -> int:
@@ -222,8 +205,9 @@ class _FixedSensors:
         self.sensors = (positions[:, 0], positions[:, 1])
         self.rows = max(1, _PAIR_BLOCK // len(positions))
 
-    def first_reach(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Detection times of the trials whose ignitions are the rows of ``(xs, ys)``."""
+    def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Detection times of the trials b0, b0 + 1, ... whose ignitions are
+        the rows of ``(xs, ys)``."""
         best = np.full(len(xs), math.inf)
         for r0 in range(0, len(xs), self.rows):
             rows = slice(r0, r0 + self.rows)
@@ -234,112 +218,100 @@ class _FixedSensors:
 
 
 class _CellSampler:
-    """Uniform random sensors, drawn cell by cell near the ignitions.
+    """Uniform random sensors, drawn cell by cell near the ignitions of a
+    block of trials.
 
-    Built once per run; each ``first_reach`` call is one trial's draw from
-    ``rng``, a generator the caller rebases before every trial. See the
-    module docstring for the draw and why it is exact.
+    Built once per run. See the module docstring for the draw and why it is
+    exact.
     """
 
-    def __init__(self, region: RectRegion, count: int, rng: np.random.Generator):
+    def __init__(self, config: ScenarioConfig):
+        region, count, model = config.region, config.placement.count, config.model
         cells = max(1, count // _SENSORS_PER_CELL)
         nx = min(cells, max(1, round(math.sqrt(cells * region.width / region.height))))
         ny = max(1, cells // nx)
-        self.count = count
-        self.rng = rng
+        self.seed, self.count, self.model = config.master_seed, count, model
         self.nx, self.ny = nx, ny
         self.cw, self.ch = region.width / nx, region.height / ny
-        self._drawn = np.zeros(nx * ny, dtype=bool)
-        origin = np.zeros(1, dtype=np.intp)
-        self._rings = [(origin, origin, origin)]  # ring 0 is the cell itself
+        # The front's bounding box at t = 1 around an ignition at the origin;
+        # fronts grow affinely, so at time t it is t times this box.
+        self.box = model.bounding_box(Point(0.0, 0.0), 1.0)
 
-    def _ring(self, r: int):
-        """Offsets (dx, dy, dx * ny + dy) of the 8r cells at Chebyshev distance r >= 1."""
-        while len(self._rings) <= r:
-            k = len(self._rings)
-            side = np.arange(-k, k)
-            edge = np.full(2 * k, k)
-            dx = np.concatenate([side, edge, -side, -edge])
-            dy = np.concatenate([-edge, side, edge, -side])
-            self._rings.append((dx, dy, dx * self.ny + dy))
-        return self._rings[r]
-
-    def _ring_cells(self, cx: int, cy: int, r: int) -> np.ndarray:
-        """Flat indices of the grid cells at Chebyshev distance r from (cx, cy)."""
-        dx, dy, flat = self._ring(r)
-        if r <= cx < self.nx - r and r <= cy < self.ny - r:
-            return flat + (cx * self.ny + cy)
-        gx, gy = dx + cx, dy + cy
-        inside = (gx >= 0) & (gx < self.nx) & (gy >= 0) & (gy < self.ny)
-        return (gx * self.ny + gy)[inside]
-
-    def _covered(self, model: SpreadModel, ignition: Point, t: float, cx, cy, r) -> bool:
-        """Whether the front at ``t``, clipped to the region, lies in the
-        square of cells of radius r around (cx, cy)."""
-        x0, y0, x1, y1 = model.bounding_box(ignition, t)
-        return (
-            (cx - r <= 0 or x0 >= (cx - r) * self.cw)
-            and (cy - r <= 0 or y0 >= (cy - r) * self.ch)
-            and (cx + r >= self.nx - 1 or x1 <= (cx + r + 1) * self.cw)
-            and (cy + r >= self.ny - 1 or y1 <= (cy + r + 1) * self.ch)
-        )
-
-    def first_reach(self, model: SpreadModel, ignitions: np.ndarray) -> float:
-        """Draw one trial's sensors near ``ignitions``; return the first reach time."""
-        rng, drawn, ny = self.rng, self._drawn, self.ny
-        points = [Point(x, y) for x, y in ignitions.tolist()]
-        cells = [
-            (min(int(p.x / self.cw), self.nx - 1), min(int(p.y / self.ch), ny - 1)) for p in points
-        ]
-        radius = [-1] * len(points)
-        shared = len(points) > 1  # rings of different ignitions may overlap
-        remaining, undrawn = self.count, self.nx * ny
-        best = math.inf
-        touched = []
-        while remaining:
-            new = []
-            for j, p in enumerate(points):
-                if best < math.inf and self._covered(model, p, best, *cells[j], radius[j]):
-                    continue
-                radius[j] += 1
-                ring = self._ring_cells(*cells[j], radius[j])
-                if shared:
-                    ring = ring[~drawn[ring]]
-                    drawn[ring] = True
-                    touched.append(ring)
-                new.append(ring)
-            if not new:
-                break
-            ids = np.concatenate(new) if shared else new[0]
-            if ids.size == 0:
-                continue
-            n = int(rng.binomial(remaining, ids.size / undrawn))
-            remaining -= n
-            undrawn -= ids.size
-            if n == 0:
-                continue
-            if ids.size > 1:
-                ids = ids[rng.integers(ids.size, size=n)]
-            gx, gy = np.divmod(ids, ny)
-            u = rng.random((n, 2))
-            xs = (gx + u[:, 0]) * self.cw
-            ys = (gy + u[:, 1]) * self.ch
-            for p in points:
-                best = min(best, float(model.reach_times(p, xs, ys).min()))
-        for ids in touched:
-            drawn[ids] = False
+    def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Detection times of the trials of the block that starts at trial
+        ``b0``, whose ignitions are the rows of ``(xs, ys)``: their sensors
+        are drawn near the ignitions, from the block's stream."""
+        key = np.array([self.seed, _BLOCK_TAG | b0 // _BLOCK], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        nx, ny, cells = self.nx, self.ny, self.nx * self.ny
+        trials, k = xs.shape
+        cx = np.minimum((xs / self.cw).astype(np.intp), nx - 1).ravel()
+        cy = np.minimum((ys / self.ch).astype(np.intp), ny - 1).ravel()
+        owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
+        best = np.full(trials, math.inf)
+        remaining = np.full(trials, self.count)
+        undrawn = np.full(trials, cells)
+        drawn = np.empty(0, dtype=np.intp)  # keys trial * cells + cell
+        live = np.arange(trials * k)
+        r = 0
+        while live.size:
+            side = np.arange(-r, r + 1)
+            dx, dy = np.repeat(side, 2 * r + 1), np.tile(side, 2 * r + 1)
+            ring = np.maximum(abs(dx), abs(dy)) == r  # the 8r cells at distance r, or the cell
+            gx, gy = cx[live, None] + dx[ring], cy[live, None] + dy[ring]
+            inside = (gx >= 0) & (gx < nx) & (gy >= 0) & (gy < ny)
+            keys = np.sort((owner[live, None] * cells + gx * ny + gy)[inside])
+            keys = keys[_runs(keys)[0]]
+            new = keys[~np.isin(keys, drawn, assume_unique=True, kind="sort")]
+            drawn = np.concatenate([drawn, new])
+            first, count = _runs(new // cells)
+            trial = new[first] // cells
+            n = rng.binomial(remaining[trial], count / undrawn[trial])
+            remaining[trial] -= n
+            undrawn[trial] -= count
+            if n.any():
+                ids = new[np.repeat(first, n) + rng.integers(0, np.repeat(count, n))]
+                of, cell = np.divmod(ids, cells)
+                gx, gy = np.divmod(cell, ny)
+                u = rng.random((ids.size, 2))
+                sx, sy = (gx + u[:, 0]) * self.cw, (gy + u[:, 1]) * self.ch
+                t = self.model.reach_times(_Ignitions(xs[of], ys[of]), sx[:, None], sy[:, None])
+                starts = _runs(of)[0]
+                hit = of[starts]
+                best[hit] = np.minimum(best[hit], np.minimum.reduceat(t.min(axis=1), starts))
+            live = live[remaining[owner[live]] > 0]
+            stop = _front_inside(
+                self, xs.ravel()[live], ys.ravel()[live], best[owner[live]], cx[live], cy[live], r
+            )
+            live = live[~stop]
+            r += 1
         return best
 
 
-def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> float:
-    """Minimum reach time over all (ignition, sensor) pairs.
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the runs of equal values in the sorted array ``a``."""
+    starts = np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+    return starts, np.diff(starts, append=a.size)
 
-    ``positions`` is an (n, 2) array of sensors, or the lazy sampler of a run
-    that resamples its layout, which draws only the sensors that can be first.
-    """
+
+def _front_inside(sampler: _CellSampler, xs, ys, t, cx, cy, r: int) -> np.ndarray:
+    """Whether each front from ``(xs, ys)`` at time ``t``, clipped to the
+    region, lies in the square of cells of radius r around its cell
+    ``(cx, cy)``. An infinite ``t`` (no sensor drawn yet) is inside only
+    if the square holds every cell."""
+    bx0, by0, bx1, by1 = sampler.box
+    return (
+        ((cx - r <= 0) | (xs + t * bx0 >= (cx - r) * sampler.cw))
+        & ((cy - r <= 0) | (ys + t * by0 >= (cy - r) * sampler.ch))
+        & ((cx + r >= sampler.nx - 1) | (xs + t * bx1 <= (cx + r + 1) * sampler.cw))
+        & ((cy + r >= sampler.ny - 1) | (ys + t * by1 <= (cy + r + 1) * sampler.ch))
+    )
+
+
+def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> float:
+    """Minimum reach time over all (ignition, sensor) pairs of an (n, 2) array
+    of sensor ``positions``."""
     ignitions = np.atleast_2d(np.asarray(ignitions, dtype=float))
-    if isinstance(positions, _CellSampler):
-        return positions.first_reach(model, ignitions)
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ParameterError("sensor layout is empty")
@@ -350,67 +322,69 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
     return best
 
 
-def _union_area(config: ScenarioConfig, index: int, t_d: float, ignitions) -> float:
-    """Burned area of trial ``index``: the union of its fronts, clipped to the region."""
-    fronts = [(Point(x, y), config.model, t_d) for x, y in ignitions]
-    return burned_union_area(
-        fronts, config.region, tol=config.area_tol, seed=_area_seed(config.master_seed, index)
-    )
-
-
-def _simulate_fixed(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    region, model, k = config.region, config.model, config.ignition_count
-    sensors = _FixedSensors(config)
-    t_out = np.empty(hi - lo)
-    a_out = np.empty(hi - lo)
-    for b0 in range(lo, hi, _TRIAL_BLOCK):
-        b1 = min(b0 + _TRIAL_BLOCK, hi)
-        u = _trial_uniforms(config.master_seed, b0, b1, 2 * k)
-        xs, ys = u[:, 0::2] * region.width, u[:, 1::2] * region.height
-        t_d = sensors.first_reach(xs, ys)
-        t_out[b0 - lo : b1 - lo] = t_d
-        if k == 1 and not config.clip_to_region:
-            # Python floats: numpy's square differs from libm pow in the last bit.
-            a_out[b0 - lo : b1 - lo] = [model.area(t) for t in t_d.tolist()]
-        else:
-            ignitions = np.stack([xs, ys], axis=2).tolist()
-            a_out[b0 - lo : b1 - lo] = [
-                _union_area(config, i, t, ign)
-                for i, t, ign in zip(range(b0, b1), t_d.tolist(), ignitions)
-            ]
-    return t_out, a_out
+def _burned_areas(config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys) -> np.ndarray:
+    """Burned areas of trials lo, lo + 1, ... with detection times ``t_d`` and
+    ignitions the rows of ``(xs, ys)``."""
+    model, region = config.model, config.region
+    # A lone front clear of the region's edges burns F(t) = model.area(t).
+    free = np.full(t_d.size, config.ignition_count == 1)
+    if config.ignition_count == 1 and config.clip_to_region:
+        # Clear by 1e-9 of the region's sides, a margin that covers rounding
+        # against burned_union_area's own bounding box, which then gives F(t).
+        bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
+        mx, my = 1e-9 * region.width, 1e-9 * region.height
+        x, y = xs[:, 0], ys[:, 0]
+        free = (
+            (x + t_d * bx0 >= mx)
+            & (y + t_d * by0 >= my)
+            & (x + t_d * bx1 <= region.width - mx)
+            & (y + t_d * by1 <= region.height - my)
+        )
+    # Python floats: numpy's square differs from libm pow in the last bit.
+    areas = np.array([model.area(t) for t in t_d.tolist()])
+    rest = np.flatnonzero(~free)
+    ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
+    areas[rest] = [
+        burned_union_area(
+            [(Point(x, y), model, t) for x, y in ign], region, tol=config.area_tol,
+            seed=_area_seed(config.master_seed, lo + i),
+        )
+        for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions)
+    ]
+    return areas
 
 
 def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    if not config.resample_layout_each_trial:
-        return _simulate_fixed(config, lo, hi)
-    region = config.region
-    model = config.model
-    k = config.ignition_count
-    scale = np.array([region.width, region.height])
-    streams = _TrialStreams(config.master_seed)
-    sensors = _CellSampler(region, config.placement.count, streams.generator)
-
+    """``(t_d, a_d)`` arrays of trials [lo, hi)."""
+    region, k = config.region, config.ignition_count
+    if config.resample_layout_each_trial:
+        # A block's draws depend on all of its trials: run whole blocks.
+        sensors = _CellSampler(config)
+        first, step, end = lo - lo % _BLOCK, _BLOCK, config.trials
+    else:
+        sensors = _FixedSensors(config)
+        first, step, end = lo, _TRIAL_BLOCK, hi
     t_out = np.empty(hi - lo)
     a_out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = streams.trial(i)
-        ignitions = rng.random((k, 2)) * scale
-        t_d = detection_time(model, sensors, ignitions)
-        if k == 1 and not config.clip_to_region:
-            a_d = model.area(t_d)
-        else:
-            a_d = _union_area(config, i, t_d, ignitions.tolist())
-        t_out[i - lo] = t_d
-        a_out[i - lo] = a_d
+    # run_trials rejects outcomes that are not finite; numpy need not warn.
+    with np.errstate(all="ignore"):
+        for b0 in range(first, hi, step):
+            b1 = min(b0 + step, end)
+            u = _trial_uniforms(config.master_seed, b0, b1, 2 * k)
+            xs, ys = u[:, 0::2] * region.width, u[:, 1::2] * region.height
+            t_d = sensors.first_reach(b0, xs, ys)
+            s0, s1 = max(lo, b0), min(hi, b1)
+            keep = slice(s0 - b0, s1 - b0)
+            t_out[s0 - lo : s1 - lo] = t_d[keep]
+            a_out[s0 - lo : s1 - lo] = _burned_areas(config, s0, t_d[keep], xs[keep], ys[keep])
     return t_out, a_out
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
     """Run all trials of ``config`` and return outcomes in trial order.
 
-    ``workers`` only controls the process count; the per-trial substreams
-    make the output bit-identical for any value.
+    ``workers`` only controls the process count; the output is bit-identical
+    for any value.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -421,16 +395,22 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
 
     trials = config.trials
     workers = min(workers, trials)
+    cuts = [trials * i // workers for i in range(1, workers)]
+    # Cut at block boundaries, so that no worker replays a block's draws,
+    # unless that would leave a worker without trials.
+    snapped = [round(c / _BLOCK) * _BLOCK for c in cuts]
+    if all(0 < c < trials for c in snapped) and len(set(snapped)) == len(snapped):
+        cuts = snapped
+    bounds = [0, *cuts, trials]
     if workers == 1:
         t_all, a_all = _simulate_range(config, 0, trials)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_simulate_range, [config] * workers, bounds[:-1], bounds[1:])
-            )
+            parts = list(pool.map(_simulate_range, [config] * workers, bounds[:-1], bounds[1:]))
         t_all = np.concatenate([p[0] for p in parts])
         a_all = np.concatenate([p[1] for p in parts])
+    if not (np.isfinite(t_all).all() and np.isfinite(a_all).all()):
+        raise DomainError("a trial's detection time or burned area is not finite")
     return [TrialOutcome(float(t), float(a)) for t, a in zip(t_all, a_all)]
 
 
@@ -519,4 +499,7 @@ def summary_to_json(
         "ks_td": ks_td,
         "ks_ad": ks_ad,
     }
-    return json.dumps(payload, indent=2)
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("the summary has a value that is not finite") from exc

@@ -23,6 +23,17 @@ from firewatch.propagation import CircularModel, EllipticalModel
 GRID_MEAN_CONST = (math.sqrt(2) + math.log(1 + math.sqrt(2))) / 6.0
 
 
+def test_grid_td_law_of_several_ignitions():
+    # Each ignition is missed independently: S_k(t) = S_1(t)^k.
+    one, three = grid_td_law(1.0, 1.0), grid_td_law(1.0, 1.0, ignitions=3)
+    t = np.linspace(0.0, 0.8, 81)
+    np.testing.assert_allclose(three.survival(t), one.survival(t) ** 3, rtol=0, atol=1e-15)
+    assert three.mean is None and three.variance is None
+    assert three.support_upper == one.support_upper
+    with pytest.raises(ParameterError):
+        grid_td_law(1.0, 1.0, ignitions=0)
+
+
 class TestGridTdCdf:
     def test_zero(self):
         assert grid_td_cdf(0.0, 1.0, 1.0) == 0.0

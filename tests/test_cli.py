@@ -7,6 +7,7 @@ import firewatch.cli
 from firewatch.cli import PlanRequest, main, plan
 from firewatch.propagation import CircularModel, EllipticalModel
 from firewatch.errors import ParameterError
+from firewatch.montecarlo import ks_critical
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,39 @@ class TestSimulateCommand:
         assert code == 0
         summary = json.loads(out)
         assert summary["mean_td"] == pytest.approx(0.3826, abs=0.03)
+
+    @pytest.mark.parametrize(
+        "placement,ad_law",
+        [(("--region", "10x10", "--spacing", "1"), False),
+         (("--region", "100x100", "--sensors", "10000"), True)],
+        ids=["grid", "random"],
+    )
+    def test_ignition_count_sets_the_detection_time_law(self, capsys, placement, ad_law):
+        # k ignitions: (1 - c(t))^k on a grid, exp(-k F(t) / D^2) at random.
+        # Against the one-ignition laws ks_td reads about 0.38 in both cases.
+        code, out, _ = run_cli(
+            capsys, "simulate", *placement, "--ignitions", "3", "--trials", "20000",
+            "--seed", "7",
+        )
+        assert code == 0
+        summary = json.loads(out)
+        band = ks_critical(20_000, alpha=0.01)
+        assert summary["ks_td"] < band
+        # Several fronts are clipped to the region: only the random law covers them.
+        if ad_law:
+            assert summary["ks_ad"] < band
+        else:
+            assert summary["ks_ad"] is None
+
+    def test_non_finite_outcomes_exit_3(self, capsys):
+        # A subnormal rate overflows every reach time.
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--spacing", "1", "--rate", "1e-320",
+            "--trials", "10", "--seed", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("domain error:")
 
     def test_grid_with_elliptical_model_omits_ks(self, capsys):
         # grid closed forms are circular-only; the engine still runs
@@ -242,6 +276,18 @@ class TestCompareCommand:
             for col in ("empirical", "exact", "limit"):
                 vals = [r[col] for r in rows]
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_ignitions_scale_the_detection_time_moments(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "compare", "--sensor-counts", "50", "--trials", "100", "--seed", "2",
+            "--ignitions", "4", "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        # D -> D / sqrt(4): half the mean, a quarter of the variance.
+        assert row["analytic_mean_td"] == pytest.approx(0.25)
+        assert row["analytic_var_td"] == pytest.approx((4 - math.pi) / (4 * math.pi) / 4)
 
     def test_csv_output_with_ecdf_file(self, capsys, tmp_path):
         table = tmp_path / "rows.csv"

@@ -11,12 +11,14 @@ from firewatch.analytic import (
     grid_td_law,
     limit_burned_area_law,
 )
-from firewatch.errors import EstimatorError, ParameterError
-from firewatch.geometry import Point, RectRegion, disk_rect_area
+from firewatch.errors import DomainError, EstimatorError, ParameterError
+from firewatch.geometry import Point, RectRegion, disk_rect_area, ellipse_axis_rates
 from firewatch.montecarlo import (
     ScenarioConfig,
     SummaryStats,
     TrialOutcome,
+    _CellSampler,
+    _front_inside,
     _philox_words,
     _simulate_range,
     _trial_uniforms,
@@ -248,7 +250,9 @@ class TestLazySampler:
     def _record_draws(monkeypatch):
         """Stop the sampler only when every sensor is drawn, and log each
         batch of sensor coordinates passed to the circular reach times."""
-        monkeypatch.setattr(firewatch.montecarlo._CellSampler, "_covered", lambda *a: False)
+        monkeypatch.setattr(
+            firewatch.montecarlo, "_front_inside", lambda s, xs, ys, t, *a: np.zeros(t.shape, bool)
+        )
         draws = []
         reach_times = CircularModel.reach_times
 
@@ -259,15 +263,55 @@ class TestLazySampler:
         monkeypatch.setattr(CircularModel, "reach_times", logged)
         return draws
 
-    def test_stopping_early_never_changes_detection_time(self, monkeypatch):
-        # With one ignition the rings are drawn in the same order whether or
-        # not the search stops, so every trial must find the same minimum.
-        cfg = small_random_config(
-            region=RectRegion(40, 5), placement=RandomPlacement(count=2000), trials=3000
-        )
-        stopped = run_trials(cfg)
-        self._record_draws(monkeypatch)
-        assert run_trials(cfg) == stopped
+    def test_stop_rule_keeps_the_front_inside_the_drawn_square(self):
+        # Wherever the search would stop, the front at t, clipped to the
+        # region, must lie in the square of cells of radius r around the
+        # ignition's cell, whose sides at the region's edge are open. Checked
+        # on points of the front's boundary, from the axis rates alone.
+        rng = np.random.Generator(np.random.Philox(key=[41, 0]))
+        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        stops = 0
+        for _ in range(3000):
+            w, h = 2.0 + 60.0 * rng.random(2)
+            if rng.random() < 0.5:
+                model = CircularModel(rate=0.2 + rng.random())
+                a = b = model.rate
+                c = heading = 0.0
+            else:
+                model = EllipticalModel(
+                    0.2 + rng.random(), 1 + 3 * rng.random(), 1 + 2 * rng.random(),
+                    heading=2 * np.pi * rng.random(),
+                )
+                a, b, c = ellipse_axis_rates(model.rate, model.hb_ratio, model.lb_ratio)
+                heading = model.heading
+            config = small_random_config(
+                region=RectRegion(w, h), model=model,
+                placement=RandomPlacement(count=int(rng.integers(1, 2000))),
+            )
+            sampler = _CellSampler(config)
+            nx, ny, cw, ch = sampler.nx, sampler.ny, sampler.cw, sampler.ch
+            # Edge cells half the time.
+            cx = int(rng.choice([0, nx - 1])) if rng.random() < 0.5 else int(rng.integers(nx))
+            cy = int(rng.choice([0, ny - 1])) if rng.random() < 0.5 else int(rng.integers(ny))
+            x, y = (cx + rng.random()) * cw, (cy + rng.random()) * ch
+            r = int(rng.integers(0, 3))
+            t = (r + 1) * max(cw, ch) / model.rate * rng.random()
+            if not _front_inside(
+                sampler, np.array([x]), np.array([y]), np.array([t]), cx, cy, r
+            )[0]:
+                continue
+            stops += 1
+            u, v = a * t * np.cos(theta) + c * t, b * t * np.sin(theta)
+            px = x + u * math.cos(heading) - v * math.sin(heading)
+            py = y + u * math.sin(heading) + v * math.cos(heading)
+            keep = (px >= 0) & (px <= w) & (py >= 0) & (py <= h)
+            px, py = px[keep], py[keep]
+            eps = 1e-9 * (w + h)
+            assert cx - r <= 0 or np.all(px >= (cx - r) * cw - eps)
+            assert cy - r <= 0 or np.all(py >= (cy - r) * ch - eps)
+            assert cx + r >= nx - 1 or np.all(px <= (cx + r + 1) * cw + eps)
+            assert cy + r >= ny - 1 or np.all(py <= (cy + r + 1) * ch + eps)
+        assert stops > 300
 
     def test_full_draw_is_n_uniform_sensors(self, monkeypatch):
         draws = self._record_draws(monkeypatch)
@@ -281,6 +325,24 @@ class TestLazySampler:
         assert xs.size == n * trials
         assert stats.kstest(xs / 40, "uniform").pvalue > 0.01
         assert stats.kstest(ys / 5, "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("ignitions", [1, 3])
+    def test_sub_range_matches_full_run(self, ignitions):
+        # Neither end is a block boundary, so both end blocks are replayed.
+        cfg = small_random_config(
+            region=RectRegion(100, 100), placement=RandomPlacement(count=10_000),
+            trials=9500, ignition_count=ignitions,
+        )
+        t, a = _simulate_range(cfg, 0, cfg.trials)
+        t_sub, a_sub = _simulate_range(cfg, 37, 9001)
+        assert t_sub.tobytes() == t[37:9001].tobytes()
+        assert a_sub.tobytes() == a[37:9001].tobytes()
+
+    def test_workers_do_not_change_results(self):
+        cfg = small_random_config(
+            region=RectRegion(100, 100), placement=RandomPlacement(count=10_000), trials=1500,
+        )
+        assert run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
 
     def test_million_sensors(self):
         cfg = ScenarioConfig(
@@ -480,3 +542,8 @@ class TestWireFormats:
         }
         assert payload["n"] == 2
         assert payload["ks_ad"] is None
+
+    def test_summary_json_rejects_non_finite_values(self):
+        st = summarize([TrialOutcome(1.0, 1.0), TrialOutcome(3.0, 3.0)])
+        with pytest.raises(DomainError):
+            summary_to_json(st, ks_td=math.nan)
