@@ -233,9 +233,6 @@ class _CellSampler:
         self.seed, self.count, self.model = config.master_seed, count, model
         self.nx, self.ny = nx, ny
         self.cw, self.ch = region.width / nx, region.height / ny
-        # The front's bounding box at t = 1 around an ignition at the origin;
-        # fronts grow affinely, so at time t it is t times this box.
-        self.box = model.bounding_box(Point(0.0, 0.0), 1.0)
 
     def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Detection times of the trials of the block that starts at trial
@@ -294,17 +291,29 @@ def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=a.size)
 
 
+def _box_inside(model: SpreadModel, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
+    """Whether the bounding box of each front from ``(xs, ys)`` at time ``t``
+    lies in the rectangle [x0, x1] x [y0, y1]; infinite sides hold any box."""
+    # The box at t = 1 around an ignition at the origin; fronts grow
+    # affinely, so at time t it is t times this box.
+    bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
+    return (
+        (xs + t * bx0 >= x0) & (ys + t * by0 >= y0) & (xs + t * bx1 <= x1) & (ys + t * by1 <= y1)
+    )
+
+
 def _front_inside(sampler: _CellSampler, xs, ys, t, cx, cy, r: int) -> np.ndarray:
     """Whether each front from ``(xs, ys)`` at time ``t``, clipped to the
     region, lies in the square of cells of radius r around its cell
     ``(cx, cy)``. An infinite ``t`` (no sensor drawn yet) is inside only
     if the square holds every cell."""
-    bx0, by0, bx1, by1 = sampler.box
-    return (
-        ((cx - r <= 0) | (xs + t * bx0 >= (cx - r) * sampler.cw))
-        & ((cy - r <= 0) | (ys + t * by0 >= (cy - r) * sampler.ch))
-        & ((cx + r >= sampler.nx - 1) | (xs + t * bx1 <= (cx + r + 1) * sampler.cw))
-        & ((cy + r >= sampler.ny - 1) | (ys + t * by1 <= (cy + r + 1) * sampler.ch))
+    # Sides at the region's edge are open: the front is clipped there.
+    return _box_inside(
+        sampler.model, xs, ys, t,
+        np.where(cx - r <= 0, -math.inf, (cx - r) * sampler.cw),
+        np.where(cy - r <= 0, -math.inf, (cy - r) * sampler.ch),
+        np.where(cx + r >= sampler.nx - 1, math.inf, (cx + r + 1) * sampler.cw),
+        np.where(cy + r >= sampler.ny - 1, math.inf, (cy + r + 1) * sampler.ch),
     )
 
 
@@ -331,14 +340,9 @@ def _burned_areas(config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys) -> n
     if config.ignition_count == 1 and config.clip_to_region:
         # Clear by 1e-9 of the region's sides, a margin that covers rounding
         # against burned_union_area's own bounding box, which then gives F(t).
-        bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
         mx, my = 1e-9 * region.width, 1e-9 * region.height
-        x, y = xs[:, 0], ys[:, 0]
-        free = (
-            (x + t_d * bx0 >= mx)
-            & (y + t_d * by0 >= my)
-            & (x + t_d * bx1 <= region.width - mx)
-            & (y + t_d * by1 <= region.height - my)
+        free = _box_inside(
+            model, xs[:, 0], ys[:, 0], t_d, mx, my, region.width - mx, region.height - my
         )
     # Python floats: numpy's square differs from libm pow in the last bit.
     areas = np.array([model.area(t) for t in t_d.tolist()])
@@ -395,16 +399,10 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
 
     trials = config.trials
     workers = min(workers, trials)
-    cuts = [trials * i // workers for i in range(1, workers)]
-    # Cut at block boundaries, so that no worker replays a block's draws,
-    # unless that would leave a worker without trials.
-    snapped = [round(c / _BLOCK) * _BLOCK for c in cuts]
-    if all(0 < c < trials for c in snapped) and len(set(snapped)) == len(snapped):
-        cuts = snapped
-    bounds = [0, *cuts, trials]
     if workers == 1:
         t_all, a_all = _simulate_range(config, 0, trials)
     else:
+        bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_range, [config] * workers, bounds[:-1], bounds[1:]))
         t_all = np.concatenate([p[0] for p in parts])

@@ -263,6 +263,23 @@ class TestLazySampler:
         monkeypatch.setattr(CircularModel, "reach_times", logged)
         return draws
 
+    def test_stopping_early_never_changes_detection_time(self, monkeypatch):
+        # A one-trial run with one ignition draws its rings from the block's
+        # stream in the same order whether or not the search stops, so it
+        # must find the same minimum: a stop test called with the wrong
+        # ring, cell or time would stop too soon and miss it.
+        configs = [
+            small_random_config(
+                region=RectRegion(40, 5), placement=RandomPlacement(count=2000), model=model,
+                trials=1, master_seed=seed,
+            )
+            for model in (CircularModel(rate=1.0), EllipticalModel(1.0, 3.0, 2.0, heading=0.7))
+            for seed in range(150)
+        ]
+        stopped = [run_trials(cfg) for cfg in configs]
+        self._record_draws(monkeypatch)
+        assert [run_trials(cfg) for cfg in configs] == stopped
+
     def test_stop_rule_keeps_the_front_inside_the_drawn_square(self):
         # Wherever the search would stop, the front at t, clipped to the
         # region, must lie in the square of cells of radius r around the
