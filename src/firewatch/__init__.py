@@ -22,9 +22,9 @@ from .analytic import (
 from .errors import DomainError, EstimatorError, ParameterError
 from .geometry import Point, RectRegion, burned_union_area, disk_rect_area, ellipse_reach_time
 from .montecarlo import (
+    Outcomes,
     ScenarioConfig,
     SummaryStats,
-    TrialOutcome,
     detection_time,
     ks_critical,
     ks_distance,
@@ -59,6 +59,7 @@ __all__ = [
     "EstimatorError",
     "GridPlacement",
     "ParameterError",
+    "Outcomes",
     "Point",
     "RandomPlacement",
     "RectRegion",
@@ -66,7 +67,6 @@ __all__ = [
     "SensorLayout",
     "SpreadModel",
     "SummaryStats",
-    "TrialOutcome",
     "burned_area",
     "burned_union_area",
     "characteristic_distance",

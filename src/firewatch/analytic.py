@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .propagation import SpreadModel, burned_area, elliptical_time_scale
+from .propagation import CircularModel, SpreadModel, burned_area, elliptical_time_scale
 
 __all__ = [
     "AnalyticLaw",
@@ -34,6 +34,8 @@ __all__ = [
     "exact_burned_area_law",
     "limit_burned_area_law",
     "random_td_law",
+    "PlanRequest",
+    "plan",
 ]
 
 # Recurring constant of the grid law: sqrt(2) + log(1 + sqrt(2)).
@@ -278,3 +280,60 @@ def random_td_law(model: SpreadModel, char_distance: float) -> AnalyticLaw:
         variance=m.var_td,
         name="limit detection time",
     )
+
+
+@dataclass(frozen=True)
+class PlanRequest:
+    """Inputs for network sizing.
+
+    ``target_kind`` is "area" (mean burned area at detection, m^2) or
+    "time" (mean detection time, s); ``placement_kind`` picks which family
+    of laws to invert.
+    """
+
+    area: float
+    model: SpreadModel
+    placement_kind: Literal["grid", "random"]
+    target_kind: Literal["area", "time"]
+    target_value: float
+
+
+def plan(req: PlanRequest) -> dict:
+    """Size a network: spacing D and sensor count N hitting a mean target.
+
+    Grid targets use the exact grid moment formulas (circular spread only);
+    random targets invert the exponential-limit moments.
+    """
+    if not (req.area > 0 and math.isfinite(req.area)):
+        raise ParameterError(f"area must be positive and finite, got {req.area}")
+    if not (req.target_value > 0 and math.isfinite(req.target_value)):
+        raise ParameterError(f"target must be positive and finite, got {req.target_value}")
+    assumptions = []
+    if req.placement_kind == "grid":
+        if not isinstance(req.model, CircularModel):
+            raise ParameterError("grid planning laws assume circular spread")
+        if req.target_kind == "area":
+            d = math.sqrt(6.0 * req.target_value / math.pi)
+            assumptions.append("grid: mean burned area at detection = (pi/6) D^2")
+        else:
+            d = 6.0 * req.model.rate * req.target_value / _GRID_MEAN_CONST
+            assumptions.append(
+                "grid: mean detection time = (sqrt(2)+log(1+sqrt(2)))/6 * D/rate"
+            )
+    elif req.placement_kind == "random":
+        if req.target_kind == "area":
+            d = math.sqrt(req.target_value)
+            assumptions.append("random placement, many sensors: mean burned area = D^2")
+        else:
+            k = elliptical_time_scale(req.model)
+            d = 2.0 * req.model.rate * req.target_value / k
+            assumptions.append("random placement, many sensors: mean detection time = k*D/(2*rate)")
+            assumptions.append(f"time scale k = 2*sqrt(lb)/(1 + 1/hb) = {k!r}")
+    else:
+        raise ParameterError(f"unknown placement kind {req.placement_kind!r}")
+    quotient = req.area / (d * d) if 0 < d * d < math.inf else math.inf
+    if not math.isfinite(quotient):
+        raise ParameterError(f"target {req.target_value} is out of range for area {req.area}")
+    # Relative guard so exact-intent quotients (e.g. 10000.0) don't round up.
+    n = math.ceil(quotient * (1.0 - 1e-12))
+    return {"D": d, "N": int(n), "assumptions": assumptions}

@@ -15,12 +15,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import analytic
+from .analytic import PlanRequest, plan
 from .errors import DomainError, ParameterError
 from .geometry import RectRegion
 from .montecarlo import (
@@ -40,7 +40,7 @@ from .placement import (
     characteristic_distance,
     layout_to_csv,
 )
-from .propagation import CircularModel, EllipticalModel, SpreadModel, elliptical_time_scale
+from .propagation import CircularModel, EllipticalModel, SpreadModel
 
 __all__ = ["main", "PlanRequest", "plan", "compare_random_sweep", "compare_grid"]
 
@@ -85,7 +85,15 @@ def _parse_points(args) -> Optional[np.ndarray]:
     return xs
 
 
-def _model_from(kind: str, rate: float, hb: float, lb: float, heading: float) -> SpreadModel:
+def _model_from_args(args, cfg: dict) -> SpreadModel:
+    """The spread model of the model flags; a flag left out takes its value
+    from ``cfg`` (a config file's ``model`` section), else its default."""
+    kind = args.model or cfg.get("kind", "circular")
+    values = []
+    for flag, default in (("rate", 1.0), ("hb", 1.0), ("lb", 1.0), ("heading", 0.0)):
+        given = getattr(args, flag)
+        values.append(given if given is not None else float(cfg.get(flag, default)))
+    rate, hb, lb, heading = values
     if kind == "circular":
         return CircularModel(rate=rate)
     if kind == "elliptical":
@@ -144,13 +152,7 @@ def _scenario_from(cfg: dict, args) -> ScenarioConfig:
     if placement is None:
         raise ParameterError("a placement is required (--spacing D or --sensors N or config file)")
 
-    model_cfg = cfg.get("model", {})
-    kind = args.model or model_cfg.get("kind", "circular")
-    rate = args.rate if args.rate is not None else float(model_cfg.get("rate", 1.0))
-    hb = args.hb if args.hb is not None else float(model_cfg.get("hb", 1.0))
-    lb = args.lb if args.lb is not None else float(model_cfg.get("lb", 1.0))
-    heading = args.heading if args.heading is not None else float(model_cfg.get("heading", 0.0))
-    model = _model_from(kind, rate, hb, lb, heading)
+    model = _model_from_args(args, cfg.get("model", {}))
 
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 10000))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
@@ -221,14 +223,7 @@ def _law_from_args(args) -> analytic.AnalyticLaw:
     if name == "random-td":
         if args.char_distance is None:
             raise ParameterError("law random-td requires --char-distance")
-        model = _model_from(
-            args.model or "circular",
-            args.rate if args.rate is not None else 1.0,
-            args.hb if args.hb is not None else 1.0,
-            args.lb if args.lb is not None else 1.0,
-            args.heading if args.heading is not None else 0.0,
-        )
-        return analytic.random_td_law(model, args.char_distance)
+        return analytic.random_td_law(_model_from_args(args, {}), args.char_distance)
     if name == "ad-exact":
         if args.area is None or args.sensors is None:
             raise ParameterError("law ad-exact requires --area and --sensors")
@@ -270,9 +265,14 @@ def _cmd_analytic(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _summary_laws(config: ScenarioConfig):
-    """Laws for the summary KS columns, chosen by placement kind and ignition
-    count; None where no law applies."""
+def _summary_laws(config: ScenarioConfig, char_distance: Optional[float] = None):
+    """Laws for the KS columns of the detection time and the burned area,
+    chosen by placement kind and ignition count; None where no law applies.
+
+    ``char_distance`` is the D that a random region was built from, as a
+    square of area n D^2: the laws then take D and n D^2 as given, not as
+    the region's sides give them back after rounding.
+    """
     k = config.ignition_count
     clipped = config.clip_to_region or k > 1  # several fronts are always clipped
     if isinstance(config.placement, GridPlacement):
@@ -284,11 +284,15 @@ def _summary_laws(config: ScenarioConfig):
         ad_law = None if clipped else analytic.grid_ad_law(spacing, rate)
         return td_law, ad_law
     n = config.placement.count
-    d = characteristic_distance(config.region.area, n)
+    if char_distance is None:
+        area = config.region.area
+        d = characteristic_distance(area, n)
+    else:
+        d, area = char_distance, n * char_distance * char_distance
     # k independent ignitions: exp(-k F(t) / D^2), the law of D / sqrt(k).
     td_law = analytic.random_td_law(config.model, d / math.sqrt(k))
     if clipped:
-        ad_law = analytic.exact_burned_area_law(config.region.area, n)
+        ad_law = analytic.exact_burned_area_law(area, n)
     else:
         ad_law = analytic.limit_burned_area_law(d)
     return td_law, ad_law
@@ -339,6 +343,30 @@ _COMPARE_COLUMNS = [
 _ECDF_COLUMNS = ["n_sensors", "x", "empirical", "exact", "limit"]
 
 
+def _compare_row(n, char_distance, stats, td_law, ad_law, limit_law=None) -> dict:
+    """One row of the compare table. ``ad_law`` is the exact burned-area law;
+    the analytic burned-area moments are those of ``limit_law`` where there
+    is one (random sweeps), else of ``ad_law``."""
+    moments = limit_law or ad_law
+    return {
+        "n_sensors": n,
+        "char_distance": char_distance,
+        "mean_td": stats.mean_td,
+        "se_td": stats.se_td,
+        "var_td": stats.var_td,
+        "mean_ad": stats.mean_ad,
+        "se_ad": stats.se_ad,
+        "var_ad": stats.var_ad,
+        "analytic_mean_td": td_law.mean,
+        "analytic_var_td": td_law.variance,
+        "analytic_mean_ad": moments.mean,
+        "analytic_var_ad": moments.variance,
+        "ks_td": ks_distance(stats.ecdf_td, td_law),
+        "ks_ad_exact": ks_distance(stats.ecdf_ad, ad_law),
+        "ks_ad_limit": ks_distance(stats.ecdf_ad, limit_law) if limit_law else None,
+    }
+
+
 def compare_random_sweep(
     sensor_counts: Sequence[int],
     char_distance: float,
@@ -359,8 +387,7 @@ def compare_random_sweep(
     rows = []
     ecdf_rows = []
     for n in sensor_counts:
-        area = n * char_distance * char_distance
-        side = math.sqrt(area)
+        side = math.sqrt(n * char_distance * char_distance)
         config = ScenarioConfig(
             region=RectRegion(side, side),
             placement=RandomPlacement(count=n),
@@ -370,31 +397,10 @@ def compare_random_sweep(
             ignition_count=ignition_count,
         )
         stats = summarize(run_trials(config, workers=workers))
-        # k independent ignitions detect as one front with D / sqrt(k).
-        td_d = char_distance / math.sqrt(ignition_count)
-        td_law = analytic.random_td_law(model, td_d)
-        exact_law = analytic.exact_burned_area_law(area, n)
+        # Random placement clips: the burned-area law is the exact one.
+        td_law, exact_law = _summary_laws(config, char_distance)
         limit_law = analytic.limit_burned_area_law(char_distance)
-        td_m = analytic.random_td_moments(model, td_d)
-        rows.append(
-            {
-                "n_sensors": n,
-                "char_distance": char_distance,
-                "mean_td": stats.mean_td,
-                "se_td": stats.se_td,
-                "var_td": stats.var_td,
-                "mean_ad": stats.mean_ad,
-                "se_ad": stats.se_ad,
-                "var_ad": stats.var_ad,
-                "analytic_mean_td": td_m.mean_td,
-                "analytic_var_td": td_m.var_td,
-                "analytic_mean_ad": limit_law.mean,
-                "analytic_var_ad": limit_law.variance,
-                "ks_td": ks_distance(stats.ecdf_td, td_law),
-                "ks_ad_exact": ks_distance(stats.ecdf_ad, exact_law),
-                "ks_ad_limit": ks_distance(stats.ecdf_ad, limit_law),
-            }
-        )
+        rows.append(_compare_row(n, char_distance, stats, td_law, exact_law, limit_law))
         if ecdf_points:
             sample = stats.ecdf_ad
             idx = np.unique(np.linspace(0, sample.size - 1, min(ecdf_points, sample.size)).astype(int))
@@ -431,37 +437,13 @@ def compare_grid(
         master_seed=master_seed,
     )
     stats = summarize(run_trials(config, workers=workers))
-    m = analytic.grid_moments(spacing, model.rate)
+    td_law, ad_law = _summary_laws(config)
     n = len(build_layout(config.placement, region))
-    return [
-        {
-            "n_sensors": n,
-            "char_distance": spacing,
-            "mean_td": stats.mean_td,
-            "se_td": stats.se_td,
-            "var_td": stats.var_td,
-            "mean_ad": stats.mean_ad,
-            "se_ad": stats.se_ad,
-            "var_ad": stats.var_ad,
-            "analytic_mean_td": m.mean_td,
-            "analytic_var_td": m.var_td,
-            "analytic_mean_ad": m.mean_ad,
-            "analytic_var_ad": None,
-            "ks_td": ks_distance(stats.ecdf_td, analytic.grid_td_law(spacing, model.rate)),
-            "ks_ad_exact": ks_distance(stats.ecdf_ad, analytic.grid_ad_law(spacing, model.rate)),
-            "ks_ad_limit": None,
-        }
-    ]
+    return [_compare_row(n, spacing, stats, td_law, ad_law)]
 
 
 def _cmd_compare(args) -> int:
-    model = _model_from(
-        args.model or "circular",
-        args.rate if args.rate is not None else 1.0,
-        args.hb if args.hb is not None else 1.0,
-        args.lb if args.lb is not None else 1.0,
-        args.heading if args.heading is not None else 0.0,
-    )
+    model = _model_from_args(args, {})
     seed = args.seed if args.seed is not None else 0
     trials = args.trials if args.trials is not None else 10000
     _check_trials(trials)
@@ -500,66 +482,6 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # plan
 
-_GRID_MEAN_CONST = math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """Inputs for network sizing.
-
-    ``target_kind`` is "area" (mean burned area at detection, m^2) or
-    "time" (mean detection time, s); ``placement_kind`` picks which family
-    of laws to invert.
-    """
-
-    area: float
-    model: SpreadModel
-    placement_kind: Literal["grid", "random"]
-    target_kind: Literal["area", "time"]
-    target_value: float
-
-
-def plan(req: PlanRequest) -> dict:
-    """Size a network: spacing D and sensor count N hitting a mean target.
-
-    Grid targets use the exact grid moment formulas (circular spread only);
-    random targets invert the exponential-limit moments.
-    """
-    if not (req.area > 0 and math.isfinite(req.area)):
-        raise ParameterError(f"area must be positive and finite, got {req.area}")
-    if not (req.target_value > 0 and math.isfinite(req.target_value)):
-        raise ParameterError(f"target must be positive and finite, got {req.target_value}")
-    assumptions = []
-    if req.placement_kind == "grid":
-        if not isinstance(req.model, CircularModel):
-            raise ParameterError("grid planning laws assume circular spread")
-        if req.target_kind == "area":
-            d = math.sqrt(6.0 * req.target_value / math.pi)
-            assumptions.append("grid: mean burned area at detection = (pi/6) D^2")
-        else:
-            d = 6.0 * req.model.rate * req.target_value / _GRID_MEAN_CONST
-            assumptions.append(
-                "grid: mean detection time = (sqrt(2)+log(1+sqrt(2)))/6 * D/rate"
-            )
-    elif req.placement_kind == "random":
-        if req.target_kind == "area":
-            d = math.sqrt(req.target_value)
-            assumptions.append("random placement, many sensors: mean burned area = D^2")
-        else:
-            k = elliptical_time_scale(req.model)
-            d = 2.0 * req.model.rate * req.target_value / k
-            assumptions.append("random placement, many sensors: mean detection time = k*D/(2*rate)")
-            assumptions.append(f"time scale k = 2*sqrt(lb)/(1 + 1/hb) = {k!r}")
-    else:
-        raise ParameterError(f"unknown placement kind {req.placement_kind!r}")
-    quotient = req.area / (d * d) if 0 < d * d < math.inf else math.inf
-    if not math.isfinite(quotient):
-        raise ParameterError(f"target {req.target_value} is out of range for area {req.area}")
-    # Relative guard so exact-intent quotients (e.g. 10000.0) don't round up.
-    n = math.ceil(quotient * (1.0 - 1e-12))
-    return {"D": d, "N": int(n), "assumptions": assumptions}
-
-
 def _cmd_plan(args) -> int:
     if (args.target_area is None) == (args.target_time is None):
         raise ParameterError("exactly one of --target-area / --target-time is required")
@@ -567,13 +489,7 @@ def _cmd_plan(args) -> int:
     area = args.area if args.area is not None else (region.area if region else None)
     if area is None:
         raise ParameterError("an area is required (--area or --region WxH)")
-    model = _model_from(
-        args.model or "circular",
-        args.rate if args.rate is not None else 1.0,
-        args.hb if args.hb is not None else 1.0,
-        args.lb if args.lb is not None else 1.0,
-        args.heading if args.heading is not None else 0.0,
-    )
+    model = _model_from_args(args, {})
     if args.target_area is not None:
         req = PlanRequest(area, model, args.placement, "area", args.target_area)
     else:

@@ -110,10 +110,12 @@ def ellipse_reach_times(
     Solves, per point, the smallest t >= 0 with
     ``((x - c t) / (a t))^2 + (y / (b t))^2 = 1`` in the frame whose +x axis
     points along ``heading``.  Growth is affine, so the solve reduces to one
-    quadratic per point.
+    quadratic per point. It is solved at unit rate, then divided by
+    ``rate``: the coefficients scale as rate^4, and would underflow or
+    overflow at rates far from 1.
     """
     _validate_ellipse_params(rate, hb_ratio, lb_ratio)
-    a, b, c = ellipse_axis_rates(rate, hb_ratio, lb_ratio)
+    a, b, c = ellipse_axis_rates(1.0, hb_ratio, lb_ratio)
     cos_h = math.cos(heading)
     sin_h = math.sin(heading)
     dx = np.asarray(xs, dtype=float) - ignition.x
@@ -134,7 +136,7 @@ def ellipse_reach_times(
             2.0 * c0 / np.where(plus > 0.0, plus, 1.0),
             (root - quad_b) / (2.0 * quad_a),
         )
-    return np.where(c0 == 0.0, 0.0, t)
+    return np.where(c0 == 0.0, 0.0, t) / rate
 
 
 def ellipse_reach_time(

@@ -36,7 +36,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 # numpy loads numpy.random lazily; load it here, once, so that the worker
@@ -51,7 +51,7 @@ from .propagation import SpreadModel
 
 __all__ = [
     "ScenarioConfig",
-    "TrialOutcome",
+    "Outcomes",
     "SummaryStats",
     "run_trials",
     "detection_time",
@@ -88,11 +88,12 @@ _TRIAL_BLOCK = 1 << 11
 _PAIR_BLOCK = 1 << 13
 
 
-class TrialOutcome(NamedTuple):
-    """One Monte Carlo sample: detection time (s) and burned area (m^2)."""
+class Outcomes(NamedTuple):
+    """The outcomes of a run in trial order: detection times (s) and burned
+    areas (m^2), as float64 arrays."""
 
-    t_d: float
-    a_d: float
+    t_d: np.ndarray
+    a_d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarra
     return t_out, a_out
 
 
-def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
+def run_trials(config: ScenarioConfig, workers: int = 1) -> Outcomes:
     """Run all trials of ``config`` and return outcomes in trial order.
 
     ``workers`` only controls the process count; the output is bit-identical
@@ -409,7 +410,7 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialOutcome]:
         a_all = np.concatenate([p[1] for p in parts])
     if not (np.isfinite(t_all).all() and np.isfinite(a_all).all()):
         raise DomainError("a trial's detection time or burned area is not finite")
-    return [TrialOutcome(float(t), float(a)) for t, a in zip(t_all, a_all)]
+    return Outcomes(t_all, a_all)
 
 
 @dataclass(frozen=True)
@@ -427,21 +428,22 @@ class SummaryStats:
     ecdf_ad: np.ndarray
 
 
-def summarize(outcomes: Sequence[TrialOutcome]) -> SummaryStats:
+def summarize(outcomes: Outcomes) -> SummaryStats:
     """Unbiased means/variances, standard errors and sorted ECDF samples."""
-    n = len(outcomes)
+    t, a = outcomes
+    n = t.size
     if n < 2:
         raise EstimatorError(f"need at least 2 outcomes to summarize, got {n}")
-    t = np.fromiter((o.t_d for o in outcomes), dtype=float, count=n)
-    a = np.fromiter((o.a_d for o in outcomes), dtype=float, count=n)
-    var_t = float(np.var(t, ddof=1))
-    var_a = float(np.var(a, ddof=1))
+    # A moment that overflows is inf; summary_to_json reports it, numpy need not warn.
+    with np.errstate(all="ignore"):
+        mean_t, var_t = float(t.mean()), float(np.var(t, ddof=1))
+        mean_a, var_a = float(a.mean()), float(np.var(a, ddof=1))
     return SummaryStats(
         n=n,
-        mean_td=float(t.mean()),
+        mean_td=mean_t,
         var_td=var_t,
         se_td=math.sqrt(var_t / n),
-        mean_ad=float(a.mean()),
+        mean_ad=mean_a,
         var_ad=var_a,
         se_ad=math.sqrt(var_a / n),
         ecdf_td=np.sort(t),
@@ -473,11 +475,11 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
 
 
-def outcomes_to_csv(outcomes: Sequence[TrialOutcome], fileobj) -> None:
-    """Dump outcomes as CSV with header ``trial,t_d,a_d``."""
+def outcomes_to_csv(outcomes: Outcomes, fileobj) -> None:
+    """Dump outcomes as CSV with header ``trial,t_d,a_d``, one row at a time."""
     fileobj.write("trial,t_d,a_d\n")
-    for i, o in enumerate(outcomes):
-        fileobj.write(f"{i},{o.t_d!r},{o.a_d!r}\n")
+    for i, (t, a) in enumerate(zip(outcomes.t_d.tolist(), outcomes.a_d.tolist())):
+        fileobj.write(f"{i},{t!r},{a!r}\n")
 
 
 def summary_to_json(

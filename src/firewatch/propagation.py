@@ -52,7 +52,10 @@ class CircularModel:
         _check_rate(self.rate)
 
     def area(self, t):
-        return math.pi * (self.rate * t) ** 2
+        try:
+            return math.pi * (self.rate * t) ** 2
+        except OverflowError:  # a Python float's ** raises where numpy's gives inf
+            return math.inf
 
     def reach_times(self, ignition: Point, xs, ys):
         return np.hypot(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y) / self.rate
@@ -102,8 +105,11 @@ class EllipticalModel:
         return ellipse_axis_rates(self.rate, self.hb_ratio, self.lb_ratio)
 
     def area(self, t):
-        a, b, _ = self.axis_rates
-        return math.pi * a * b * t * t
+        # Unit-rate axes and the distance rate * t, as in the reach times:
+        # rate-scaled axes would underflow or overflow at rates far from 1.
+        a, b, _ = ellipse_axis_rates(1.0, self.hb_ratio, self.lb_ratio)
+        rt = self.rate * t
+        return math.pi * a * b * rt * rt
 
     def reach_times(self, ignition: Point, xs, ys):
         return ellipse_reach_times(

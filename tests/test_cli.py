@@ -143,6 +143,20 @@ class TestSimulateCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("domain error:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flags",
+        [["--region", "1e200x1e200", "--spacing", "1e199"],
+         ["--region", "10x10", "--sensors", "100", "--rate", "1e-160"]],
+        ids=["burned area overflows", "variance overflows"],
+    )
+    def test_overflow_exit_3(self, capsys, flags):
+        # No traceback and no numpy warning: the domain error is the only output.
+        code, out, err = run_cli(capsys, "simulate", *flags, "--trials", "10", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("domain error:")
+
     def test_grid_with_elliptical_model_omits_ks(self, capsys):
         # grid closed forms are circular-only; the engine still runs
         code, out, _ = run_cli(

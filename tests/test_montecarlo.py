@@ -14,9 +14,9 @@ from firewatch.analytic import (
 from firewatch.errors import DomainError, EstimatorError, ParameterError
 from firewatch.geometry import Point, RectRegion, disk_rect_area, ellipse_axis_rates
 from firewatch.montecarlo import (
+    Outcomes,
     ScenarioConfig,
     SummaryStats,
-    TrialOutcome,
     _CellSampler,
     _front_inside,
     _philox_words,
@@ -34,6 +34,15 @@ from firewatch.placement import GridPlacement, RandomPlacement, build_layout
 from firewatch.propagation import CircularModel, EllipticalModel, burned_area
 
 from helpers import dense_detection_times, per_trial_outcomes
+
+
+def same(a: Outcomes, b: Outcomes) -> bool:
+    """Whether two runs gave the same outcome bytes."""
+    return a.t_d.tobytes() == b.t_d.tobytes() and a.a_d.tobytes() == b.a_d.tobytes()
+
+
+def outcomes(t_d, a_d) -> Outcomes:
+    return Outcomes(np.array(t_d, dtype=float), np.array(a_d, dtype=float))
 
 
 def small_random_config(**kw):
@@ -100,7 +109,7 @@ class TestConfig:
             raise AssertionError("build_layout called")
 
         monkeypatch.setattr(firewatch.montecarlo, "build_layout", refuse)
-        assert len(run_trials(small_random_config(trials=5))) == 5
+        assert run_trials(small_random_config(trials=5)).t_d.size == 5
 
 
 class TestDetectionTime:
@@ -128,16 +137,16 @@ class TestDetectionTime:
 class TestRunTrials:
     def test_deterministic_for_fixed_seed(self):
         c = small_random_config()
-        assert run_trials(c) == run_trials(c)
+        assert same(run_trials(c), run_trials(c))
 
     def test_workers_do_not_change_results(self):
         c = small_random_config(trials=200)
-        assert run_trials(c, workers=1) == run_trials(c, workers=2)
+        assert same(run_trials(c, workers=1), run_trials(c, workers=2))
 
     def test_different_seeds_differ(self):
         a = run_trials(small_random_config(master_seed=1))
         b = run_trials(small_random_config(master_seed=2))
-        assert a != b
+        assert not same(a, b)
 
     def test_grid_detection_time_bounded(self):
         cfg = ScenarioConfig(
@@ -148,19 +157,16 @@ class TestRunTrials:
             master_seed=2,
         )
         out = run_trials(cfg)
-        tmax = max(o.t_d for o in out)
-        assert tmax <= 1 / math.sqrt(2) + 1e-12
+        assert out.t_d.max() <= 1 / math.sqrt(2) + 1e-12
         # unclipped grid burned area is F(t_d)
-        for o in out[:100]:
-            assert o.a_d == pytest.approx(math.pi * o.t_d**2, rel=1e-12)
+        assert out.a_d == pytest.approx(math.pi * out.t_d**2, rel=1e-12)
 
     def test_random_clip_mode_uses_clipped_area(self):
         cfg = small_random_config(trials=300, placement=RandomPlacement(count=5), master_seed=8)
         out = run_trials(cfg)
-        for o in out:
-            assert 0 <= o.a_d <= 100.0 + 1e-9
+        assert np.all((0 <= out.a_d) & (out.a_d <= 100.0 + 1e-9))
         # some fires near the border must have been clipped below F(t_d)
-        assert any(o.a_d < math.pi * o.t_d**2 * (1 - 1e-9) for o in out)
+        assert np.any(out.a_d < math.pi * out.t_d**2 * (1 - 1e-9))
 
     def test_mean_burned_area_matches_exact_law(self):
         cfg = small_random_config(trials=4000, master_seed=13)
@@ -177,9 +183,7 @@ class TestRunTrials:
 
     def test_fixed_layout_mode(self):
         cfg = small_random_config(trials=50, resample_layout_each_trial=False)
-        out1 = run_trials(cfg)
-        out2 = run_trials(cfg, workers=2)
-        assert out1 == out2
+        assert same(run_trials(cfg), run_trials(cfg, workers=2))
 
     def test_outcome_invariants_over_random_scenarios(self):
         # Mini-fuzz: whatever the scenario, detection times are nonnegative
@@ -207,13 +211,43 @@ class TestRunTrials:
                 clip_to_region=bool(rng.random() < 0.7),
             )
             clipped = cfg.clip_to_region or k > 1
-            for o in run_trials(cfg):
-                assert o.t_d >= 0
-                assert o.a_d >= -1e-12
-                if clipped:
-                    assert o.a_d <= region.area + 1e-9
-                # sampled unions may overshoot by the area tolerance
-                assert o.a_d <= k * burned_area(model, o.t_d) * (1 + 5 * cfg.area_tol) + 1e-9
+            out = run_trials(cfg)
+            assert np.all(out.t_d >= 0)
+            assert np.all(out.a_d >= -1e-12)
+            if clipped:
+                assert np.all(out.a_d <= region.area + 1e-9)
+            # sampled unions may overshoot by the area tolerance
+            bound = k * burned_area(model, out.t_d) * (1 + 5 * cfg.area_tol) + 1e-9
+            assert np.all(out.a_d <= bound)
+
+
+class TestRateScaling:
+    """A run at rate 2^e is the rate-1 run with every detection time divided
+    by 2^e and the same burned areas, bit for bit: each product with a power
+    of two is exact, so only arithmetic that does not scale with the rate
+    (an overflow or underflow) can tell the two apart."""
+
+    @pytest.mark.parametrize("exponent", [300, -300])
+    @pytest.mark.parametrize("ignitions", [1, 3])
+    @pytest.mark.parametrize(
+        "placement", [RandomPlacement(count=100), GridPlacement(spacing=1.0)],
+        ids=["resampled", "grid"],
+    )
+    @pytest.mark.parametrize("kind", ["circular", "elliptical"])
+    def test_outcomes_scale_exactly_with_the_rate(self, kind, placement, ignitions, exponent):
+        def run(rate):
+            if kind == "circular":
+                model = CircularModel(rate=rate)
+            else:
+                model = EllipticalModel(rate, 2.0, 1.5, heading=0.7)
+            return run_trials(ScenarioConfig(
+                region=RectRegion(10, 10), placement=placement, model=model, trials=300,
+                master_seed=17, ignition_count=ignitions,
+            ))
+
+        one, scaled = run(1.0), run(2.0**exponent)
+        assert scaled.t_d.tobytes() == (one.t_d * 2.0**-exponent).tobytes()
+        assert scaled.a_d.tobytes() == one.a_d.tobytes()
 
 
 class TestLazySampler:
@@ -278,7 +312,7 @@ class TestLazySampler:
         ]
         stopped = [run_trials(cfg) for cfg in configs]
         self._record_draws(monkeypatch)
-        assert [run_trials(cfg) for cfg in configs] == stopped
+        assert all(same(run_trials(cfg), out) for cfg, out in zip(configs, stopped))
 
     def test_stop_rule_keeps_the_front_inside_the_drawn_square(self):
         # Wherever the search would stop, the front at t, clipped to the
@@ -359,7 +393,7 @@ class TestLazySampler:
         cfg = small_random_config(
             region=RectRegion(100, 100), placement=RandomPlacement(count=10_000), trials=1500,
         )
-        assert run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
+        assert same(run_trials(cfg, workers=1), run_trials(cfg, workers=2))
 
     def test_million_sensors(self):
         cfg = ScenarioConfig(
@@ -433,7 +467,7 @@ class TestFixedLayoutBatch:
 
     def test_workers_do_not_change_results(self):
         cfg = fixed_config(trials=20_001)
-        assert run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
+        assert same(run_trials(cfg, workers=1), run_trials(cfg, workers=2))
 
 
 class TestPhiloxWords:
@@ -463,23 +497,23 @@ class TestPhiloxWords:
 
 class TestSummarize:
     def test_two_point_sample(self):
-        st = summarize([TrialOutcome(1.0, 1.0), TrialOutcome(3.0, 3.0)])
+        st = summarize(outcomes([1.0, 3.0], [1.0, 3.0]))
         assert st.mean_td == 2.0
         assert st.var_td == 2.0
         assert st.mean_ad == 2.0
         assert st.se_td == pytest.approx(1.0)
 
     def test_constant_sample_zero_variance(self):
-        st = summarize([TrialOutcome(2.0, 5.0)] * 10)
+        st = summarize(outcomes([2.0] * 10, [5.0] * 10))
         assert st.var_td == 0.0
         assert st.var_ad == 0.0
 
     def test_requires_two_outcomes(self):
         with pytest.raises(EstimatorError):
-            summarize([TrialOutcome(1.0, 1.0)])
+            summarize(outcomes([1.0], [1.0]))
 
     def test_ecdfs_sorted(self):
-        st = summarize([TrialOutcome(3.0, 1.0), TrialOutcome(1.0, 3.0), TrialOutcome(2.0, 2.0)])
+        st = summarize(outcomes([3.0, 1.0, 2.0], [1.0, 3.0, 2.0]))
         assert list(st.ecdf_td) == [1.0, 2.0, 3.0]
         assert list(st.ecdf_ad) == [1.0, 2.0, 3.0]
 
@@ -546,13 +580,13 @@ class TestKsCritical:
 class TestWireFormats:
     def test_outcomes_csv(self):
         buf = io.StringIO()
-        outcomes_to_csv([TrialOutcome(0.5, 0.25), TrialOutcome(1.5, 2.25)], buf)
+        outcomes_to_csv(outcomes([0.5, 1.5], [0.25, 2.25]), buf)
         assert buf.getvalue() == "trial,t_d,a_d\n0,0.5,0.25\n1,1.5,2.25\n"
 
     def test_summary_json_fields(self):
         import json
 
-        st = summarize([TrialOutcome(1.0, 1.0), TrialOutcome(3.0, 3.0)])
+        st = summarize(outcomes([1.0, 3.0], [1.0, 3.0]))
         payload = json.loads(summary_to_json(st, ks_td=0.1, ks_ad=None))
         assert set(payload) == {
             "n", "mean_td", "se_td", "var_td", "mean_ad", "se_ad", "var_ad", "ks_td", "ks_ad",
@@ -561,6 +595,6 @@ class TestWireFormats:
         assert payload["ks_ad"] is None
 
     def test_summary_json_rejects_non_finite_values(self):
-        st = summarize([TrialOutcome(1.0, 1.0), TrialOutcome(3.0, 3.0)])
+        st = summarize(outcomes([1.0, 3.0], [1.0, 3.0]))
         with pytest.raises(DomainError):
             summary_to_json(st, ks_td=math.nan)
