@@ -195,6 +195,8 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
         if v is None:
             return ""
         if isinstance(v, float):
+            if not math.isfinite(v):
+                raise DomainError("the result has a value that is not finite")
             return repr(v)
         return str(v)
 
@@ -384,13 +386,16 @@ def compare_random_sweep(
     decorrelated but reproducible.
     """
     _check_master_seed(master_seed)
+    if ecdf_points < 0:
+        raise ParameterError(f"ECDF points must be >= 0, got {ecdf_points}")
     rows = []
     ecdf_rows = []
     for n in sensor_counts:
+        placement = RandomPlacement(count=n)
         side = math.sqrt(n * char_distance * char_distance)
         config = ScenarioConfig(
             region=RectRegion(side, side),
-            placement=RandomPlacement(count=n),
+            placement=placement,
             model=model,
             trials=trials,
             master_seed=_splitmix64(master_seed ^ n) >> 1,
@@ -610,9 +615,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every output is checked to be finite; numpy need not warn on the way.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: the scenario does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -7,27 +7,30 @@ for bit as numpy's ``Philox(key=[master_seed, i])`` would give them. Results
 are a pure function of the scenario configuration: independent of execution
 order, chunking and worker count.
 
-A fixed layout (a grid, or random sensors with resampling off) needs nothing
-more, and the reach times of a block come from broadcast calls of the spread
-model. The outcomes are byte for byte those of timing every sensor trial by
-trial.
+Both kinds of layout are searched the same way. The region is split into a
+fixed grid of equal cells, and rings of cells are visited outward from each
+ignition's cell, one ring per step for every trial of the block that is still
+searching. A trial stops searching around an ignition once that front's
+bounding box at the trial's best reach time so far lies inside the visited
+cells: fronts only grow, so no sensor outside them can be reached sooner.
 
-A resampled layout draws its sensors near the ignitions, for a block of
-_BLOCK trials at a time, from one stream per block keyed by (master_seed,
-_BLOCK_TAG | block index); blocks start at multiples of _BLOCK, and the last
-one ends at the run's last trial. The region is split into a fixed grid of
-equal cells, and rings of cells are visited outward from each ignition's
-cell, one ring per step for every trial of the block that is still
-searching. For each trial's new cells in a step, the sensor count is drawn as
-Binomial(remaining sensors, new area / undrawn area), then that many
-positions i.i.d. uniform in the new cells. A trial stops searching around an
-ignition once that front's bounding box at the trial's best reach time so far
-lies inside the drawn cells: fronts only grow, so no undrawn sensor can be
-reached sooner. Given the counts drawn so far, the undrawn sensors of a trial
-are i.i.d. uniform over its undrawn area, whichever cells were chosen from
-what was drawn, and whatever the other trials of the block drew; so each
-trial sees the binomial point process of N i.i.d. uniform sensors drawn in
-another order, and ``(1 - x/A)^N`` holds exactly.
+A fixed layout (a grid, or random sensors with resampling off) is bucketed
+into the cells once, and each ring step times the sensors of the new cells.
+Every reach time is the float that timing all sensors would give, and the
+search ends only when the minimum is among the timed ones, so the outcomes
+are byte for byte those of timing every sensor trial by trial.
+
+A resampled layout draws its sensors in the cells as they are visited, for a
+block of _BLOCK trials at a time, from one stream per block keyed by
+(master_seed, _BLOCK_TAG | block index); blocks start at multiples of _BLOCK,
+and the last one ends at the run's last trial. For each trial's new cells in
+a step, the sensor count is drawn as Binomial(remaining sensors, new area /
+undrawn area), then that many positions i.i.d. uniform in the new cells.
+Given the counts drawn so far, the undrawn sensors of a trial are i.i.d.
+uniform over its undrawn area, whichever cells were chosen from what was
+drawn, and whatever the other trials of the block drew; so each trial sees
+the binomial point process of N i.i.d. uniform sensors drawn in another
+order, and ``(1 - x/A)^N`` holds exactly.
 """
 
 from __future__ import annotations
@@ -64,12 +67,25 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_TRIAL_INDEX = 1 << 62
-# Mean sensors per cell of the lazy sampler. A step of the ring search is
-# array work over every searching trial of a block, so its cost is the
-# sensors it draws and times, not the steps: small cells are cheapest. At
-# N=1e4 the resampled run cost 8-10 us per trial at 2 and 4 sensors per cell,
-# 13 at 16 and 23 at 64, and at 4 almost every search ends by ring 1.
+# A block of trials draws, times and unions all of its ignitions as arrays,
+# so a count far beyond any fire scenario would exhaust memory or never end.
+_MAX_IGNITIONS = 1 << 10
+# Mean sensors per cell of the ring search. A step is array work over every
+# searching trial of a block, so its cost is the sensors it draws and times,
+# not the steps: small cells are cheapest. At N=1e4 the resampled run cost
+# 8-10 us per trial at 2 and 4 sensors per cell, 13 at 16 and 23 at 64, and
+# at 4 almost every search ends by ring 1; its draws depend on the cells, so
+# they stay at 4. A fixed layout's search took 1.2, 1.5 and 2.1 us per trial
+# at 1, 2 and 4 sensors per cell on a 10x10 grid, and 1.1-1.5, 2.0 and 2.7 on
+# N=1e4 random sensors (2 vCPUs).
 _SENSORS_PER_CELL = 4
+_FIXED_SENSORS_PER_CELL = 1
+# A fixed layout's search stops only once the front's box is inside the
+# visited square by this share of the region's side. It covers the rounding
+# of cell indices, of the box and of the reach times, a few ulps of the side
+# scaled by the front's fastest over its slowest speed (at most hb * lb), so
+# no sensor outside the square can time below the best one inside it.
+_STOP_MARGIN = 1e-6
 # A resampled run draws its sensors in blocks of _BLOCK trials, block b from
 # the key (master_seed, _BLOCK_TAG | b); trial keys stay below _BLOCK_TAG.
 _BLOCK = 1 << 9
@@ -79,13 +95,10 @@ _BLOCK_TAG = 1 << 62
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# A fixed-layout run draws the ignitions of _TRIAL_BLOCK trials at a time and
-# times them against the sensors in slices of at most _PAIR_BLOCK (trial,
-# sensor) pairs (one trial per slice once the layout alone is larger), so that
-# each temporary holds 64 KB or less where it can: below glibc's mmap
-# threshold, so the heap reuses them and peak memory does not grow.
+# A fixed-layout run draws and times the ignitions of _TRIAL_BLOCK trials at
+# a time. The ring search's temporaries then peak near 2 MB on a 10x10 grid;
+# blocks of 2^9 trials held 1 MB less and ran 10-20% slower.
 _TRIAL_BLOCK = 1 << 11
-_PAIR_BLOCK = 1 << 13
 
 
 class Outcomes(NamedTuple):
@@ -124,8 +137,10 @@ class ScenarioConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.trials > _MAX_TRIAL_INDEX:
             raise ParameterError(f"trials must be <= {_MAX_TRIAL_INDEX}")
-        if self.ignition_count < 1:
-            raise ParameterError(f"ignition count must be >= 1, got {self.ignition_count}")
+        if not 1 <= self.ignition_count <= _MAX_IGNITIONS:
+            raise ParameterError(
+                f"ignition count must lie in [1, {_MAX_IGNITIONS}], got {self.ignition_count}"
+            )
         _check_master_seed(self.master_seed)
         if not self.area_tol > 0:
             raise ParameterError(f"area tolerance must be positive, got {self.area_tol}")
@@ -197,28 +212,83 @@ class _Ignitions(NamedTuple):
     y: np.ndarray
 
 
-class _FixedSensors:
-    """A layout that stays put across trials, timed for blocks of trials."""
+class _Cells:
+    """A grid of nx x ny equal cells over the region, of about ``per_cell``
+    of ``count`` sensors each, searched ring by ring around ignitions."""
+
+    def __init__(self, config: ScenarioConfig, count: int, per_cell: int, margin: float):
+        region = config.region
+        cells = max(1, count // per_cell)
+        nx = max(1, round(min(cells, math.sqrt(cells * region.width / region.height))))
+        ny = max(1, cells // nx)
+        self.model = config.model
+        self.nx, self.ny = nx, ny
+        self.cw, self.ch = region.width / nx, region.height / ny
+        self.mx, self.my = margin * region.width, margin * region.height
+
+    def cell_of(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row of the cell that holds each point."""
+        return (
+            np.minimum((xs / self.cw).astype(np.intp), self.nx - 1),
+            np.minimum((ys / self.ch).astype(np.intp), self.ny - 1),
+        )
+
+    def ring_cells(self, cx, cy, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cells at distance r from each cell ``(cx[i], cy[i])`` (the 8r
+        around it, or itself at r = 0) that lie in the grid: for each one,
+        ``i`` and its number ``column * ny + row``, grouped by ``i`` in order."""
+        side = np.arange(-r, r + 1)
+        dx, dy = np.repeat(side, 2 * r + 1), np.tile(side, 2 * r + 1)
+        ring = np.maximum(abs(dx), abs(dy)) == r
+        dx, dy = dx[ring], dy[ring]
+        gx, gy = cx[:, None] + dx, cy[:, None] + dy
+        i, j = np.nonzero((gx >= 0) & (gx < self.nx) & (gy >= 0) & (gy < self.ny))
+        return i, (cx[i] + dx[j]) * self.ny + cy[i] + dy[j]
+
+
+class _FixedSensors(_Cells):
+    """A layout that stays put across trials, bucketed once by cell and
+    searched ring by ring for blocks of trials."""
 
     def __init__(self, config: ScenarioConfig):
         positions = build_layout(config.placement, config.region, seed=config.master_seed).positions
-        self.model = config.model
-        self.sensors = (positions[:, 0], positions[:, 1])
-        self.rows = max(1, _PAIR_BLOCK // len(positions))
+        super().__init__(config, len(positions), _FIXED_SENSORS_PER_CELL, _STOP_MARGIN)
+        cx, cy = self.cell_of(positions[:, 0], positions[:, 1])
+        cell = cx * self.ny + cy
+        order = np.argsort(cell, kind="stable")
+        self.sx, self.sy = positions[order, 0], positions[order, 1]
+        # The sensors of cell c are sx[start[c]:start[c + 1]].
+        self.start = np.searchsorted(cell[order], np.arange(self.nx * self.ny + 1))
 
     def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Detection times of the trials b0, b0 + 1, ... whose ignitions are
         the rows of ``(xs, ys)``."""
-        best = np.full(len(xs), math.inf)
-        for r0 in range(0, len(xs), self.rows):
-            rows = slice(r0, r0 + self.rows)
-            for x, y in zip(xs[rows].T, ys[rows].T):
-                t = self.model.reach_times(_Ignitions(x[:, None], y[:, None]), *self.sensors)
-                np.minimum(best[rows], t.min(axis=1), out=best[rows])
+        trials, k = xs.shape
+        px, py = xs.ravel(), ys.ravel()
+        cx, cy = self.cell_of(px, py)
+        owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
+        best = np.full(trials, math.inf)
+        live = np.arange(trials * k)
+        r = 0
+        while live.size:
+            rows, cell = self.ring_cells(cx[live], cy[live], r)
+            first, n = self.start[cell], self.start[cell + 1] - self.start[cell]
+            if n.any():
+                # One entry per (pair, sensor) of the ring, grouped by pair.
+                ends = np.cumsum(n)
+                ids = np.arange(ends[-1]) + np.repeat(first - (ends - n), n)
+                of = np.repeat(live[rows], n)
+                t = self.model.reach_times(_Ignitions(px[of], py[of]), self.sx[ids], self.sy[ids])
+                starts = _runs(owner[of])[0]
+                hit = owner[of[starts]]
+                best[hit] = np.minimum(best[hit], np.minimum.reduceat(t, starts))
+            stop = _front_inside(self, px[live], py[live], best[owner[live]], cx[live], cy[live], r)
+            live = live[~stop]
+            r += 1
         return best
 
 
-class _CellSampler:
+class _CellSampler(_Cells):
     """Uniform random sensors, drawn cell by cell near the ignitions of a
     block of trials.
 
@@ -227,13 +297,9 @@ class _CellSampler:
     """
 
     def __init__(self, config: ScenarioConfig):
-        region, count, model = config.region, config.placement.count, config.model
-        cells = max(1, count // _SENSORS_PER_CELL)
-        nx = min(cells, max(1, round(math.sqrt(cells * region.width / region.height))))
-        ny = max(1, cells // nx)
-        self.seed, self.count, self.model = config.master_seed, count, model
-        self.nx, self.ny = nx, ny
-        self.cw, self.ch = region.width / nx, region.height / ny
+        count = config.placement.count
+        super().__init__(config, count, _SENSORS_PER_CELL, 0.0)
+        self.seed, self.count = config.master_seed, count
 
     def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Detection times of the trials of the block that starts at trial
@@ -241,10 +307,9 @@ class _CellSampler:
         are drawn near the ignitions, from the block's stream."""
         key = np.array([self.seed, _BLOCK_TAG | b0 // _BLOCK], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        nx, ny, cells = self.nx, self.ny, self.nx * self.ny
+        ny, cells = self.ny, self.nx * self.ny
         trials, k = xs.shape
-        cx = np.minimum((xs / self.cw).astype(np.intp), nx - 1).ravel()
-        cy = np.minimum((ys / self.ch).astype(np.intp), ny - 1).ravel()
+        cx, cy = self.cell_of(xs.ravel(), ys.ravel())
         owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
         best = np.full(trials, math.inf)
         remaining = np.full(trials, self.count)
@@ -253,12 +318,8 @@ class _CellSampler:
         live = np.arange(trials * k)
         r = 0
         while live.size:
-            side = np.arange(-r, r + 1)
-            dx, dy = np.repeat(side, 2 * r + 1), np.tile(side, 2 * r + 1)
-            ring = np.maximum(abs(dx), abs(dy)) == r  # the 8r cells at distance r, or the cell
-            gx, gy = cx[live, None] + dx[ring], cy[live, None] + dy[ring]
-            inside = (gx >= 0) & (gx < nx) & (gy >= 0) & (gy < ny)
-            keys = np.sort((owner[live, None] * cells + gx * ny + gy)[inside])
+            rows, cell = self.ring_cells(cx[live], cy[live], r)
+            keys = np.sort(owner[live[rows]] * cells + cell)
             keys = keys[_runs(keys)[0]]
             new = keys[~np.isin(keys, drawn, assume_unique=True, kind="sort")]
             drawn = np.concatenate([drawn, new])
@@ -303,18 +364,20 @@ def _box_inside(model: SpreadModel, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
     )
 
 
-def _front_inside(sampler: _CellSampler, xs, ys, t, cx, cy, r: int) -> np.ndarray:
+def _front_inside(cells: _Cells, xs, ys, t, cx, cy, r: int) -> np.ndarray:
     """Whether each front from ``(xs, ys)`` at time ``t``, clipped to the
     region, lies in the square of cells of radius r around its cell
-    ``(cx, cy)``. An infinite ``t`` (no sensor drawn yet) is inside only
-    if the square holds every cell."""
+    ``(cx, cy)``, by the grid's margin. A front whose time is not finite is
+    inside only if the square holds every cell."""
     # Sides at the region's edge are open: the front is clipped there.
-    return _box_inside(
-        sampler.model, xs, ys, t,
-        np.where(cx - r <= 0, -math.inf, (cx - r) * sampler.cw),
-        np.where(cy - r <= 0, -math.inf, (cy - r) * sampler.ch),
-        np.where(cx + r >= sampler.nx - 1, math.inf, (cx + r + 1) * sampler.cw),
-        np.where(cy + r >= sampler.ny - 1, math.inf, (cy + r + 1) * sampler.ch),
+    west, south = cx - r <= 0, cy - r <= 0
+    east, north = cx + r >= cells.nx - 1, cy + r >= cells.ny - 1
+    return (west & south & east & north) | _box_inside(
+        cells.model, xs, ys, t,
+        np.where(west, -math.inf, (cx - r) * cells.cw + cells.mx),
+        np.where(south, -math.inf, (cy - r) * cells.ch + cells.my),
+        np.where(east, math.inf, (cx + r + 1) * cells.cw - cells.mx),
+        np.where(north, math.inf, (cy + r + 1) * cells.ch - cells.my),
     )
 
 
@@ -345,9 +408,9 @@ def _burned_areas(config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys) -> n
         free = _box_inside(
             model, xs[:, 0], ys[:, 0], t_d, mx, my, region.width - mx, region.height - my
         )
-    # Python floats: numpy's square differs from libm pow in the last bit.
-    areas = np.array([model.area(t) for t in t_d.tolist()])
-    rest = np.flatnonzero(~free)
+    areas = model.area(t_d)
+    # A time that is not finite has area inf (or NaN), which run_trials rejects.
+    rest = np.flatnonzero(~free & np.isfinite(t_d))
     ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
     areas[rest] = [
         burned_union_area(

@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Sensor counts stay exact as floats, which the laws take them as.
+_MAX_SENSORS = 1 << 53
 # Stream tag for standalone layouts; Monte Carlo trial substreams use
 # indices < 2^63, so the two can never collide for one master seed.
 _LAYOUT_STREAM_TAG = _MASK64
@@ -64,8 +66,14 @@ class RandomPlacement:
 
     def __post_init__(self):
         count = self.count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ParameterError(f"sensor count must be an integer >= 1, got {self.count!r}")
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, numbers.Integral)
+            or not 1 <= count <= _MAX_SENSORS
+        ):
+            raise ParameterError(
+                f"sensor count must be an integer in [1, 2^53], got {self.count!r}"
+            )
 
 
 def _check_master_seed(seed) -> None:
@@ -85,6 +93,8 @@ def characteristic_distance(area: float, n: int) -> float:
 
 def _lattice_count(side: float, spacing: float) -> int:
     m = side / spacing
+    if not m <= _MAX_SENSORS:
+        raise ParameterError(f"spacing {spacing} is too small for a region side of {side}")
     mi = round(m)
     if abs(m - mi) > 1e-9 * max(1.0, abs(m)) or mi < 1:
         raise ParameterError(

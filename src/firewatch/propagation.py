@@ -52,6 +52,11 @@ class CircularModel:
         _check_rate(self.rate)
 
     def area(self, t):
+        if isinstance(t, np.ndarray):
+            # np.float_power gives the bytes of a Python float's ** (np.square
+            # and x * x differ in the last bit).
+            with np.errstate(over="ignore"):
+                return math.pi * np.float_power(self.rate * t, 2.0)
         try:
             return math.pi * (self.rate * t) ** 2
         except OverflowError:  # a Python float's ** raises where numpy's gives inf

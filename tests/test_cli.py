@@ -4,6 +4,7 @@ import math
 import pytest
 
 import firewatch.cli
+import firewatch.montecarlo
 from firewatch.cli import PlanRequest, main, plan
 from firewatch.propagation import CircularModel, EllipticalModel
 from firewatch.errors import ParameterError
@@ -153,6 +154,34 @@ class TestSimulateCommand:
     def test_overflow_exit_3(self, capsys, flags):
         # No traceback and no numpy warning: the domain error is the only output.
         code, out, err = run_cli(capsys, "simulate", *flags, "--trials", "10", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("domain error:")
+
+    def test_layout_too_large_for_memory_exit_2(self, capsys):
+        # 10^15 + 1 nodes a side: numpy refuses the allocation outright.
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "1x1e15", "--spacing", "1", "--trials", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "does not fit in memory" in err
+
+    def test_non_finite_times_skip_the_union_area(self, capsys, monkeypatch):
+        # At this rate every reach time overflows; the union area of fronts
+        # at an infinite time is never asked for, and the run fails at once.
+        union = firewatch.montecarlo.burned_union_area
+
+        def finite_only(fronts, *args, **kwargs):
+            assert all(math.isfinite(t) for _, _, t in fronts), "union area at a non-finite time"
+            return union(fronts, *args, **kwargs)
+
+        monkeypatch.setattr(firewatch.montecarlo, "burned_union_area", finite_only)
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--spacing", "1", "--rate", "1e-320",
+            "--model", "elliptical", "--hb", "2", "--ignitions", "3", "--trials", "10",
+            "--seed", "1",
+        )
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("domain error:")

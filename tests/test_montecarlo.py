@@ -18,6 +18,7 @@ from firewatch.montecarlo import (
     ScenarioConfig,
     SummaryStats,
     _CellSampler,
+    _FixedSensors,
     _front_inside,
     _philox_words,
     _simulate_range,
@@ -77,6 +78,10 @@ class TestConfig:
             small_random_config(trials=0)
         with pytest.raises(ParameterError):
             small_random_config(ignition_count=0)
+        with pytest.raises(ParameterError):
+            small_random_config(ignition_count=2**10 + 1)
+        with pytest.raises(ParameterError):
+            small_random_config(placement=RandomPlacement(count=2**53 + 1))
         with pytest.raises(ParameterError):
             small_random_config(master_seed=-1)
         # Philox keys are 64 bits: 2^64 + 5 would silently run as seed 5
@@ -468,6 +473,61 @@ class TestFixedLayoutBatch:
     def test_workers_do_not_change_results(self):
         cfg = fixed_config(trials=20_001)
         assert same(run_trials(cfg, workers=1), run_trials(cfg, workers=2))
+
+
+def adversarial_ignitions(sensors: _FixedSensors, positions: np.ndarray, w: float, h: float):
+    """Ignition points where the ring search's stop rule is closest to
+    rounding the wrong way: on sensors, on cell edges and corners, at
+    midpoints between sensors (ties), and at the region's corners."""
+    rng = np.random.Generator(np.random.Philox(key=[53, 0]))
+    nodes = positions[rng.permutation(len(positions))[:400]]
+    ex = np.arange(sensors.nx + 1) * sensors.cw
+    ey = np.arange(sensors.ny + 1) * sensors.ch
+    corners = np.stack(np.meshgrid(ex, ey), axis=-1).reshape(-1, 2)
+    on_x = np.column_stack([rng.choice(ex, 200), rng.random(200) * h])
+    on_y = np.column_stack([rng.random(200) * w, rng.choice(ey, 200)])
+    i, j = rng.integers(len(positions), size=(2, 400))
+    ties = (positions[i] + positions[j]) / 2
+    near = positions[i] + sensors.cw * np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5], [-0.5, 0.0]])[i % 4]
+    ends = [[0.0, 0.0], [np.nextafter(w, 0), np.nextafter(h, 0)], [0.0, np.nextafter(h, 0)],
+            [np.nextafter(w, 0), 0.0]]
+    points = np.concatenate([nodes, corners, on_x, on_y, ties, near, ends])
+    return np.clip(points, 0.0, [np.nextafter(w, 0), np.nextafter(h, 0)])
+
+
+class TestRingSearch:
+    """The fixed layout's ring search against timing every sensor, bit for
+    bit, at ignitions chosen to sit where rounding decides."""
+
+    @pytest.mark.parametrize("model", [CircularModel(rate=1.0),
+                                       EllipticalModel(1.0, 2.0, 1.5, heading=0.7)],
+                             ids=["circular", "elliptical"])
+    @pytest.mark.parametrize("ignitions", [1, 3])
+    @pytest.mark.parametrize(
+        "region,placement",
+        [
+            (RectRegion(10, 10), GridPlacement(spacing=1.0)),
+            (RectRegion(40, 5), GridPlacement(spacing=1.0)),
+            (RectRegion(10, 10), RandomPlacement(count=1)),
+            (RectRegion(10, 10), RandomPlacement(count=3)),
+            (RectRegion(10, 10), RandomPlacement(count=50)),
+        ],
+        ids=["grid", "grid 40x5", "fixed N=1", "fixed N=3", "fixed N=50"],
+    )
+    def test_matches_timing_every_sensor(self, region, placement, model, ignitions):
+        config = fixed_config(
+            region=region, placement=placement, model=model, ignition_count=ignitions,
+            resample_layout_each_trial=False if isinstance(placement, RandomPlacement) else None,
+        )
+        sensors = _FixedSensors(config)
+        positions = build_layout(placement, region, seed=config.master_seed).positions
+        points = adversarial_ignitions(sensors, positions, region.width, region.height)
+        # With several ignitions a trial takes consecutive points, so each
+        # point is also a trial's second and third ignition.
+        trials = np.stack([np.roll(points, -j, axis=0) for j in range(ignitions)], axis=1)
+        got = sensors.first_reach(0, trials[:, :, 0], trials[:, :, 1])
+        want = np.array([detection_time(model, positions, ign) for ign in trials])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPhiloxWords:
