@@ -443,7 +443,7 @@ class TestFixedLayoutBatch:
                 model=EllipticalModel(1.0, 3.0, 2.0, heading=2.3),
                 resample_layout_each_trial=False,
             ), 1000),
-            # More sensors than one slice of pairs holds: one trial per slice.
+            # A large layout, whose searches stop long before they cover the grid.
             (fixed_config(region=RectRegion(100, 100), placement=RandomPlacement(count=9000),
                           resample_layout_each_trial=False), 2100),
         ],
