@@ -96,9 +96,15 @@ def grid_td_cdf(x, spacing: float, rate: float):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise DomainError("detection time must be nonnegative")
-    u2 = (2.0 * rate / spacing) ** 2 * xa * xa
-    excess = np.sqrt(np.maximum(u2 - 1.0, 0.0))
-    middle = (math.pi / 4.0 - np.arctan(excess)) * u2 + excess
+    c = 2.0 * rate / spacing
+    # An infinite u2 takes the last branch; the middle one's NaN need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Past c = 1e150, c ** 2 would overflow: square c x instead.
+        u2 = c**2 * xa * xa if c < 1e150 else (c * xa) ** 2
+        # A c that overflows to inf gives inf * 0 = NaN at x = 0, where the CDF is 0.
+        u2 = np.where(xa == 0.0, 0.0, u2)
+        excess = np.sqrt(np.maximum(u2 - 1.0, 0.0))
+        middle = (math.pi / 4.0 - np.arctan(excess)) * u2 + excess
     cdf = np.where(u2 <= 1.0, (math.pi / 4.0) * u2, np.where(u2 < 2.0, middle, 1.0))
     return float(cdf) if np.ndim(x) == 0 else cdf
 

@@ -25,12 +25,12 @@ from .errors import DomainError, ParameterError
 from .geometry import RectRegion
 from .montecarlo import (
     ScenarioConfig,
-    _splitmix64,
     ks_distance,
     outcomes_to_csv,
     run_trials,
     summarize,
     summary_to_json,
+    sweep_seed,
 )
 from .placement import (
     GridPlacement,
@@ -398,7 +398,7 @@ def compare_random_sweep(
             placement=placement,
             model=model,
             trials=trials,
-            master_seed=_splitmix64(master_seed ^ n) >> 1,
+            master_seed=sweep_seed(master_seed, n),
             ignition_count=ignition_count,
         )
         stats = summarize(run_trials(config, workers=workers))

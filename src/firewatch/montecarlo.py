@@ -39,7 +39,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from time import perf_counter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 # numpy loads numpy.random lazily; load it here, once, so that the worker
@@ -57,6 +58,7 @@ __all__ = [
     "Outcomes",
     "SummaryStats",
     "run_trials",
+    "sweep_seed",
     "detection_time",
     "summarize",
     "ks_distance",
@@ -99,6 +101,11 @@ _LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # a time. The ring search's temporaries then peak near 2 MB on a 10x10 grid;
 # blocks of 2^9 trials held 1 MB less and ran 10-20% slower.
 _TRIAL_BLOCK = 1 << 11
+# About what starting a pool of worker processes costs a run: a trivial
+# two-worker map took 10.5 ms on 2 vCPUs, and a worker replays the block it
+# starts in. run_trials at workers > 1 runs this long in-process before it
+# decides whether the rest of the run pays for a pool.
+_POOL_START_S = 0.02
 
 
 class Outcomes(NamedTuple):
@@ -151,6 +158,13 @@ class ScenarioConfig:
             raise ParameterError("grid layouts have nothing to resample")
         if self.clip_to_region is None:
             object.__setattr__(self, "clip_to_region", is_random)
+
+
+def sweep_seed(master_seed: int, key: int) -> int:
+    """The master seed of the run ``key`` of a sweep under ``master_seed``:
+    splitmix64 of their xor, in [0, 2^63), so that the runs of a sweep are
+    decorrelated but reproducible."""
+    return _splitmix64(master_seed ^ key) >> 1
 
 
 def _splitmix64(z: int) -> int:
@@ -395,9 +409,13 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
     return best
 
 
-def _burned_areas(config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys) -> np.ndarray:
+def _burned_areas(
+    config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys,
+    stop: Optional[Callable[[int], bool]] = None,
+) -> np.ndarray:
     """Burned areas of trials lo, lo + 1, ... with detection times ``t_d`` and
-    ignitions the rows of ``(xs, ys)``."""
+    ignitions the rows of ``(xs, ys)``; only those up to the first trial
+    after which ``stop`` (see _simulate_range) says to end."""
     model, region = config.model, config.region
     # A lone front clear of the region's edges burns F(t) = model.area(t).
     free = np.full(t_d.size, config.ignition_count == 1)
@@ -412,25 +430,41 @@ def _burned_areas(config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys) -> n
     # A time that is not finite has area inf (or NaN), which run_trials rejects.
     rest = np.flatnonzero(~free & np.isfinite(t_d))
     ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
-    areas[rest] = [
-        burned_union_area(
+    for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions):
+        areas[i] = burned_union_area(
             [(Point(x, y), model, t) for x, y in ign], region, tol=config.area_tol,
             seed=_area_seed(config.master_seed, lo + i),
         )
-        for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions)
-    ]
+        if stop is not None and stop(lo + i + 1):
+            return areas[: i + 1]
     return areas
 
 
-def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(t_d, a_d)`` arrays of trials [lo, hi)."""
+def _sensors(config: ScenarioConfig) -> _Cells:
+    return _CellSampler(config) if config.resample_layout_each_trial else _FixedSensors(config)
+
+
+def _simulate_range(
+    config: ScenarioConfig,
+    lo: int,
+    hi: int,
+    sensors: Optional[_Cells] = None,
+    stop: Optional[Callable[[int], bool]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(t_d, a_d)`` arrays of trials [lo, hi).
+
+    ``sensors`` is the run's layout as _sensors builds it (built here if
+    None). ``stop(j)`` is asked after each block and after each union area
+    once trials [lo, j) are done; the first True ends the range there, and
+    only those trials are returned.
+    """
     region, k = config.region, config.ignition_count
+    if sensors is None:
+        sensors = _sensors(config)
     if config.resample_layout_each_trial:
         # A block's draws depend on all of its trials: run whole blocks.
-        sensors = _CellSampler(config)
         first, step, end = lo - lo % _BLOCK, _BLOCK, config.trials
     else:
-        sensors = _FixedSensors(config)
         first, step, end = lo, _TRIAL_BLOCK, hi
     t_out = np.empty(hi - lo)
     a_out = np.empty(hi - lo)
@@ -443,32 +477,54 @@ def _simulate_range(config: ScenarioConfig, lo: int, hi: int) -> tuple[np.ndarra
             t_d = sensors.first_reach(b0, xs, ys)
             s0, s1 = max(lo, b0), min(hi, b1)
             keep = slice(s0 - b0, s1 - b0)
+            a_d = _burned_areas(config, s0, t_d[keep], xs[keep], ys[keep], stop)
             t_out[s0 - lo : s1 - lo] = t_d[keep]
-            a_out[s0 - lo : s1 - lo] = _burned_areas(config, s0, t_d[keep], xs[keep], ys[keep])
+            a_out[s0 - lo : s0 - lo + a_d.size] = a_d
+            if stop is not None and (a_d.size < s1 - s0 or stop(s1)):
+                done = s0 - lo + a_d.size
+                return t_out[:done], a_out[:done]
     return t_out, a_out
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> Outcomes:
     """Run all trials of ``config`` and return outcomes in trial order.
 
-    ``workers`` only controls the process count; the output is bit-identical
-    for any value.
+    ``workers`` is the most processes the run may use: the caller's and
+    ``workers - 1`` forked ones, which it starts only when the rest of the
+    run pays for them. The output is bit-identical for any value.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    # A grid spacing must divide the region; check it before any worker is
-    # spawned. Random placements are checked when they are built.
-    if isinstance(config.placement, GridPlacement):
-        build_layout(config.placement, config.region)
-
     trials = config.trials
-    workers = min(workers, trials)
-    if workers == 1:
-        t_all, a_all = _simulate_range(config, 0, trials)
-    else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_range, [config] * workers, bounds[:-1], bounds[1:]))
+    sensors = _sensors(config)
+    start, verdict = perf_counter(), None
+
+    def fork_pays(done: int) -> bool:
+        # Once the run has spent about one pool start-up in this process,
+        # estimate the rest from its rate so far, and fork only if the rest
+        # is worth several start-ups. The verdict sticks: True ends the
+        # in-process range at the next check.
+        nonlocal verdict
+        if verdict is None:
+            elapsed = perf_counter() - start
+            if elapsed >= _POOL_START_S:
+                rest_s = elapsed / done * (trials - done)
+                verdict = trials - done > 1 and rest_s > 4 * _POOL_START_S
+        return bool(verdict)
+
+    t_all, a_all = _simulate_range(config, 0, trials, sensors, fork_pays if workers > 1 else None)
+    done = t_all.size
+    if done < trials:
+        # Contiguous ranges of the rest: the first for this process, one for
+        # each forked worker. A resampled range replays the block it starts in.
+        bounds = np.linspace(done, trials, min(workers, trials - done) + 1, dtype=int).tolist()
+        with ProcessPoolExecutor(max_workers=len(bounds) - 2) as pool:
+            futures = [
+                pool.submit(_simulate_range, config, lo, hi)
+                for lo, hi in zip(bounds[1:], bounds[2:])
+            ]
+            parts = [(t_all, a_all), _simulate_range(config, bounds[0], bounds[1], sensors)]
+            parts += [f.result() for f in futures]
         t_all = np.concatenate([p[0] for p in parts])
         a_all = np.concatenate([p[1] for p in parts])
     if not (np.isfinite(t_all).all() and np.isfinite(a_all).all()):

@@ -38,6 +38,13 @@ class TestGridTdCdf:
     def test_zero(self):
         assert grid_td_cdf(0.0, 1.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("spacing, rate", [(1e-320, 1.0), (1.0, 1e200), (1.0, 1e308)])
+    def test_overflowing_rate_over_spacing(self, spacing, rate):
+        # 2 rate / spacing overflows (or its square does): the CDF is still 0
+        # at x = 0 and 1 once the front has crossed a cell.
+        np.testing.assert_array_equal(grid_td_cdf(np.array([0.0, 1.0]), spacing, rate), [0.0, 1.0])
+        assert grid_td_cdf(0.0, spacing, rate) == 0.0
+
     def test_quarter_disk_breakpoint(self):
         # P(T_d <= D/2R) = pi/4, i.e. the survival there is 1 - pi/4 ~ 0.215.
         assert grid_td_cdf(0.5, 1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-12)

@@ -1,5 +1,9 @@
+import dataclasses
 import io
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -224,6 +228,97 @@ class TestRunTrials:
             # sampled unions may overshoot by the area tolerance
             bound = k * burned_area(model, out.t_d) * (1 + 5 * cfg.area_tol) + 1e-9
             assert np.all(out.a_d <= bound)
+
+
+POOL_CASES = {
+    # Resampled: the in-process part ends after block 0's first clipped
+    # trial, so the ranges meet inside blocks.
+    "resampled": small_random_config(
+        region=RectRegion(100, 100), placement=RandomPlacement(count=10_000), trials=1500,
+    ),
+    # Two blocks of 2^11 trials and a short third one.
+    "grid": ScenarioConfig(
+        region=RectRegion(10, 10),
+        placement=GridPlacement(spacing=1.0),
+        model=CircularModel(rate=1.0),
+        trials=5000,
+        master_seed=9,
+    ),
+    # Union areas of three clipped ellipses, checked trial by trial.
+    "ellipse3": small_random_config(
+        model=EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=0.0),
+        ignition_count=3,
+        trials=120,
+    ),
+}
+
+
+class TestPoolRule:
+    """run_trials at workers > 1 runs the start of a run in-process and forks
+    only when the rest pays for a pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Force the pool on: with no start-up allowance the rule forks at its
+        first check, whatever the clock reads. Records each pool's size."""
+        monkeypatch.setattr(firewatch.montecarlo, "_POOL_START_S", 0.0)
+        sizes = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(firewatch.montecarlo, "ProcessPoolExecutor", Recorded)
+        return sizes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("case", list(POOL_CASES))
+    def test_forced_pool_keeps_bytes(self, pools, case, workers):
+        cfg = POOL_CASES[case]
+        reference = run_trials(cfg, workers=1)
+        assert pools == []
+        assert same(run_trials(cfg, workers=workers), reference)
+        assert pools == [workers - 1]
+
+    def test_resampled_split_falls_inside_a_block(self):
+        cfg = POOL_CASES["resampled"]
+        t, a = _simulate_range(cfg, 0, cfg.trials, stop=lambda j: True)
+        assert 0 < t.size < firewatch.montecarlo._BLOCK
+        full = run_trials(cfg)
+        assert t.tobytes() == full.t_d[: t.size].tobytes()
+        assert a.tobytes() == full.a_d[: t.size].tobytes()
+
+    def test_a_worker_error_ends_the_run(self, pools, monkeypatch):
+        parent, burned_areas = os.getpid(), firewatch.montecarlo._burned_areas
+
+        def failing_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise DomainError("worker failed")
+            return burned_areas(*args, **kwargs)
+
+        monkeypatch.setattr(firewatch.montecarlo, "_burned_areas", failing_in_workers)
+        with pytest.raises(DomainError, match="worker failed"):
+            run_trials(POOL_CASES["grid"], workers=2)
+        assert pools == [1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # One block and no per-trial union area: the only check comes
+            # after the last trial, so the rule cannot fork, however slow.
+            dataclasses.replace(POOL_CASES["grid"], trials=2000),
+            small_random_config(clip_to_region=False),
+        ],
+        ids=["grid", "resampled"],
+    )
+    def test_short_run_starts_no_pool(self, cfg, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a short run started a pool")
+
+        monkeypatch.setattr(firewatch.montecarlo, "ProcessPoolExecutor", no_pool)
+        assert same(run_trials(cfg, workers=2), run_trials(cfg, workers=1))
 
 
 class TestRateScaling:
