@@ -97,11 +97,12 @@ def grid_td_cdf(x, spacing: float, rate: float):
     if np.any(xa < 0):
         raise DomainError("detection time must be nonnegative")
     c = 2.0 * rate / spacing
-    # An infinite u2 takes the last branch; the middle one's NaN need not warn.
+    # Overflow needs no warning here: an infinite u2 takes the last branch,
+    # whatever the middle one gives.
     with np.errstate(over="ignore", invalid="ignore"):
         # Past c = 1e150, c ** 2 would overflow: square c x instead.
         u2 = c**2 * xa * xa if c < 1e150 else (c * xa) ** 2
-        # A c that overflows to inf gives inf * 0 = NaN at x = 0, where the CDF is 0.
+        # An infinite c gives inf * 0 = NaN at x = 0, where the CDF is 0.
         u2 = np.where(xa == 0.0, 0.0, u2)
         excess = np.sqrt(np.maximum(u2 - 1.0, 0.0))
         middle = (math.pi / 4.0 - np.arctan(excess)) * u2 + excess

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from firewatch.analytic import (
     grid_td_law,
     limit_burned_area_law,
 )
+from firewatch.cli import main
 from firewatch.errors import DomainError, EstimatorError, ParameterError
 from firewatch.geometry import Point, RectRegion, disk_rect_area, ellipse_axis_rates
 from firewatch.montecarlo import (
@@ -259,9 +261,7 @@ class TestPoolRule:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Force the pool on: with no start-up allowance the rule forks at its
-        first check, whatever the clock reads. Records each pool's size."""
-        monkeypatch.setattr(firewatch.montecarlo, "_POOL_START_S", 0.0)
+        """The size of each pool that run_trials starts."""
         sizes = []
 
         class Recorded(ProcessPoolExecutor):
@@ -272,14 +272,35 @@ class TestPoolRule:
         monkeypatch.setattr(firewatch.montecarlo, "ProcessPoolExecutor", Recorded)
         return sizes
 
+    @pytest.fixture
+    def forced(self, pools, monkeypatch):
+        """Forces the pool on: with no start-up allowance the rule forks at
+        its first check, whatever the clock reads."""
+        monkeypatch.setattr(firewatch.montecarlo, "_POOL_START_S", 0.0)
+        return pools
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("case", list(POOL_CASES))
-    def test_forced_pool_keeps_bytes(self, pools, case, workers):
+    def test_forced_pool_keeps_bytes(self, forced, case, workers):
         cfg = POOL_CASES[case]
         reference = run_trials(cfg, workers=1)
-        assert pools == []
+        assert forced == []
         assert same(run_trials(cfg, workers=workers), reference)
-        assert pools == [workers - 1]
+        assert forced == [workers - 1]
+
+    @pytest.mark.parametrize("share, forks", [(0.9, False), (1.1, True)])
+    def test_forks_only_when_the_rest_pays(self, pools, monkeypatch, share, forks):
+        # The clock reads 0 when the run starts and `elapsed` at every check.
+        # The first check follows the grid's first block of 2^11 trials, so
+        # the other 2952 are estimated at elapsed * 2952 / 2048: `share` of
+        # the four start-ups above which the rule forks.
+        cfg = POOL_CASES["grid"]
+        reference = run_trials(cfg, workers=1)
+        elapsed = share * 4 * firewatch.montecarlo._POOL_START_S * 2048 / 2952
+        clock = itertools.chain([0.0], itertools.repeat(elapsed))
+        monkeypatch.setattr(firewatch.montecarlo, "perf_counter", lambda: next(clock))
+        assert same(run_trials(cfg, workers=2), reference)
+        assert pools == ([1] if forks else [])
 
     def test_resampled_split_falls_inside_a_block(self):
         cfg = POOL_CASES["resampled"]
@@ -289,7 +310,7 @@ class TestPoolRule:
         assert t.tobytes() == full.t_d[: t.size].tobytes()
         assert a.tobytes() == full.a_d[: t.size].tobytes()
 
-    def test_a_worker_error_ends_the_run(self, pools, monkeypatch):
+    def test_a_worker_error_ends_the_run(self, forced, monkeypatch, capsys):
         parent, burned_areas = os.getpid(), firewatch.montecarlo._burned_areas
 
         def failing_in_workers(*args, **kwargs):
@@ -298,9 +319,13 @@ class TestPoolRule:
             return burned_areas(*args, **kwargs)
 
         monkeypatch.setattr(firewatch.montecarlo, "_burned_areas", failing_in_workers)
-        with pytest.raises(DomainError, match="worker failed"):
-            run_trials(POOL_CASES["grid"], workers=2)
-        assert pools == [1]
+        argv = ["simulate", "--region", "10x10", "--spacing", "1", "--trials", "5000",
+                "--seed", "9", "--workers", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "worker failed" in captured.err
+        assert forced == [1]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
