@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap,
 the textbook two-circle lens formula, a dense per-trial sensor draw for
-the engine's lazy cell-by-cell sampler, and a trial-by-trial run of a fixed
-layout for the engine's batched one.
+the engine's lazy cell-by-cell sampler, a trial-by-trial run of a fixed
+layout for the engine's batched one, and a union-area sampler that tests
+every front on every jittered point.
 """
 
 import math
@@ -14,6 +15,7 @@ import warnings
 import numpy as np
 from scipy import integrate
 
+from firewatch import geometry
 from firewatch.geometry import Point, burned_union_area, ellipse_axis_rates
 from firewatch.montecarlo import _area_seed, detection_time
 from firewatch.placement import build_layout
@@ -177,3 +179,37 @@ def per_trial_outcomes(config, lo, hi):
         t_out[i - lo] = t_d
         a_out[i - lo] = a_d
     return t_out, a_out
+
+
+def full_hull_union_estimate(fronts, box, tol, seed):
+    """``geometry._stratified_union_area`` with every front's ``covers`` run
+    on every jittered point of ``box``, not only on the cells its own box
+    can reach: the same grid, jitter stream and stopping rule."""
+    x0, y0, x1, y1 = box
+    lx, ly = x1 - x0, y1 - y0
+    n, prev = 64, None
+    while True:
+        key = np.array([seed & geometry._MASK64, geometry._AREA_STREAM_TAG | n], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        hits = 0
+        block = max(1, geometry._SAMPLER_BLOCK // n)
+        cols = np.arange(n)
+        for r0 in range(0, n, block):
+            rows = np.arange(r0, min(r0 + block, n))
+            u = rng.random((rows.size, n, 2))
+            px = x0 + (cols[None, :] + u[:, :, 0]) * (lx / n)
+            py = y0 + (rows[:, None] + u[:, :, 1]) * (ly / n)
+            covered = np.zeros(px.shape, dtype=bool)
+            for ignition, model, t in fronts:
+                covered |= model.covers(ignition, t, px, py)
+            hits += int(covered.sum())
+        est = lx * ly * hits / (n * n)
+        if prev is not None:
+            if est == 0.0 and prev == 0.0:
+                return 0.0
+            if abs(est - prev) <= 0.5 * tol * max(est, prev):
+                return est
+        if n >= 4096:
+            return est
+        prev = est
+        n *= 2

@@ -15,7 +15,13 @@ from firewatch.geometry import (
 )
 from firewatch.propagation import CircularModel, EllipticalModel
 
-from helpers import bisect_reach_time, lens_union_area, quad_disk_rect, quad_ellipse_rect
+from helpers import (
+    bisect_reach_time,
+    full_hull_union_estimate,
+    lens_union_area,
+    quad_disk_rect,
+    quad_ellipse_rect,
+)
 
 REGION = RectRegion(10.0, 10.0)
 
@@ -286,3 +292,65 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @staticmethod
+    def _random_group(rng, i):
+        """Two or three fronts of one model that overlap or nearly do, with
+        their clipped hull in REGION; every fourth group has one front
+        narrower than a cell of the coarsest grid."""
+        if i % 2:
+            model = CircularModel(0.5 + rng.random())
+        else:
+            model = EllipticalModel(
+                0.5 + rng.random(), 1 + 3 * rng.random(), 1 + 2 * rng.random(),
+                2 * math.pi * rng.random(),
+            )
+        k = 2 + i % 3 // 2
+        t0 = 0.2 + 2 * rng.random()
+        times = [t0] * k if i % 3 else [t0 * (0.3 + rng.random()) for _ in range(k)]
+        if i % 4 == 1:
+            times[-1] = 1e-3 * rng.random()
+        centre = rng.random(2) * 10
+        fronts = [
+            (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), model, t)
+            for t in times
+        ]
+        boxes = [geometry._clip_box(m.bounding_box(p, t), REGION) for p, m, t in fronts]
+        boxes = [b for b in boxes if b is not None]
+        hull = (
+            min(b[0] for b in boxes), min(b[1] for b in boxes),
+            max(b[2] for b in boxes), max(b[3] for b in boxes),
+        )
+        return fronts, hull
+
+    def test_matches_every_point_sampler_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=[47, 0]))
+        for i in range(200):
+            fronts, hull = self._random_group(rng, i)
+            seed = int(rng.integers(2**63))
+            assert geometry._stratified_union_area(fronts, hull, 1e-2, seed) == (
+                full_hull_union_estimate(fronts, hull, 1e-2, seed)
+            ), (i, fronts, hull)
+
+    def test_box_edges_on_cell_boundaries(self):
+        # A 4x4 hull has cells of 1/16 at the coarsest grid: the 1.5-radius
+        # front's box is the hull, the others' edges lie on cell boundaries.
+        circ = CircularModel(1.0)
+        fronts = [(Point(2.0, 2.0), circ, 1.5), (Point(1.0, 1.0), circ, 0.5),
+                  (Point(3.0, 2.5), circ, 1.0)]
+        for tol, seed in ((1e-3, 3), (1e-2, 4), (1e-4, 5)):
+            got = geometry._stratified_union_area(fronts, (0.5, 0.5, 3.5, 3.5), tol, seed)
+            assert got == full_hull_union_estimate(fronts, (0.5, 0.5, 3.5, 3.5), tol, seed)
+
+    def test_point_fronts_on_rounded_cell_edges(self):
+        # Far from the origin the jittered points round onto the grid's cell
+        # edges, so a point front on an edge is hit from the cells on both
+        # sides of it. A tolerance no estimate meets refines to 4096 a side.
+        x0 = 2.0**40
+        hull = (x0, x0, x0 + 1.0, x0 + 1.0)
+        circ = CircularModel(1.0)
+        fronts = [(Point(x0 + 0.5, x0 + 0.5), circ, 0.3)] + [
+            (Point(x0 + i / 64, x0 + (i + 3) / 64), circ, 0.0) for i in range(4, 61, 8)
+        ]
+        got = geometry._stratified_union_area(fronts, hull, 1e-15, 9)
+        assert got == full_hull_union_estimate(fronts, hull, 1e-15, 9)
