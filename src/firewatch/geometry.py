@@ -3,8 +3,8 @@
 Provides the protected rectangle, reach-time solving for elliptically
 growing fronts, the exact area of a disk intersected with a convex polygon
 (which gives the clipped area of one circular or elliptical front), and a
-deterministic union-area estimator for groups of overlapping fronts clipped
-to the region.
+deterministic union-area estimator for groups of fronts that meet, clipped
+to the region; fronts that meet no other are measured exactly.
 """
 
 from __future__ import annotations
@@ -231,8 +231,17 @@ def _boxes_touch(b1, b2) -> bool:
     return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
 
 
-def _group_fronts(boxes):
-    # Union-find over pairwise box overlap; front counts are tiny.
+def _group_fronts(fronts, boxes):
+    """Groups of indices of ``fronts`` joined by the pairs whose clipped
+    ``boxes`` touch and that meet.
+
+    A model's affine frame maps each of its fronts at time t to the disk of
+    radius t about the front's ``frame_centre``, so two fronts of one model
+    meet iff their centres are at most t1 + t2 apart. Fronts of two models
+    are taken to meet when their boxes touch.
+    """
+    # Union-find over pairs; front counts are small.
+    centres = [model.frame_centre(ignition, t) for ignition, model, t in fronts]
     parent = list(range(len(boxes)))
 
     def find(i):
@@ -241,9 +250,17 @@ def _group_fronts(boxes):
             i = parent[i]
         return i
 
+    def meet(i, j):
+        (_, model_i, t_i), (_, model_j, t_j) = fronts[i], fronts[j]
+        if model_i != model_j:
+            return True
+        (xi, yi), (xj, yj) = centres[i], centres[j]
+        # A NaN distance keeps the pair together, for the sampler to measure.
+        return not math.hypot(xi - xj, yi - yj) > t_i + t_j
+
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            if _boxes_touch(boxes[i], boxes[j]):
+            if _boxes_touch(boxes[i], boxes[j]) and meet(i, j):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(len(boxes)):
@@ -323,15 +340,17 @@ def burned_union_area(
     """Area of the union of burned sets, clipped to ``region``.
 
     ``fronts`` is a sequence of ``(ignition, model, t)`` triples; each model
-    must expose ``area(t)``, ``bounding_box(ignition, t)``, ``covers`` and
-    ``clipped_area_exact``.  Fronts whose bounding boxes stay disjoint are
-    measured independently and exactly: ``area(t)`` inside the region,
-    ``clipped_area_exact`` across its edge.  Only groups of overlapping
-    fronts are estimated, by stratified sampling at relative tolerance
-    ``tol``.
+    must expose ``area(t)``, ``bounding_box(ignition, t)``, ``frame_centre``,
+    ``covers`` and ``clipped_area_exact``.  Fronts are grouped by the pairs
+    whose clipped bounding boxes touch and that meet (for two fronts of one
+    model, exactly; fronts of two models are taken to meet when their boxes
+    touch).  A front that meets no other is measured exactly: ``area(t)``
+    inside the region, ``clipped_area_exact`` across its edge.  Only groups
+    of fronts that meet are estimated, by stratified sampling over the hull
+    of their clipped boxes at relative tolerance ``tol``.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     fronts = list(fronts)
     if not fronts:
         return 0.0
@@ -352,7 +371,7 @@ def burned_union_area(
         return 0.0
 
     total = 0.0
-    for group in _group_fronts(clipped):
+    for group in _group_fronts([m[0] for m in live], clipped):
         members = [live[i] for i in group]
         if len(members) == 1:
             (ignition, model, t), box, cb = members[0]

@@ -149,8 +149,8 @@ class ScenarioConfig:
                 f"ignition count must lie in [1, {_MAX_IGNITIONS}], got {self.ignition_count}"
             )
         _check_master_seed(self.master_seed)
-        if not self.area_tol > 0:
-            raise ParameterError(f"area tolerance must be positive, got {self.area_tol}")
+        if not 0 < self.area_tol < math.inf:
+            raise ParameterError(f"area tolerance must be positive and finite, got {self.area_tol}")
         is_random = isinstance(self.placement, RandomPlacement)
         if self.resample_layout_each_trial is None:
             object.__setattr__(self, "resample_layout_each_trial", is_random)

@@ -75,6 +75,12 @@ class CircularModel:
         r = self.rate * t
         return (ignition.x - r, ignition.y - r, ignition.x + r, ignition.y + r)
 
+    def frame_centre(self, ignition: Point, t):
+        """Centre of the front at ``t`` in this model's frame, where every
+        front of the model is the disk of radius ``t``: the case a = b =
+        rate, c = 0 of ``EllipticalModel.frame_centre``."""
+        return (ignition.x / self.rate, ignition.y / self.rate)
+
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         return disk_rect_area(ignition, self.rate * t, region)
 
@@ -144,6 +150,17 @@ class EllipticalModel:
         ex = math.hypot(a * t * cos_h, b * t * sin_h)
         ey = math.hypot(a * t * sin_h, b * t * cos_h)
         return (cx - ex, cy - ey, cx + ex, cy + ey)
+
+    def frame_centre(self, ignition: Point, t):
+        """Centre of the front at ``t`` in this model's frame, where every
+        front of the model is the disk of radius ``t``: shift by ``c t``
+        along the heading, rotate by -heading, scale by 1/a and 1/b."""
+        a, b, c = self.axis_rates
+        cos_h = math.cos(self.heading)
+        sin_h = math.sin(self.heading)
+        x = ignition.x * cos_h + ignition.y * sin_h
+        y = -ignition.x * sin_h + ignition.y * cos_h
+        return ((x + c * t) / a, y / b)
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         # The inverse affine map of the front (shift to its center, rotate by

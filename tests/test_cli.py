@@ -259,9 +259,13 @@ class TestSimulateCommand:
             ({"region": "10x10", "placement": {"kind": "grid", "spacing": 1},
               "model": {"rate": "fast"}}, "mistyped value"),
             ([1, 2], "a region is required"),
+            *[({"region": "10x10", "placement": {"kind": "random", "count": 100},
+                "model": {"kind": "elliptical", "rate": 1, "hb": 2, "lb": 2},
+                "ignitions": 3, "area_tol": tol}, "area tolerance must be positive and finite")
+              for tol in ("inf", "nan")],
         ],
         ids=["no count", "no height", "region number", "placement string", "count list",
-             "rate string", "not an object"],
+             "rate string", "not an object", "area_tol inf", "area_tol nan"],
     )
     def test_bad_config_file_exit_2(self, capsys, tmp_path, cfg, message):
         path = tmp_path / "cfg.json"

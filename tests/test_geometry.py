@@ -213,8 +213,9 @@ class TestBurnedUnionArea:
             burned_union_area([(Point(5, 5), CircularModel(1.0), -1.0)], REGION)
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(ParameterError):
-            burned_union_area([(Point(5, 5), CircularModel(1.0), 1.0)], REGION, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                burned_union_area([(Point(5, 5), CircularModel(1.0), 1.0)], REGION, tol=tol)
 
 
 class TestEllipseClip:
@@ -354,3 +355,96 @@ class TestSampler:
         ]
         got = geometry._stratified_union_area(fronts, hull, 1e-15, 9)
         assert got == full_hull_union_estimate(fronts, hull, 1e-15, 9)
+
+
+class TestFrontsThatMeet:
+    """Fronts of one model are grouped only when they meet, with the
+    sampler patched to fail wherever no sample may be drawn."""
+
+    @staticmethod
+    def _no_sampler(monkeypatch):
+        def fail(*args):
+            raise AssertionError("fronts that do not meet reached the sampler")
+
+        monkeypatch.setattr(geometry, "_stratified_union_area", fail)
+
+    @staticmethod
+    def _record_sampler(monkeypatch):
+        calls = []
+
+        def record(fronts, box, tol, seed):
+            calls.append((fronts, box))
+            return 0.0
+
+        monkeypatch.setattr(geometry, "_stratified_union_area", record)
+        return calls
+
+    def test_side_by_side_ellipses_give_their_exact_clips(self, monkeypatch):
+        self._no_sampler(monkeypatch)
+        ell = EllipticalModel(1.0, 2.0, 4.0, 0.7)
+        beside = Point(1.0 - 0.8 * math.sin(0.7), 5.0 + 0.8 * math.cos(0.7))
+        fronts = [(Point(1.0, 5.0), ell, 1.5), (beside, ell, 1.5)]
+        assert geometry._boxes_touch(*(ell.bounding_box(p, t) for p, _, t in fronts))
+        want = [ell.clipped_area_exact(p, t, REGION) for p, _, t in fronts]
+        assert want[1] < ell.area(1.5)  # the second front crosses the region's edge
+        assert burned_union_area(fronts, REGION) == sum(want)
+
+    def test_one_model_at_two_times(self, monkeypatch):
+        # The later front, ignited 1.1 ahead on the heading, has drifted
+        # ahead: its back is 0.5 behind its ignition, the earlier front's
+        # head 0.5 ahead of its own, so a gap of 0.1 is left between them.
+        self._no_sampler(monkeypatch)
+        ell = EllipticalModel(1.0, 4.0, 2.0, 0.7)
+        ahead = Point(3.0 + 1.1 * math.cos(0.7), 3.0 + 1.1 * math.sin(0.7))
+        fronts = [(Point(3.0, 3.0), ell, 0.5), (ahead, ell, 2.0)]
+        assert geometry._boxes_touch(*(ell.bounding_box(p, t) for p, _, t in fronts))
+        assert burned_union_area(fronts, REGION) == ell.area(0.5) + ell.area(2.0)
+
+    def test_a_chain_samples_only_the_pair_that_meets(self, monkeypatch):
+        calls = self._record_sampler(monkeypatch)
+        circ = CircularModel(1.0)
+        a, b, c = [(Point(x, y), circ, 1.0) for x, y in ((3.5, 5.0), (5.0, 5.0), (6.6, 6.6))]
+        # C's box touches B's, but C is 2.26 from B and 3.49 from A.
+        assert geometry._boxes_touch(circ.bounding_box(b[0], 1.0), circ.bounding_box(c[0], 1.0))
+        got = burned_union_area([a, b, c], REGION)
+        assert calls == [([a, b], (2.5, 4.0, 6.0, 6.0))]
+        assert got == circ.area(1.0)
+
+    def test_fronts_of_two_models_keep_box_grouping(self, monkeypatch):
+        # The ellipse lies within 0.75 of its centre, about (6.5, 3.6) and 2.06
+        # from the circle's: the fronts do not meet, but their boxes touch.
+        calls = self._record_sampler(monkeypatch)
+        circ, ell = CircularModel(1.0), EllipticalModel(1.0, 2.0, 4.0, 0.7)
+        fronts = [(Point(5.0, 5.0), circ, 1.0), (Point(6.3, 3.44), ell, 1.0)]
+        assert geometry._boxes_touch(*(m.bounding_box(p, t) for p, m, t in fronts))
+        burned_union_area(fronts, REGION)
+        assert [f for f, _ in calls] == [fronts]
+
+    def test_fronts_said_apart_share_no_point(self, monkeypatch):
+        calls = self._record_sampler(monkeypatch)
+        region = RectRegion(100.0, 100.0)
+        rng = np.random.Generator(np.random.Philox(key=[53, 0]))
+        apart = 0
+        for i in range(300):
+            rate = 0.5 + rng.random()
+            if i % 2:
+                model = CircularModel(rate)
+            else:
+                model = EllipticalModel(
+                    rate, 1 + 3 * rng.random(), 1 + 3 * rng.random(), 2 * math.pi * rng.random()
+                )
+            t1, t2 = 0.2 + 2 * rng.random(), 0.2 + 2 * rng.random()
+            p1 = Point(*(45 + 10 * rng.random(2)))
+            p2 = Point(*(np.array([p1.x, p1.y]) + (rng.random(2) - 0.5) * 2 * rate * (t1 + t2)))
+            boxes = [model.bounding_box(p1, t1), model.bounding_box(p2, t2)]
+            calls.clear()
+            burned_union_area([(p1, model, t1), (p2, model, t2)], region)
+            if calls or not geometry._boxes_touch(*boxes):
+                continue
+            apart += 1
+            x0, y0 = max(boxes[0][0], boxes[1][0]), max(boxes[0][1], boxes[1][1])
+            x1, y1 = min(boxes[0][2], boxes[1][2]), min(boxes[0][3], boxes[1][3])
+            gx, gy = np.meshgrid(np.linspace(x0, x1, 300), np.linspace(y0, y1, 300))
+            both = model.covers(p1, t1, gx, gy) & model.covers(p2, t2, gx, gy)
+            assert not both.any(), (i, model, p1, t1, p2, t2)
+        assert apart >= 50
