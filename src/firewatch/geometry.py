@@ -5,6 +5,12 @@ growing fronts, the exact area of a disk intersected with a convex polygon
 (which gives the clipped area of one circular or elliptical front), and a
 deterministic union-area estimator for groups of fronts that meet, clipped
 to the region; fronts that meet no other are measured exactly.
+
+The estimator is a jittered grid, refined until two levels agree. Each row
+of a level is cut, per front, into the cells the front surely covers, the
+cells beyond its reach and the cells its edge can cross. Only the last get
+their jittered point, computed straight from the Philox counter, and are
+tested: the estimate is that of drawing every point and testing every front.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .philox import philox4x64
 
 __all__ = [
     "Point",
@@ -30,9 +37,9 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # High-bit tag keeps union-area jitter streams disjoint from trial substreams.
 _AREA_STREAM_TAG = 1 << 63
-# Jittered points per block of the union-area sampler. The jitter stream is
-# consumed in the same row-major order for any block size, so the estimate
-# does not depend on it; the block only bounds the temporaries (~1 MB each).
+# Edge cells per block of rows of the union-area sampler. Each cell's jitter
+# comes from its own counter, so the estimate does not depend on the block;
+# it only bounds the temporaries (~1 MB each).
 _SAMPLER_BLOCK = 1 << 16
 
 
@@ -279,45 +286,149 @@ def _cell_span(lo: float, hi: float, origin: float, step: float, n: int) -> tupl
     return i0, i1
 
 
+def _front_rows(frame, front_box, box, n: int):
+    """Where one front can and must cover the cells of the n x n grid over
+    ``box``, numbered ``row * n + column``: for each row that its box can
+    reach, the front can cover only the cells ``[l, r)`` and surely covers
+    ``[p, q)``, with ``l <= p <= q <= r``, as the arrays ``(l, p, q, r)``.
+
+    ``frame`` is the front as the ellipse ``(cx, cy, A, B, cos, sin)``. Each
+    row's strip, widened by a margin far above the rounding of the points
+    and of ``covers``, is cut with it: the cells beyond the front's x-extent
+    over the strip cannot be covered, and those that lie, widened by the
+    margin, between the chords of both of the strip's edges are. The cells
+    only narrow those of ``_cell_span``; a front too small, too large or too
+    far from the origin for the margin to hold keeps them all and surely
+    covers none.
+    """
+    x0, y0, x1, y1 = box
+    sx, sy = (x1 - x0) / n, (y1 - y0) / n
+    c0, c1 = _cell_span(front_box[0], front_box[2], x0, sx, n)
+    a0, a1 = _cell_span(front_box[1], front_box[3], y0, sy, n)
+    base = np.arange(a0, a1) * n
+    cx, cy, A, B, cos_h, sin_h = frame
+    size = max(abs(x0), abs(x1), abs(y0), abs(y1)) + abs(cx) + abs(cy) + A
+    if not (c0 < c1 and 1e-100 < B <= A < 1e100 and size < 1e100):
+        r = base + max(c0, c1)
+        return base + c0, r, r, r
+    m = size * 2.0**-40
+    ex, ey = math.hypot(A * cos_h, B * sin_h), math.hypot(A * sin_h, B * cos_h)
+    # At height cy + z ey the chord is cx + k z -+ w sqrt(1 - z^2). Its right
+    # end is furthest right, at cx + ex, for z = zr, and its left end
+    # furthest left, at cx - ex, for z = -zr.
+    k = cos_h * sin_h * (A - B) * ((A + B) / ey)
+    w = A * (B / ey)
+    zr = k / ex
+    y = y0 + np.arange(a0, a1 + 1) * sy
+    # The widened strip's edges, clipped to the ellipse's heights: an edge
+    # beyond them cuts it in one point, so the strip holds no sure cell.
+    z1 = np.minimum(np.maximum((y[:-1] - (cy + m)) / ey, -1.0), 1.0)
+    z2 = np.minimum(np.maximum((y[1:] - (cy - m)) / ey, -1.0), 1.0)
+    s1 = w * np.sqrt((1.0 - z1) * (1.0 + z1))
+    s2 = w * np.sqrt((1.0 - z2) * (1.0 + z2))
+    kz1, kz2 = k * z1, k * z2
+    left = np.where((z1 <= -zr) & (-zr <= z2), -ex, np.minimum(kz1 - s1, kz2 - s2))
+    right = np.where((z1 <= zr) & (zr <= z2), ex, np.maximum(kz1 + s1, kz2 + s2))
+    inner_left = np.maximum(kz1 - s1, kz2 - s2)
+    inner_right = np.minimum(kz1 + s1, kz2 + s2)
+    l = np.minimum(np.maximum(np.floor((left + (cx - m - x0)) / sx), c0), c1)
+    r = np.minimum(np.maximum(np.floor((right + (cx + m - x0)) / sx) + 1.0, l), c1)
+    p = np.minimum(np.maximum(np.ceil((inner_left + (cx + m - x0)) / sx), l), r)
+    q = np.minimum(np.maximum(np.floor((inner_right + (cx - m - x0)) / sx), p), r)
+    return tuple(base + v.astype(np.int64) for v in (l, p, q, r))
+
+
+def _merge_runs(starts, ends):
+    """The union of the runs ``[starts, ends)`` as disjoint runs in order."""
+    if not starts.size:
+        return starts, ends
+    order = np.argsort(starts, kind="stable")
+    starts, ends = starts[order], ends[order]
+    reach = np.maximum.accumulate(ends)
+    first = np.flatnonzero(np.concatenate([[True], starts[1:] > reach[:-1]]))
+    return starts[first], reach[np.append(first[1:], starts.size) - 1]
+
+
+def _in_runs(keys, starts, ends):
+    """Whether each of the sorted ``keys`` lies in one of the disjoint
+    sorted runs ``[starts, ends)``."""
+    i = np.searchsorted(starts, keys, side="right") - 1
+    return (i >= 0) & (keys < ends[np.maximum(i, 0)])
+
+
+def _expand(starts, ends):
+    """Every number of the runs ``[starts, ends)``, run after run."""
+    lengths = ends - starts
+    total = np.cumsum(lengths)
+    return np.arange(total[-1] if total.size else 0) + np.repeat(starts - (total - lengths), lengths)
+
+
+def _jitter(cells, n: int, seed: int):
+    """The two uniforms of each of the sorted ``cells``: cell m takes words
+    2m and 2m + 1 of ``Philox(key=[seed, _AREA_STREAM_TAG | n])``, the same
+    words, in the same order, as the level's ``Generator.random((n, n, 2))``."""
+    block = cells >> 1
+    first = np.flatnonzero(np.diff(block, prepend=-1))
+    words = np.stack(
+        philox4x64(seed & _MASK64, _AREA_STREAM_TAG | n, block[first].astype(np.uint64) + np.uint64(1))
+    )
+    at = np.repeat(np.arange(first.size), np.diff(first, append=cells.size))
+    odd = 2 * (cells & 1)
+    return (
+        (words[odd, at] >> np.uint64(11)) * 2.0**-53,
+        (words[odd + 1, at] >> np.uint64(11)) * 2.0**-53,
+    )
+
+
 def _stratified_union_area(fronts, box, tol: float, seed: int) -> float:
     """Jittered-grid estimate of the covered area inside ``box``.
 
     The grid is refined (doubling per axis) until two successive estimates
     agree to half the requested relative tolerance.  All jitter comes from a
     dedicated counter-based stream keyed by (seed, resolution), so the result
-    is a pure function of the inputs.  Every point is drawn, but each front
-    is tested only on the cells its bounding box can reach: a point outside
-    them is not covered by it, so the estimate is that of testing every
-    front on every point.
+    is a pure function of the inputs.  A cell that some front surely covers
+    is a hit without its point; only the cells that a front's edge can
+    cross get their point, straight from the stream's counter, and each is
+    tested only against the fronts that can cover it.  The estimate is
+    therefore that of drawing every point and testing every front on it.
     """
     x0, y0, x1, y1 = box
     lx, ly = x1 - x0, y1 - y0
     box_area = lx * ly
     front_boxes = [model.bounding_box(ignition, t) for ignition, model, t in fronts]
+    frames = [model.frame(ignition, t) for ignition, model, t in fronts]
     n = 64
     n_max = 4096
     prev = None
     while True:
-        key = np.array([seed & _MASK64, _AREA_STREAM_TAG | n], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        hits = 0
-        block = max(1, _SAMPLER_BLOCK // n)
-        cols = np.arange(n)
-        spans = [
-            (_cell_span(fb[0], fb[2], x0, lx / n, n), _cell_span(fb[1], fb[3], y0, ly / n, n))
-            for fb in front_boxes
-        ]
-        for r0 in range(0, n, block):
-            rows = np.arange(r0, min(r0 + block, n))
-            u = rng.random((rows.size, n, 2))
-            px = x0 + (cols[None, :] + u[:, :, 0]) * (lx / n)
-            py = y0 + (rows[:, None] + u[:, :, 1]) * (ly / n)
-            covered = np.zeros(px.shape, dtype=bool)
-            for (ignition, model, t), ((c0, c1), (a0, a1)) in zip(fronts, spans):
-                a0, a1 = max(a0 - r0, 0), min(a1 - r0, rows.size)
-                if a0 < a1 and c0 < c1:
-                    sub = np.s_[a0:a1, c0:c1]
-                    covered[sub] |= model.covers(ignition, t, px[sub], py[sub])
+        rows = [_front_rows(*fb, box, n) for fb in zip(frames, front_boxes)]
+        l, p, q, r = (np.concatenate(v) for v in zip(*rows))
+        in_starts, in_ends = _merge_runs(p, q)
+        hits = int((in_ends - in_starts).sum())
+        # The edge cells [l, p) and [q, r) of every front, in row blocks of
+        # about _SAMPLER_BLOCK cells, which bound the temporaries.
+        starts, ends = np.concatenate([l, q]), np.concatenate([p, r])
+        per_row = np.bincount(starts // n, weights=ends - starts, minlength=n)
+        cuts = np.searchsorted(np.cumsum(per_row), np.arange(_SAMPLER_BLOCK, per_row.sum(), _SAMPLER_BLOCK))
+        for lo, hi in zip(np.concatenate([[0], cuts]) * n, np.append(cuts, n) * n):
+            take = (starts >= lo) & (starts < hi)
+            cells = np.sort(_expand(starts[take], ends[take]))
+            cells = cells[np.diff(cells, prepend=-1) != 0]
+            cells = cells[~_in_runs(cells, in_starts, in_ends)]
+            if not cells.size:
+                continue
+            row, col = np.divmod(cells, n)
+            ux, uy = _jitter(cells, n, seed)
+            px = x0 + (col + ux) * (lx / n)
+            py = y0 + (row + uy) * (ly / n)
+            covered = np.zeros(cells.size, dtype=bool)
+            for (ignition, model, t), (f_l, _, _, f_r) in zip(fronts, rows):
+                if not f_l.size:
+                    continue
+                i0, i1 = np.searchsorted(cells, [f_l[0], f_r[-1]])
+                sel = i0 + np.flatnonzero(_in_runs(cells[i0:i1], f_l, f_r))
+                if sel.size:
+                    covered[sel] |= model.covers(ignition, t, px[sel], py[sel])
             hits += int(covered.sum())
         est = box_area * hits / (n * n)
         if prev is not None:
@@ -340,8 +451,8 @@ def burned_union_area(
     """Area of the union of burned sets, clipped to ``region``.
 
     ``fronts`` is a sequence of ``(ignition, model, t)`` triples; each model
-    must expose ``area(t)``, ``bounding_box(ignition, t)``, ``frame_centre``,
-    ``covers`` and ``clipped_area_exact``.  Fronts are grouped by the pairs
+    must expose ``area(t)``, ``bounding_box(ignition, t)``, ``frame``,
+    ``frame_centre``, ``covers`` and ``clipped_area_exact``.  Fronts are grouped by the pairs
     whose clipped bounding boxes touch and that meet (for two fronts of one
     model, exactly; fronts of two models are taken to meet when their boxes
     touch).  A front that meets no other is measured exactly: ``area(t)``
@@ -356,8 +467,8 @@ def burned_union_area(
         return 0.0
     raw_boxes = []
     for ignition, model, t in fronts:
-        if t < 0:
-            raise DomainError(f"front time must be nonnegative, got {t}")
+        if not t >= 0:
+            raise DomainError(f"front time must be a nonnegative number, got {t}")
         raw_boxes.append(model.bounding_box(ignition, t))
 
     live = []

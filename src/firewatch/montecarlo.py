@@ -50,6 +50,7 @@ import numpy.random  # noqa: F401
 from .analytic import AnalyticLaw
 from .errors import DomainError, EstimatorError, ParameterError
 from .geometry import Point, RectRegion, burned_union_area
+from .philox import philox4x64
 from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
 from .propagation import SpreadModel
 
@@ -92,11 +93,6 @@ _STOP_MARGIN = 1e-6
 # the key (master_seed, _BLOCK_TAG | b); trial keys stay below _BLOCK_TAG.
 _BLOCK = 1 << 9
 _BLOCK_TAG = 1 << 62
-# Philox4x64-10 (Salmon et al., SC'11) round multipliers and key increments,
-# as numpy's Philox uses them.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # A fixed-layout run draws and times the ignitions of _TRIAL_BLOCK trials at
 # a time. The ring search's temporaries then peak near 2 MB on a 10x10 grid;
 # blocks of 2^9 trials held 1 MB less and ran 10-20% slower.
@@ -179,36 +175,13 @@ def _area_seed(master_seed: int, trial_index: int) -> int:
     return _splitmix64(master_seed ^ _splitmix64(trial_index))
 
 
-def _mulhilo(a, b):
-    """High and low words of the 128-bit products ``a * b`` of uint64 values."""
-    a_lo, a_hi = a & _LO32, a >> _S32
-    b_lo, b_hi = b & _LO32, b >> _S32
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> _S32) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32), a * b
-
-
 def _philox_words(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     """The first ``count`` words of ``Philox(key=[master_seed, i]).random_raw()``
-    for each trial ``i`` in [lo, hi), as a (hi - lo, count) uint64 array.
-
-    numpy's Philox4x64-10 adds one to its 256-bit counter before it computes
-    each block of four words, so its first block is at counter 1.
-    """
-    n = hi - lo
+    for each trial ``i`` in [lo, hi), as a (hi - lo, count) uint64 array."""
+    keys = np.arange(lo, hi, dtype=np.uint64)
     words = []
     for counter in range(1, (count + 3) // 4 + 1):
-        c0 = np.full(n, counter, dtype=np.uint64)
-        c1 = c2 = c3 = np.zeros(n, dtype=np.uint64)
-        k0, k1 = master_seed, np.arange(lo, hi, dtype=np.uint64)
-        for r in range(10):
-            if r:
-                k0 = (k0 + _PHILOX_W[0]) & _MASK64
-                k1 = k1 + np.uint64(_PHILOX_W[1])
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-        words += [c0, c1, c2, c3]
+        words += philox4x64(master_seed, keys, counter)
     return np.stack(words[:count], axis=1)
 
 
@@ -357,6 +330,15 @@ class _CellSampler(_Cells):
                 self, xs.ravel()[live], ys.ravel()[live], best[owner[live]], cx[live], cy[live], r
             )
             live = live[~stop]
+            # A trial with no finite time yet whose every pair's next ring is
+            # out of finite reach never gets one: its search ends.
+            lost = ~np.isfinite(best[owner[live]])
+            if lost.any():
+                pairs = live[lost]
+                lost[lost] = _beyond_reach(self, xs.ravel()[pairs], ys.ravel()[pairs], cx[pairs], cy[pairs], r)
+                searching = np.zeros(trials, dtype=bool)
+                searching[owner[live[~lost]]] = True
+                live = live[searching[owner[live]]]
             r += 1
         return best
 
@@ -393,6 +375,23 @@ def _front_inside(cells: _Cells, xs, ys, t, cx, cy, r: int) -> np.ndarray:
         np.where(east, math.inf, (cx + r + 1) * cells.cw - cells.mx),
         np.where(north, math.inf, (cy + r + 1) * cells.ch - cells.my),
     )
+
+
+def _beyond_reach(cells: _Cells, xs, ys, cx, cy, r: int) -> np.ndarray:
+    """Whether no sensor outside the square of cells of radius r around each
+    cell ``(cx, cy)`` has a finite reach time from ``(xs, ys)``. A reach time
+    is at least the distance over the fastest speed, the head's ``rate``:
+    here half the distance, less a few ulps of the region's sides, to the
+    nearest side of the square that is not on the region's edge."""
+    gap = np.minimum.reduce([
+        np.where(cx - r > 0, xs - (cx - r) * cells.cw, math.inf),
+        np.where(cx + r < cells.nx - 1, (cx + r + 1) * cells.cw - xs, math.inf),
+        np.where(cy - r > 0, ys - (cy - r) * cells.ch, math.inf),
+        np.where(cy + r < cells.ny - 1, (cy + r + 1) * cells.ch - ys, math.inf),
+    ])
+    slack = 1e-12 * (cells.nx * cells.cw + cells.ny * cells.ch)
+    with np.errstate(over="ignore"):
+        return np.isinf(0.5 * np.maximum(gap - slack, 0.0) / cells.model.rate)
 
 
 def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> float:

@@ -81,6 +81,12 @@ class CircularModel:
         rate, c = 0 of ``EllipticalModel.frame_centre``."""
         return (ignition.x / self.rate, ignition.y / self.rate)
 
+    def frame(self, ignition: Point, t):
+        """The front at ``t`` as an ellipse: the case a = b = rate, c = 0,
+        heading 0 of ``EllipticalModel.frame``."""
+        r = self.rate * t
+        return ignition.x, ignition.y, r, r, 1.0, 0.0
+
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         return disk_rect_area(ignition, self.rate * t, region)
 
@@ -141,14 +147,19 @@ class EllipticalModel:
         v = y / (b * t)
         return u * u + v * v <= 1.0
 
-    def bounding_box(self, ignition: Point, t):
+    def frame(self, ignition: Point, t):
+        """The front at ``t`` as ``(cx, cy, a t, b t, cos, sin)``: its centre,
+        ``c t`` ahead of the ignition, its semi-axes along and across the
+        heading, and the heading's cosine and sine."""
         a, b, c = self.axis_rates
         cos_h = math.cos(self.heading)
         sin_h = math.sin(self.heading)
-        cx = ignition.x + c * t * cos_h
-        cy = ignition.y + c * t * sin_h
-        ex = math.hypot(a * t * cos_h, b * t * sin_h)
-        ey = math.hypot(a * t * sin_h, b * t * cos_h)
+        return ignition.x + c * t * cos_h, ignition.y + c * t * sin_h, a * t, b * t, cos_h, sin_h
+
+    def bounding_box(self, ignition: Point, t):
+        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
+        ex = math.hypot(at * cos_h, bt * sin_h)
+        ey = math.hypot(at * sin_h, bt * cos_h)
         return (cx - ex, cy - ey, cx + ex, cy + ey)
 
     def frame_centre(self, ignition: Point, t):
@@ -169,12 +180,7 @@ class EllipticalModel:
         # 1/(a b t^2) and the corners still counterclockwise.
         if t <= 0.0:
             return 0.0
-        a, b, c = self.axis_rates
-        cos_h = math.cos(self.heading)
-        sin_h = math.sin(self.heading)
-        cx = ignition.x + c * t * cos_h
-        cy = ignition.y + c * t * sin_h
-        at, bt = a * t, b * t
+        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
         w, h = region.width, region.height
         corners = []
         for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):

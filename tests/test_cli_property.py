@@ -19,10 +19,7 @@ from firewatch.cli import main
 
 FLOATS = ["0", "-0", "-1", "nan", "inf", "-inf", "1e-320", "1e308"]
 INTS = ["0", "-1", str(2**53), str(2**63), str(2**64), str(10**30), "2.5", "x"]
-# Not 2^53 sensors: with a rate at which every reach time overflows, no ring
-# search can stop before it has visited every cell, and 2^53 sensors make
-# 2^51 cells.
-COUNTS = ["0", "-1", str(2**53 + 1), str(2**64), str(10**30), "2.5", "x"]
+COUNTS = ["0", "-1", str(2**53), str(2**53 + 1), str(2**64), str(10**30), "2.5", "x"]
 SIDES = ["0", "-1", "nan", "inf", "1e-320", "1e308", "10"]
 REGIONS = [f"{w}x{h}" for w in SIDES for h in SIDES] + ["", "x", "10", "10x", "axb", "10x10x10"]
 

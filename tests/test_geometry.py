@@ -212,6 +212,15 @@ class TestBurnedUnionArea:
         with pytest.raises(DomainError):
             burned_union_area([(Point(5, 5), CircularModel(1.0), -1.0)], REGION)
 
+    def test_nan_time_rejected(self):
+        circ = CircularModel(1.0)
+        for fronts in (
+            [(Point(5, 5), circ, math.nan)],
+            [(Point(5, 5), circ, math.nan), (Point(5.5, 5), circ, math.nan)],
+        ):
+            with pytest.raises(DomainError):
+                burned_union_area(fronts, REGION)
+
     def test_bad_tol_rejected(self):
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
@@ -295,7 +304,16 @@ class TestSampler:
         assert peak < 16 * 2**20
 
     @staticmethod
-    def _random_group(rng, i):
+    def _hull(fronts):
+        boxes = [geometry._clip_box(m.bounding_box(p, t), REGION) for p, m, t in fronts]
+        boxes = [b for b in boxes if b is not None]
+        return (
+            min(b[0] for b in boxes), min(b[1] for b in boxes),
+            max(b[2] for b in boxes), max(b[3] for b in boxes),
+        )
+
+    @classmethod
+    def _random_group(cls, rng, i):
         """Two or three fronts of one model that overlap or nearly do, with
         their clipped hull in REGION; every fourth group has one front
         narrower than a cell of the coarsest grid."""
@@ -316,22 +334,52 @@ class TestSampler:
             (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), model, t)
             for t in times
         ]
-        boxes = [geometry._clip_box(m.bounding_box(p, t), REGION) for p, m, t in fronts]
-        boxes = [b for b in boxes if b is not None]
-        hull = (
-            min(b[0] for b in boxes), min(b[1] for b in boxes),
-            max(b[2] for b in boxes), max(b[3] for b in boxes),
-        )
-        return fronts, hull
+        return fronts, cls._hull(fronts)
 
-    def test_matches_every_point_sampler_bit_for_bit(self):
+    @classmethod
+    def _mixed_group(cls, rng, i):
+        """Two or three fronts of two models in every other group, with a
+        front at t = 0 in every other pair of groups (a circular one still
+        covers its ignition). The elliptical fronts are tilted and elongated,
+        so their leftmost and rightmost points lie inside a row's strip."""
+        models = [
+            CircularModel(0.5 + rng.random()) if j % 2 else EllipticalModel(
+                0.5 + rng.random(), 1.5 + 3 * rng.random(), 1.5 + 2 * rng.random(),
+                0.1 + 1.4 * rng.random() + math.pi * int(rng.integers(4)) / 2,
+            )
+            for j in range(1 + i % 2)
+        ]
+        t0 = 0.2 + 2 * rng.random()
+        times = [t0, t0 * (0.3 + rng.random()), t0][: 2 + i % 3 // 2]
+        if i % 4 >= 2:
+            times[0] = 0.0
+        centre = rng.random(2) * 10
+        fronts = [
+            (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), models[j % len(models)], t)
+            for j, t in enumerate(times)
+        ]
+        return fronts, cls._hull(fronts)
+
+    def test_matches_every_point_sampler_bit_for_bit(self, monkeypatch):
+        grids = set()
+        jitter = geometry._jitter
+        monkeypatch.setattr(
+            geometry, "_jitter", lambda cells, n, seed: grids.add(n) or jitter(cells, n, seed)
+        )
         rng = np.random.Generator(np.random.Philox(key=[47, 0]))
+        cases = []
         for i in range(200):
-            fronts, hull = self._random_group(rng, i)
-            seed = int(rng.integers(2**63))
-            assert geometry._stratified_union_area(fronts, hull, 1e-2, seed) == (
-                full_hull_union_estimate(fronts, hull, 1e-2, seed)
-            ), (i, fronts, hull)
+            cases.append(self._random_group(rng, i) + (1e-2, int(rng.integers(2**63))))
+        for i in range(120):
+            cases.append(self._mixed_group(rng, i) + (1e-2, int(rng.integers(2**63))))
+        # A tolerance that only grids of 1024 cells a side and more meet.
+        for i in range(4):
+            cases.append(self._random_group(rng, 2 * i) + (1e-4, int(rng.integers(2**63))))
+        for fronts, hull, tol, seed in cases:
+            assert geometry._stratified_union_area(fronts, hull, tol, seed) == (
+                full_hull_union_estimate(fronts, hull, tol, seed)
+            ), (fronts, hull, tol, seed)
+        assert max(grids) >= 1024
 
     def test_box_edges_on_cell_boundaries(self):
         # A 4x4 hull has cells of 1/16 at the coarsest grid: the 1.5-radius

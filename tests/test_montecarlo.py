@@ -25,6 +25,7 @@ from firewatch.montecarlo import (
     SummaryStats,
     _CellSampler,
     _FixedSensors,
+    _beyond_reach,
     _front_inside,
     _philox_words,
     _simulate_range,
@@ -37,6 +38,7 @@ from firewatch.montecarlo import (
     summarize,
     summary_to_json,
 )
+from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
 from firewatch.propagation import CircularModel, EllipticalModel, burned_area
 
@@ -489,6 +491,34 @@ class TestLazySampler:
             assert cy + r >= ny - 1 or np.all(py <= (cy + r + 1) * ch + eps)
         assert stops > 300
 
+    def test_search_out_of_finite_reach_ends(self):
+        # At this rate a reach time overflows beyond ~1.8e-12 of the
+        # ignition, and 2^53 sensors make 2^51 cells: a search that went on
+        # until it held every cell would never end.
+        for model in (CircularModel(rate=1e-320), EllipticalModel(1e-320, 2.0, 1.5, heading=0.7)):
+            cfg = small_random_config(
+                region=RectRegion(10, 10), placement=RandomPlacement(count=2**53), model=model,
+                trials=3, ignition_count=2,
+            )
+            t_d, _ = _simulate_range(cfg, 0, cfg.trials)
+            assert np.isinf(t_d).all()
+
+    def test_a_ring_within_finite_reach_is_searched(self):
+        # A reach time is at least the distance over the head's rate: the
+        # next ring 1e-13 away can still hold a finite time at rate 1e-320,
+        # one half a cell (~1e-7) away cannot.
+        cfg = small_random_config(
+            region=RectRegion(10, 10), placement=RandomPlacement(count=2**53),
+            model=CircularModel(rate=1e-320),
+        )
+        sampler = _CellSampler(cfg)
+        cw, ch = sampler.cw, sampler.ch
+        x, y = np.array([5 * cw - 1e-13, 5.5 * cw]), np.array([5.5 * ch, 5.5 * ch])
+        cx, cy = np.array([4, 5]), np.array([5, 5])
+        assert _beyond_reach(sampler, x, y, cx, cy, 0).tolist() == [False, True]
+        slower = _CellSampler(dataclasses.replace(cfg, model=CircularModel(rate=1e-300)))
+        assert _beyond_reach(slower, x, y, cx, cy, 0).tolist() == [False, False]
+
     def test_full_draw_is_n_uniform_sensors(self, monkeypatch):
         draws = self._record_draws(monkeypatch)
         n, trials = 300, 200
@@ -663,6 +693,26 @@ class TestPhiloxWords:
         words = _philox_words(seed, index, index + 1, 8)
         key = np.array([seed, index], dtype=np.uint64)
         assert words.tolist() == [np.random.Philox(key=key).random_raw(8).tolist()]
+
+    def test_core_matches_numpy_at_any_key_and_counter(self):
+        # Keys and counters with their high bits set too; numpy's Philox
+        # adds one to the counter before its first block.
+        def numpy_blocks(k0, k1, c, blocks=1):
+            key = np.array([k0, k1], dtype=np.uint64)
+            counter = np.array([c, 0, 0, 0], dtype=np.uint64)
+            return np.random.Philox(key=key, counter=counter).random_raw(4 * blocks).tolist()
+
+        rng = np.random.Generator(np.random.Philox(key=[59, 0]))
+        draws = rng.integers(0, 2**64 - 1, (60, 3), dtype=np.uint64)
+        draws[::2] |= np.uint64(1 << 63)
+        for k0, k1, c in draws.tolist():
+            assert [int(w[0]) for w in philox4x64(k0, k1, c + 1)] == numpy_blocks(k0, k1, c)
+        # Arrays of keys or counters give the blocks of each at once.
+        k0, k1, c = draws[0].tolist()
+        got = np.stack(philox4x64(k0, draws[:, 1], c + 1), axis=1)
+        assert got.tolist() == [numpy_blocks(k0, k, c) for k in draws[:, 1].tolist()]
+        got = np.stack(philox4x64(k0, k1, np.arange(1, 9, dtype=np.uint64)), axis=1)
+        assert got.ravel().tolist() == numpy_blocks(k0, k1, 0, blocks=8)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -115,6 +115,25 @@ def test_area_consistent_with_front_geometry():
     assert grid_area == pytest.approx(burned_area(model, t), rel=2e-3)
 
 
+def test_frame_is_the_front_as_an_ellipse():
+    # A point of the front's boundary, from the frame, sits on the boundary
+    # that the membership predicate sees; a circle is the ellipse a = b =
+    # rate, heading 0.
+    model = EllipticalModel(rate=1.5, hb_ratio=3.0, lb_ratio=2.0, heading=2.2)
+    ign, t = Point(1.0, -2.0), 0.7
+    cx, cy, at, bt, cos_h, sin_h = model.frame(ign, t)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 13):
+        u, v = at * math.cos(theta), bt * math.sin(theta)
+        x, y = cx + u * cos_h - v * sin_h, cy + u * sin_h + v * cos_h
+        inward, outward = Point(cx + (x - cx) * 0.999, cy + (y - cy) * 0.999), Point(
+            cx + (x - cx) * 1.001, cy + (y - cy) * 1.001
+        )
+        assert front_member(1.5, 3.0, 2.0, 2.2, ign, inward, t)
+        assert not front_member(1.5, 3.0, 2.0, 2.2, ign, outward, t)
+    assert CircularModel(1.5).frame(ign, t) == EllipticalModel(1.5).frame(ign, t)
+    assert CircularModel(1.5).bounding_box(ign, t) == EllipticalModel(1.5).bounding_box(ign, t)
+
+
 def test_reach_times_vectorized_matches_scalar():
     model = EllipticalModel(rate=1.2, hb_ratio=2.0, lb_ratio=1.5, heading=0.9)
     ign = Point(1.0, 2.0)
