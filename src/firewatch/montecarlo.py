@@ -287,6 +287,10 @@ class _CellSampler(_Cells):
         count = config.placement.count
         super().__init__(config, count, _SENSORS_PER_CELL, 0.0)
         self.seed, self.count = config.master_seed, count
+        # Only where a distance inside the region can overflow a reach time
+        # can a search run out of finite reach (see _beyond_reach).
+        region = config.region
+        self.overflows = math.isinf(0.5 * (region.width + region.height) / config.model.rate)
 
     def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Detection times of the trials of the block that starts at trial
@@ -332,8 +336,8 @@ class _CellSampler(_Cells):
             live = live[~stop]
             # A trial with no finite time yet whose every pair's next ring is
             # out of finite reach never gets one: its search ends.
-            lost = ~np.isfinite(best[owner[live]])
-            if lost.any():
+            if self.overflows:
+                lost = ~np.isfinite(best[owner[live]])
                 pairs = live[lost]
                 lost[lost] = _beyond_reach(self, xs.ravel()[pairs], ys.ravel()[pairs], cx[pairs], cy[pairs], r)
                 searching = np.zeros(trials, dtype=bool)
