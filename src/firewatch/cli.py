@@ -309,9 +309,10 @@ def _check_trials(trials: int) -> None:
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
     _check_trials(config.trials)
+    # The laws reject a region whose area underflows before a trial runs.
+    td_law, ad_law = _summary_laws(config)
     outcomes = run_trials(config, workers=args.workers)
     stats = summarize(outcomes)
-    td_law, ad_law = _summary_laws(config)
     ks_td = ks_distance(stats.ecdf_td, td_law) if td_law else None
     ks_ad = ks_distance(stats.ecdf_ad, ad_law) if ad_law else None
     if args.out:

@@ -206,7 +206,12 @@ class _Cells:
     def __init__(self, config: ScenarioConfig, count: int, per_cell: int, margin: float):
         region = config.region
         cells = max(1, count // per_cell)
-        nx = max(1, round(min(cells, math.sqrt(cells * region.width / region.height))))
+        # cells * width overflows for sides near the largest floats; the
+        # aspect ratio then gives the same columns without it.
+        nx2 = cells * region.width / region.height
+        if nx2 == math.inf:
+            nx2 = cells * (region.width / region.height)
+        nx = max(1, round(min(cells, math.sqrt(nx2))))
         ny = max(1, cells // nx)
         self.model = config.model
         self.nx, self.ny = nx, ny
@@ -329,7 +334,8 @@ class _CellSampler(_Cells):
                 starts = _runs(of)[0]
                 hit = of[starts]
                 best[hit] = np.minimum(best[hit], np.minimum.reduceat(t.min(axis=1), starts))
-            live = live[remaining[owner[live]] > 0]
+            # A NaN time stays NaN (np.minimum keeps it), so its search ends.
+            live = live[(remaining[owner[live]] > 0) & ~np.isnan(best[owner[live]])]
             stop = _front_inside(
                 self, xs.ravel()[live], ys.ravel()[live], best[owner[live]], cx[live], cy[live], r
             )

@@ -275,6 +275,17 @@ class TestSimulateCommand:
         assert out == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_region_whose_area_underflows_exit_2_before_any_trial(self, capsys):
+        # Its cells would have zero width: a ring search among 2^53 sensors
+        # would never end.
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "1e-320x1e-320", "--sensors", str(2**53),
+            "--trials", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "area must be positive" in err
+
     def test_zero_sensors_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--region", "10x10", "--sensors", "0", "--trials", "10",

@@ -503,6 +503,26 @@ class TestLazySampler:
             t_d, _ = _simulate_range(cfg, 0, cfg.trials)
             assert np.isinf(t_d).all()
 
+    def test_cells_of_a_region_near_the_largest_floats_are_square(self):
+        # cells * width overflows here; a grid of one row would take ~500
+        # times as many rings to search.
+        cfg = small_random_config(
+            region=RectRegion(1e308, 1e308), placement=RandomPlacement(count=10**6)
+        )
+        sampler = _CellSampler(cfg)
+        assert (sampler.nx, sampler.ny) == (500, 500)
+
+    def test_search_with_a_nan_time_ends(self):
+        # At this breadth b^2 underflows and the reach-time quadratic gives
+        # NaN, which no later sensor can undo; among 2^53 sensors a search
+        # that went on would never end.
+        cfg = small_random_config(
+            region=RectRegion(10, 10), placement=RandomPlacement(count=2**53),
+            model=EllipticalModel(1.0, 1.0, 1e308), trials=3,
+        )
+        t_d, _ = _simulate_range(cfg, 0, cfg.trials)
+        assert np.isnan(t_d).all()
+
     def test_a_ring_within_finite_reach_is_searched(self):
         # A reach time is at least the distance over the head's rate: the
         # next ring 1e-13 away can still hold a finite time at rate 1e-320,
