@@ -391,8 +391,8 @@ def _beyond_reach(cells: _Cells, xs, ys, cx, cy, r: int) -> np.ndarray:
     """Whether no sensor outside the square of cells of radius r around each
     cell ``(cx, cy)`` has a finite reach time from ``(xs, ys)``. A reach time
     is at least the distance over the fastest speed, the head's ``rate``:
-    here half the distance, less a few ulps of the region's sides, to the
-    nearest side of the square that is not on the region's edge."""
+    here half the distance, less 1e-12 of the region's sides for rounding,
+    to the nearest side of the square that is not on the region's edge."""
     gap = np.minimum.reduce([
         np.where(cx - r > 0, xs - (cx - r) * cells.cw, math.inf),
         np.where(cx + r < cells.nx - 1, (cx + r + 1) * cells.cw - xs, math.inf),

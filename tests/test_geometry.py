@@ -352,7 +352,7 @@ class TestSampler:
         t0 = 0.2 + 2 * rng.random()
         times = [t0, t0 * (0.3 + rng.random()), t0][: 2 + i % 3 // 2]
         if i % 4 >= 2:
-            times[0] = 0.0
+            times[i % 2] = 0.0  # an elliptical front, then a circular one
         centre = rng.random(2) * 10
         fronts = [
             (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), models[j % len(models)], t)
