@@ -275,6 +275,111 @@ def _group_fronts(fronts, boxes):
     return list(groups.values())
 
 
+def _union_area(fronts, region: RectRegion) -> float:
+    """Exact area of the union of ``fronts``, all of one model, clipped to
+    ``region``.
+
+    The model's frame maps each front at time t to the disk of radius t about
+    its ``frame_centre``, and the region to a parallelogram. The frame is
+    taken about the first front, with its ignition subtracted in the plane,
+    and scaled by 1/s, s the latest time: the disks then have radii at most
+    1 near the origin, wherever the fronts lie and whatever the rate.
+    Green's theorem sums ``(x dy - y dx) / 2`` over the boundary of the
+    clipped union: the arcs of each circle that lie inside the region and
+    outside every other front, and the pieces of the region's edges that
+    some front covers. The pieces are cut at every crossing and classified
+    by their midpoints in the plane, against the region's bounds and each
+    front's own ``covers``. The sum, times ``model.area(s) / pi``, is the area.
+    """
+    model = fronts[0][1]
+    s = max(t for _, _, t in fronts)
+    if s == math.inf:
+        return region.area  # a front of infinite age covers the region
+    if not s > 0.0:
+        return 0.0
+    origin = fronts[0][0]
+    ox, oy = model.frame_centre(Point(0.0, 0.0), fronts[0][2])
+
+    def to_frame(x, y, t):
+        fx, fy = model.frame_centre(Point(x - origin.x, y - origin.y), t)
+        return (fx - ox) / s, (fy - oy) / s
+
+    # A front at t = 0 burns nothing, and one that repeats another adds nothing.
+    circles, owners = [], []
+    for ignition, _, t in fronts:
+        circle = (*to_frame(ignition.x, ignition.y, t), t / s)
+        if t > 0.0 and circle not in circles:
+            circles.append(circle)
+            owners.append((ignition, t))
+
+    cuts = [[] for _ in circles]  # the angles at which each circle is cut
+    for i, (xi, yi, ri) in enumerate(circles):
+        for j in range(i + 1, len(circles)):
+            xj, yj, rj = circles[j]
+            d = math.hypot(xj - xi, yj - yi)
+            if abs(ri - rj) <= d <= ri + rj:  # the circles cross or touch
+                phi = math.atan2(yj - yi, xj - xi)
+                ai = math.acos(max(-1.0, min(1.0, (d * d + ri * ri - rj * rj) / (2.0 * d * ri))))
+                aj = math.acos(max(-1.0, min(1.0, (d * d + rj * rj - ri * ri) / (2.0 * d * rj))))
+                cuts[i] += (phi - ai, phi + ai)
+                cuts[j] += (phi + math.pi - aj, phi + math.pi + aj)
+
+    # Pieces of the boundary as (Green's term, midpoint x and y in the plane,
+    # index of the circle of an arc or -1 for an edge).
+    pieces = []
+    w, h = region.width, region.height
+    plane = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
+    corners = [to_frame(x, y, 0.0) for x, y in plane]
+    for k in range(4):
+        (ax, ay), (bx, by) = corners[k], corners[k - 3]
+        dx, dy = bx - ax, by - ay
+        dd = dx * dx + dy * dy
+        params = [0.0, 1.0]
+        for i, (cx, cy, r) in enumerate(circles):
+            # The edge's line is A + u (B - A); it meets the circle where u is
+            # the foot of the centre's perpendicular plus or minus ``half``.
+            foot = ((cx - ax) * dx + (cy - ay) * dy) / dd
+            off = (cx - ax) * dy - (cy - ay) * dx
+            disc = r * r * dd - off * off
+            if disc >= 0.0:
+                half = math.sqrt(disc) / dd
+                for u in (foot - half, foot + half):
+                    cuts[i].append(math.atan2(ay + u * dy - cy, ax + u * dx - cx))
+                    if 0.0 < u < 1.0:
+                        params.append(u)
+        params.sort()
+        moment = 0.5 * (ax * by - ay * bx)
+        (px, py), (qx, qy) = plane[k], plane[k - 3]
+        for u, v in zip(params, params[1:]):
+            if u < v:
+                m = 0.5 * (u + v)
+                pieces.append(((v - u) * moment, px + m * (qx - px), py + m * (qy - py), -1))
+
+    tau = 2.0 * math.pi
+    for i, ((cx, cy, r), (ignition, t)) in enumerate(zip(circles, owners)):
+        fx, fy, fa, fb, cos_h, sin_h = model.frame(ignition, t)
+        angles = sorted(a % tau for a in cuts[i]) or [0.0]
+        for u, v in zip(angles, angles[1:] + [angles[0] + tau]):
+            if u < v:
+                sines, cosines = math.sin(v) - math.sin(u), math.cos(v) - math.cos(u)
+                term = 0.5 * r * (r * (v - u) + cx * sines - cy * cosines)
+                m = 0.5 * (u + v)
+                ex, ey = fa * math.cos(m), fb * math.sin(m)
+                pieces.append((term, fx + ex * cos_h - ey * sin_h, fy + ex * sin_h + ey * cos_h, i))
+
+    px = np.array([p[1] for p in pieces])
+    py = np.array([p[2] for p in pieces])
+    owner = np.array([p[3] for p in pieces])
+    covered = np.array([model.covers(ignition, t, px, py) for ignition, t in owners])
+    arc = owner >= 0
+    # An arc's own circle does not count against it, whatever rounding says.
+    others = covered.sum(axis=0) - (covered[np.maximum(owner, 0), np.arange(owner.size)] & arc)
+    inside = (px >= 0.0) & (px <= w) & (py >= 0.0) & (py <= h)
+    keep = np.where(arc, inside & (others == 0), others > 0)
+    total = math.fsum(p[0] for p, k in zip(pieces, keep.tolist()) if k)
+    return max(total, 0.0) * (model.area(s) / math.pi)
+
+
 def _cell_span(lo: float, hi: float, origin: float, step: float, n: int) -> tuple[int, int]:
     """Cells ``[i0, i1)`` of ``n`` cells of width ``step`` from ``origin`` that
     can hold a point of ``[lo, hi]``, widened by one cell on each side against

@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
-chord-length quadrature for circle/rectangle and ellipse/rectangle overlap,
+chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
+and for a union of fronts of one model clipped to a rectangle,
 the textbook two-circle lens formula, a dense per-trial sensor draw for
 the engine's lazy cell-by-cell sampler, a trial-by-trial run of a fixed
 layout for the engine's batched one, and a union-area sampler that tests
@@ -13,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from firewatch import geometry
 from firewatch.geometry import Point, burned_union_area, ellipse_axis_rates
@@ -128,6 +129,100 @@ def quad_ellipse_rect(rate, hb, lb, heading, ign, t, width, height):
         chord, s_lo, s_hi, limit=400, epsabs=1e-13, epsrel=1e-13, points=sorted(kinks) or None
     )
     return val
+
+
+def _front_ellipse(model, ign, t):
+    """A front in the plane as ``(x, y, A, B, heading)``: its centre and its
+    semi-axes along and across the heading, from the model's fields."""
+    heading = getattr(model, "heading", 0.0)
+    a, b, c = ellipse_axis_rates(
+        model.rate, getattr(model, "hb_ratio", 1.0), getattr(model, "lb_ratio", 1.0)
+    )
+    return ign.x + c * t * math.cos(heading), ign.y + c * t * math.sin(heading), a * t, b * t, heading
+
+
+def quad_union_rect(fronts, width, height):
+    """Area of the union of ``fronts``, ``(ignition, model, t)`` triples of
+    one model, within [0, width] x [0, height], by chord-length quadrature.
+
+    The integrand is the length of the union of the fronts' vertical chords
+    at ``x``, clipped to [0, height]; each chord solves its ellipse's
+    quadratic in y. The union's structure changes only at the region's
+    sides, at each front's leftmost and rightmost x, where a front's
+    boundary crosses y = 0 or y = height, and where two boundaries cross
+    (found by bisection along one of them). ``quad`` integrates between
+    each pair of these x, under x = mid - half cos(s), which smooths the
+    square-root ends of the chords.
+    """
+    shapes = []
+    for ign, model, t in fronts:
+        if t == 0:
+            continue  # a front at t = 0 covers no area
+        x, y, a, b, heading = _front_ellipse(model, ign, t)
+        ch, sh = math.cos(heading), math.sin(heading)
+        # At offset dx from the centre the chord solves
+        # p dy^2 + 2 q dx dy + r dx^2 = 1, with p r - q^2 = 1 / (a b)^2.
+        p = (sh / a) ** 2 + (ch / b) ** 2
+        q = ch * sh * (1 / a**2 - 1 / b**2)
+        r = (ch / a) ** 2 + (sh / b) ** 2
+        shapes.append((x, y, a, b, ch, sh, p, q, r))
+
+    xs = [0.0, width]
+    for x, y, a, b, ch, sh, p, q, r in shapes:
+        half = a * b * math.sqrt(p)
+        xs += [x - half, x + half]
+        for level in (0.0, height):
+            dy = level - y
+            disc = (q * dy) ** 2 - r * (p * dy * dy - 1)
+            if disc >= 0:
+                xs += [x + (-q * dy + sign * math.sqrt(disc)) / r for sign in (-1, 1)]
+    theta = np.linspace(0.0, 2 * math.pi, 4097)
+    for i, (x, y, a, b, ch, sh, *_) in enumerate(shapes):
+        def boundary(th):
+            u, v = a * np.cos(th), b * np.sin(th)
+            return x + u * ch - v * sh, y + u * sh + v * ch
+
+        for j, (xj, yj, _, _, _, _, p, q, r) in enumerate(shapes):
+            if j == i:
+                continue
+
+            def g(th):
+                bx, by = boundary(th)
+                dx, dy = bx - xj, by - yj
+                return p * dy * dy + 2 * q * dx * dy + r * dx * dx - 1
+
+            vals = g(theta)
+            for k in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+                root = optimize.brentq(g, theta[k], theta[k + 1], xtol=1e-15, rtol=1e-15)
+                xs.append(float(boundary(root)[0]))
+    xs = sorted({min(max(v, 0.0), width) for v in xs})
+
+    def length(x):
+        spans = []
+        for xc, yc, a, b, _, _, p, q, _ in shapes:
+            dx = x - xc
+            disc = p - (dx / (a * b)) ** 2
+            if disc > 0:
+                mid, reach = yc - q * dx / p, math.sqrt(disc) / p
+                lo, hi = max(mid - reach, 0.0), min(mid + reach, height)
+                if lo < hi:
+                    spans.append((lo, hi))
+        total, end = 0.0, -math.inf
+        for lo, hi in sorted(spans):
+            if hi > end:
+                total += hi - max(lo, end)
+                end = hi
+        return total
+
+    area = 0.0
+    for lo, hi in zip(xs, xs[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        val, _ = integrate.quad(
+            lambda s: length(mid - half * math.cos(s)) * half * math.sin(s),
+            0.0, math.pi, limit=200, epsabs=1e-15, epsrel=1e-13,
+        )
+        area += val
+    return area
 
 
 def lens_union_area(r, d):

@@ -10,6 +10,7 @@ from firewatch.geometry import (
     Point,
     RectRegion,
     burned_union_area,
+    disk_polygon_area,
     disk_rect_area,
     ellipse_reach_time,
 )
@@ -21,6 +22,7 @@ from helpers import (
     lens_union_area,
     quad_disk_rect,
     quad_ellipse_rect,
+    quad_union_rect,
 )
 
 REGION = RectRegion(10.0, 10.0)
@@ -277,6 +279,108 @@ class TestEllipseClip:
         want = [ell.clipped_area_exact(ign, t, REGION) for ign, _, t in fronts]
         assert want[1] < ell.area(0.5)
         assert got == pytest.approx(sum(want), rel=1e-15)
+
+
+class TestUnionArea:
+    """The exact union routine against the chord-length quadrature, the
+    two-circle lens and the exact clip of one front."""
+
+    @staticmethod
+    def _model(rng, i):
+        if i % 2:
+            return CircularModel(0.5 + rng.random())
+        return EllipticalModel(
+            0.5 + rng.random(), 1 + 3 * rng.random(), 1 + 2 * rng.random(),
+            2 * math.pi * rng.random(),
+        )
+
+    def test_against_chord_quadrature(self):
+        # Two to four fronts about one point, at one time or at several, in
+        # regions of many shapes; every other group sits at a corner.
+        rng = np.random.Generator(np.random.Philox(key=[59, 0]))
+        for i in range(300):
+            w, h = 0.5 + 10 * rng.random(), 0.5 + 10 * rng.random()
+            model = self._model(rng, i)
+            t0 = 0.2 + 2 * rng.random()
+            k = 2 + i % 3
+            times = [t0] * k if i % 4 else [t0 * (0.3 + rng.random()) for _ in range(k)]
+            centre = rng.random(2) * (w, h) * (0.2 if i % 3 == 1 else 1.0)
+            fronts = [
+                (Point(*(centre + (rng.random(2) - 0.5) * 2 * model.rate * t0)), model, t)
+                for t in times
+            ]
+            got = geometry._union_area(fronts, RectRegion(w, h))
+            want = quad_union_rect(fronts, w, h)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (i, fronts, w, h)
+
+    def test_lens_closed_form(self):
+        rng = np.random.Generator(np.random.Philox(key=[61, 0]))
+        region = RectRegion(40.0, 40.0)
+        for i in range(100):
+            rate, t = 0.5 + rng.random(), 0.2 + 3 * rng.random()
+            model = CircularModel(rate) if i % 2 else EllipticalModel(rate, heading=7 * rng.random())
+            d = 2 * rate * t * rng.random()
+            angle = 2 * math.pi * rng.random()
+            p = Point(20.0, 20.0)
+            q = Point(20.0 + d * math.cos(angle), 20.0 + d * math.sin(angle))
+            got = geometry._union_area([(p, model, t), (q, model, t)], region)
+            want = lens_union_area(rate * t, math.hypot(q.x - p.x, q.y - p.y))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_front_is_its_exact_clip(self):
+        rng = np.random.Generator(np.random.Philox(key=[67, 0]))
+        for i in range(100):
+            model = self._model(rng, i)
+            ign, t = Point(*(rng.random(2) * 12 - 1)), 0.1 + 4 * rng.random()
+            got = geometry._union_area([(ign, model, t)], REGION)
+            if isinstance(model, CircularModel):
+                r = model.rate * t
+                corners = [(x - ign.x, y - ign.y) for x, y in ((0, 0), (10, 0), (10, 10), (0, 10))]
+                want = disk_polygon_area(corners, r)
+            else:
+                want = model.clipped_area_exact(ign, t, REGION)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    CIRC, ELL = CircularModel(1.0), EllipticalModel(1.0, 2.0, 2.0, 0.7)
+
+    @pytest.mark.parametrize(
+        "fronts,want",
+        [
+            ([(Point(5, 5), CIRC, 1.0), (Point(5, 5), CIRC, 1.0)], math.pi),
+            ([(Point(3, 5), ELL, 1.0), (Point(3, 5), ELL, 1.0), (Point(3.5, 5.2), ELL, 1.0)],
+             None),
+            ([(Point(3, 5), CIRC, 1.0), (Point(5, 5), CIRC, 1.0)], 2 * math.pi),
+            ([(Point(5, 5), CIRC, 2.0), (Point(6, 5), CIRC, 1.0)], 4 * math.pi),
+            ([(Point(5, 1), CIRC, 1.0), (Point(6, 1.5), CIRC, 1.0)], None),
+            ([(Point(5, 5), CIRC, 2.0), (Point(5.3, 5.2), CIRC, 0.5)], 4 * math.pi),
+            ([(Point(4, 5), ELL, 1.0), (Point(4, 5), ELL, 2.5)], ELL.area(2.5)),
+            ([(Point(5, 5), CIRC, 10.0), (Point(2, 3), CIRC, 1.0)], 100.0),
+            ([(Point(3, 4), CIRC, 5.0), (Point(6, 4), CIRC, 5.0)], None),
+            ([(Point(1, 1), ELL, 0.0), (Point(0.5, 1.5), ELL, 1.0)], None),
+            ([(Point(1, 1), CIRC, 0.0), (Point(2, 2), CIRC, 0.0)], 0.0),
+            ([(Point(0.5, 9.5), ELL, 0.4), (Point(1.0, 9.0), ELL, 1.3)], None),
+        ],
+        ids=["coincident", "coincident of three", "tangent", "tangent inside", "tangent to an edge",
+             "nested",
+             "nested ellipses", "region inside a front", "corner on a circle", "a point front",
+             "point fronts", "two times at a corner"],
+    )
+    def test_degenerate_groups(self, fronts, want):
+        got = geometry._union_area(fronts, REGION)
+        assert got == pytest.approx(quad_union_rect(fronts, 10.0, 10.0), rel=1e-12, abs=1e-14)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("offset", [2.0**20, 2.0**30, 2.0**40])
+    def test_lens_far_from_the_origin(self, offset):
+        # The lens at the separation that the rounded ignitions keep.
+        region = RectRegion(2 * offset, 2 * offset)
+        for model in (CircularModel(1.0), EllipticalModel(1.3, heading=0.7)):
+            p = Point(offset + 0.3, offset + 0.7)
+            q = Point(offset + 1.1, offset + 0.9)
+            got = geometry._union_area([(p, model, 1.0), (q, model, 1.0)], region)
+            want = lens_union_area(model.rate, math.hypot(q.x - p.x, q.y - p.y))
+            assert got == pytest.approx(want, rel=4.5e-16)
 
 
 class TestSampler:
