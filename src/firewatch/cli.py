@@ -159,7 +159,6 @@ def _scenario_from(cfg: dict, args) -> ScenarioConfig:
     ignitions = args.ignitions if args.ignitions is not None else int(cfg.get("ignitions", 1))
     resample = args.resample if args.resample is not None else cfg.get("resample_layout")
     clip = args.clip if args.clip is not None else cfg.get("clip_to_region")
-    area_tol = float(cfg.get("area_tol", 1e-3))
 
     return ScenarioConfig(
         region=region,
@@ -170,7 +169,6 @@ def _scenario_from(cfg: dict, args) -> ScenarioConfig:
         ignition_count=ignitions,
         resample_layout_each_trial=resample,
         clip_to_region=clip,
-        area_tol=area_tol,
     )
 
 

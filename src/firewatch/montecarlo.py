@@ -133,7 +133,6 @@ class ScenarioConfig:
     ignition_count: int = 1
     resample_layout_each_trial: Optional[bool] = None
     clip_to_region: Optional[bool] = None
-    area_tol: float = 1e-3
 
     def __post_init__(self):
         if self.trials < 1:
@@ -145,8 +144,6 @@ class ScenarioConfig:
                 f"ignition count must lie in [1, {_MAX_IGNITIONS}], got {self.ignition_count}"
             )
         _check_master_seed(self.master_seed)
-        if not 0 < self.area_tol < math.inf:
-            raise ParameterError(f"area tolerance must be positive and finite, got {self.area_tol}")
         is_random = isinstance(self.placement, RandomPlacement)
         if self.resample_layout_each_trial is None:
             object.__setattr__(self, "resample_layout_each_trial", is_random)
@@ -168,11 +165,6 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _area_seed(master_seed: int, trial_index: int) -> int:
-    # Hash-derived key for the union-area jitter stream of one trial.
-    return _splitmix64(master_seed ^ _splitmix64(trial_index))
 
 
 def _philox_words(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
@@ -440,10 +432,7 @@ def _burned_areas(
     rest = np.flatnonzero(~free & np.isfinite(t_d))
     ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
     for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions):
-        areas[i] = burned_union_area(
-            [(Point(x, y), model, t) for x, y in ign], region, tol=config.area_tol,
-            seed=_area_seed(config.master_seed, lo + i),
-        )
+        areas[i] = burned_union_area([(Point(x, y), model, t) for x, y in ign], region)
         if stop is not None and stop(lo + i + 1):
             return areas[: i + 1]
     return areas

@@ -196,5 +196,5 @@ def test_criterion_9_geometry_oracles():
         circ = CircularModel(rate=1.0)
         region = RectRegion(10, 10)
         fronts = [(Point(4, 5), circ, 1.0), (Point(5, 5), circ, 1.0)]
-        got = burned_union_area(fronts, region, tol=1e-3)
-        assert got == pytest.approx(lens_union_area(1.0, 1.0), rel=1e-3)
+        got = burned_union_area(fronts, region)
+        assert got == pytest.approx(lens_union_area(1.0, 1.0), rel=1e-12)

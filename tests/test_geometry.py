@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import (
     bisect_reach_time,
-    full_hull_union_estimate,
     lens_union_area,
     quad_disk_rect,
     quad_ellipse_rect,
@@ -156,12 +154,12 @@ class TestBurnedUnionArea:
         assert burned_union_area(fronts, REGION) == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_two_circle_lens(self):
-        # Overlapping pair exercises the stratified sampler; expected value
-        # from the closed-form lens area with centers one radius apart.
+        # Overlapping pair takes the union routine; expected value from the
+        # closed-form lens area with centers one radius apart.
         circ = CircularModel(rate=1.0)
         fronts = [(Point(4, 5), circ, 1.0), (Point(5, 5), circ, 1.0)]
-        got = burned_union_area(fronts, REGION, tol=1e-3)
-        assert got == pytest.approx(lens_union_area(1.0, 1.0), rel=1e-3)
+        got = burned_union_area(fronts, REGION)
+        assert got == pytest.approx(lens_union_area(1.0, 1.0), rel=1e-12)
 
     def test_half_disk_on_boundary(self):
         circ = CircularModel(rate=1.0)
@@ -181,7 +179,7 @@ class TestBurnedUnionArea:
         ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=2.1)
         ign = Point(0.3, 5.0)
         t = 1.4
-        got = burned_union_area([(ign, ell, t)], REGION, tol=1e-3)
+        got = burned_union_area([(ign, ell, t)], REGION)
         n = 2500
         xs = (np.arange(n) + 0.5) * (3.0 / n) - 1.0  # covers [-1, 2] x [3, 7]
         ys = (np.arange(n) + 0.5) * (4.0 / n) + 3.0
@@ -195,20 +193,11 @@ class TestBurnedUnionArea:
         fronts = lambda t: [(Point(1, 1), ell, t), (Point(3, 2), ell, t)]
         prev = 0.0
         for t in [0.5, 1.0, 2.0, 4.0, 8.0, 30.0]:
-            a = burned_union_area(fronts(t), REGION, tol=1e-3)
-            assert a >= prev - 1e-3 * max(prev, 1.0)
-            assert a <= REGION.area + 1e-9
+            a = burned_union_area(fronts(t), REGION)
+            assert a >= prev * (1 - 1e-12)
+            assert a <= REGION.area * (1 + 1e-12)
             prev = a
-        assert prev == pytest.approx(REGION.area, rel=1e-3)
-
-    def test_deterministic_for_fixed_seed(self):
-        circ = CircularModel(rate=1.0)
-        fronts = [(Point(4, 5), circ, 1.0), (Point(5, 5), circ, 1.0)]
-        a1 = burned_union_area(fronts, REGION, seed=7)
-        a2 = burned_union_area(fronts, REGION, seed=7)
-        a3 = burned_union_area(fronts, REGION, seed=8)
-        assert a1 == a2
-        assert a1 == pytest.approx(a3, rel=1e-3)
+        assert prev == pytest.approx(REGION.area, rel=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -222,11 +211,6 @@ class TestBurnedUnionArea:
         ):
             with pytest.raises(DomainError):
                 burned_union_area(fronts, REGION)
-
-    def test_bad_tol_rejected(self):
-        for tol in (0.0, math.inf, math.nan):
-            with pytest.raises(ParameterError):
-                burned_union_area([(Point(5, 5), CircularModel(1.0), 1.0)], REGION, tol=tol)
 
 
 class TestEllipseClip:
@@ -270,9 +254,9 @@ class TestEllipseClip:
 
     def test_lone_clipped_ellipse_is_not_sampled(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("a lone front reached the sampler")
+            raise AssertionError("a lone front reached the union routine")
 
-        monkeypatch.setattr(geometry, "_stratified_union_area", fail)
+        monkeypatch.setattr(geometry, "_union_area", fail)
         ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=2.1)
         fronts = [(Point(0.3, 5.0), ell, 1.4), (Point(9.9, 9.0), ell, 0.5)]
         got = burned_union_area(fronts, REGION)
@@ -318,7 +302,8 @@ class TestUnionArea:
         region = RectRegion(40.0, 40.0)
         for i in range(100):
             rate, t = 0.5 + rng.random(), 0.2 + 3 * rng.random()
-            model = CircularModel(rate) if i % 2 else EllipticalModel(rate, heading=7 * rng.random())
+            heading = 7 * rng.random()
+            model = CircularModel(rate) if i % 2 else EllipticalModel(rate, heading=heading)
             d = 2 * rate * t * rng.random()
             angle = 2 * math.pi * rng.random()
             p = Point(20.0, 20.0)
@@ -378,161 +363,35 @@ class TestUnionArea:
         for model in (CircularModel(1.0), EllipticalModel(1.3, heading=0.7)):
             p = Point(offset + 0.3, offset + 0.7)
             q = Point(offset + 1.1, offset + 0.9)
-            got = geometry._union_area([(p, model, 1.0), (q, model, 1.0)], region)
+            got = burned_union_area([(p, model, 1.0), (q, model, 1.0)], region)
             want = lens_union_area(model.rate, math.hypot(q.x - p.x, q.y - p.y))
             assert got == pytest.approx(want, rel=4.5e-16)
 
 
-class TestSampler:
-    FRONTS = [
-        (Point(1.0, 1.5), EllipticalModel(1.0, 2.0, 2.0, 0.7), 1.2),
-        (Point(2.0, 1.0), EllipticalModel(1.0, 2.0, 2.0, 0.7), 1.2),
-    ]
-
-    def test_block_size_does_not_change_estimate(self, monkeypatch):
-        got = []
-        for block in (1 << 10, 1 << 21):
-            monkeypatch.setattr(geometry, "_SAMPLER_BLOCK", block)
-            got.append(burned_union_area(self.FRONTS, REGION, tol=1e-4, seed=5))
-        assert got[0] == got[1]
-
-    def test_finest_grid_allocates_little(self):
-        # A tolerance no estimate meets refines the grid up to 4096 a side.
-        box = (0.0, 0.0, 4.0, 4.0)
-        tracemalloc.start()
-        try:
-            geometry._stratified_union_area(self.FRONTS, box, 1e-15, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-
-    @staticmethod
-    def _hull(fronts):
-        boxes = [geometry._clip_box(m.bounding_box(p, t), REGION) for p, m, t in fronts]
-        boxes = [b for b in boxes if b is not None]
-        return (
-            min(b[0] for b in boxes), min(b[1] for b in boxes),
-            max(b[2] for b in boxes), max(b[3] for b in boxes),
-        )
-
-    @classmethod
-    def _random_group(cls, rng, i):
-        """Two or three fronts of one model that overlap or nearly do, with
-        their clipped hull in REGION; every fourth group has one front
-        narrower than a cell of the coarsest grid."""
-        if i % 2:
-            model = CircularModel(0.5 + rng.random())
-        else:
-            model = EllipticalModel(
-                0.5 + rng.random(), 1 + 3 * rng.random(), 1 + 2 * rng.random(),
-                2 * math.pi * rng.random(),
-            )
-        k = 2 + i % 3 // 2
-        t0 = 0.2 + 2 * rng.random()
-        times = [t0] * k if i % 3 else [t0 * (0.3 + rng.random()) for _ in range(k)]
-        if i % 4 == 1:
-            times[-1] = 1e-3 * rng.random()
-        centre = rng.random(2) * 10
-        fronts = [
-            (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), model, t)
-            for t in times
-        ]
-        return fronts, cls._hull(fronts)
-
-    @classmethod
-    def _mixed_group(cls, rng, i):
-        """Two or three fronts of two models in every other group, with a
-        front at t = 0 in every other pair of groups (a circular one still
-        covers its ignition). The elliptical fronts are tilted and elongated,
-        so their leftmost and rightmost points lie inside a row's strip."""
-        models = [
-            CircularModel(0.5 + rng.random()) if j % 2 else EllipticalModel(
-                0.5 + rng.random(), 1.5 + 3 * rng.random(), 1.5 + 2 * rng.random(),
-                0.1 + 1.4 * rng.random() + math.pi * int(rng.integers(4)) / 2,
-            )
-            for j in range(1 + i % 2)
-        ]
-        t0 = 0.2 + 2 * rng.random()
-        times = [t0, t0 * (0.3 + rng.random()), t0][: 2 + i % 3 // 2]
-        if i % 4 >= 2:
-            times[i % 2] = 0.0  # an elliptical front, then a circular one
-        centre = rng.random(2) * 10
-        fronts = [
-            (Point(*np.clip(centre + (rng.random(2) - 0.5) * 2 * t0, 0, 10)), models[j % len(models)], t)
-            for j, t in enumerate(times)
-        ]
-        return fronts, cls._hull(fronts)
-
-    def test_matches_every_point_sampler_bit_for_bit(self, monkeypatch):
-        grids = set()
-        jitter = geometry._jitter
-        monkeypatch.setattr(
-            geometry, "_jitter", lambda cells, n, seed: grids.add(n) or jitter(cells, n, seed)
-        )
-        rng = np.random.Generator(np.random.Philox(key=[47, 0]))
-        cases = []
-        for i in range(200):
-            cases.append(self._random_group(rng, i) + (1e-2, int(rng.integers(2**63))))
-        for i in range(120):
-            cases.append(self._mixed_group(rng, i) + (1e-2, int(rng.integers(2**63))))
-        # A tolerance that only grids of 1024 cells a side and more meet.
-        for i in range(4):
-            cases.append(self._random_group(rng, 2 * i) + (1e-4, int(rng.integers(2**63))))
-        for fronts, hull, tol, seed in cases:
-            assert geometry._stratified_union_area(fronts, hull, tol, seed) == (
-                full_hull_union_estimate(fronts, hull, tol, seed)
-            ), (fronts, hull, tol, seed)
-        assert max(grids) >= 1024
-
-    def test_box_edges_on_cell_boundaries(self):
-        # A 4x4 hull has cells of 1/16 at the coarsest grid: the 1.5-radius
-        # front's box is the hull, the others' edges lie on cell boundaries.
-        circ = CircularModel(1.0)
-        fronts = [(Point(2.0, 2.0), circ, 1.5), (Point(1.0, 1.0), circ, 0.5),
-                  (Point(3.0, 2.5), circ, 1.0)]
-        for tol, seed in ((1e-3, 3), (1e-2, 4), (1e-4, 5)):
-            got = geometry._stratified_union_area(fronts, (0.5, 0.5, 3.5, 3.5), tol, seed)
-            assert got == full_hull_union_estimate(fronts, (0.5, 0.5, 3.5, 3.5), tol, seed)
-
-    def test_point_fronts_on_rounded_cell_edges(self):
-        # Far from the origin the jittered points round onto the grid's cell
-        # edges, so a point front on an edge is hit from the cells on both
-        # sides of it. A tolerance no estimate meets refines to 4096 a side.
-        x0 = 2.0**40
-        hull = (x0, x0, x0 + 1.0, x0 + 1.0)
-        circ = CircularModel(1.0)
-        fronts = [(Point(x0 + 0.5, x0 + 0.5), circ, 0.3)] + [
-            (Point(x0 + i / 64, x0 + (i + 3) / 64), circ, 0.0) for i in range(4, 61, 8)
-        ]
-        got = geometry._stratified_union_area(fronts, hull, 1e-15, 9)
-        assert got == full_hull_union_estimate(fronts, hull, 1e-15, 9)
-
-
 class TestFrontsThatMeet:
-    """Fronts of one model are grouped only when they meet, with the
-    sampler patched to fail wherever no sample may be drawn."""
+    """Fronts of one model are grouped only when they meet, with the union
+    routine patched to fail wherever fronts that never meet would reach it."""
 
     @staticmethod
-    def _no_sampler(monkeypatch):
+    def _no_union(monkeypatch):
         def fail(*args):
-            raise AssertionError("fronts that do not meet reached the sampler")
+            raise AssertionError("fronts that do not meet reached the union routine")
 
-        monkeypatch.setattr(geometry, "_stratified_union_area", fail)
+        monkeypatch.setattr(geometry, "_union_area", fail)
 
     @staticmethod
-    def _record_sampler(monkeypatch):
+    def _record_union(monkeypatch):
         calls = []
 
-        def record(fronts, box, tol, seed):
-            calls.append((fronts, box))
+        def record(fronts, region):
+            calls.append(fronts)
             return 0.0
 
-        monkeypatch.setattr(geometry, "_stratified_union_area", record)
+        monkeypatch.setattr(geometry, "_union_area", record)
         return calls
 
     def test_side_by_side_ellipses_give_their_exact_clips(self, monkeypatch):
-        self._no_sampler(monkeypatch)
+        self._no_union(monkeypatch)
         ell = EllipticalModel(1.0, 2.0, 4.0, 0.7)
         beside = Point(1.0 - 0.8 * math.sin(0.7), 5.0 + 0.8 * math.cos(0.7))
         fronts = [(Point(1.0, 5.0), ell, 1.5), (beside, ell, 1.5)]
@@ -545,7 +404,7 @@ class TestFrontsThatMeet:
         # The later front, ignited 1.1 ahead on the heading, has drifted
         # ahead: its back is 0.5 behind its ignition, the earlier front's
         # head 0.5 ahead of its own, so a gap of 0.1 is left between them.
-        self._no_sampler(monkeypatch)
+        self._no_union(monkeypatch)
         ell = EllipticalModel(1.0, 4.0, 2.0, 0.7)
         ahead = Point(3.0 + 1.1 * math.cos(0.7), 3.0 + 1.1 * math.sin(0.7))
         fronts = [(Point(3.0, 3.0), ell, 0.5), (ahead, ell, 2.0)]
@@ -553,27 +412,25 @@ class TestFrontsThatMeet:
         assert burned_union_area(fronts, REGION) == ell.area(0.5) + ell.area(2.0)
 
     def test_a_chain_samples_only_the_pair_that_meets(self, monkeypatch):
-        calls = self._record_sampler(monkeypatch)
+        calls = self._record_union(monkeypatch)
         circ = CircularModel(1.0)
         a, b, c = [(Point(x, y), circ, 1.0) for x, y in ((3.5, 5.0), (5.0, 5.0), (6.6, 6.6))]
         # C's box touches B's, but C is 2.26 from B and 3.49 from A.
         assert geometry._boxes_touch(circ.bounding_box(b[0], 1.0), circ.bounding_box(c[0], 1.0))
         got = burned_union_area([a, b, c], REGION)
-        assert calls == [([a, b], (2.5, 4.0, 6.0, 6.0))]
+        assert calls == [[a, b]]
         assert got == circ.area(1.0)
 
-    def test_fronts_of_two_models_keep_box_grouping(self, monkeypatch):
-        # The ellipse lies within 0.75 of its centre, about (6.5, 3.6) and 2.06
-        # from the circle's: the fronts do not meet, but their boxes touch.
-        calls = self._record_sampler(monkeypatch)
+    def test_fronts_of_two_models_rejected(self):
+        # Fronts of two models have no common frame, even when far apart.
         circ, ell = CircularModel(1.0), EllipticalModel(1.0, 2.0, 4.0, 0.7)
-        fronts = [(Point(5.0, 5.0), circ, 1.0), (Point(6.3, 3.44), ell, 1.0)]
-        assert geometry._boxes_touch(*(m.bounding_box(p, t) for p, m, t in fronts))
-        burned_union_area(fronts, REGION)
-        assert [f for f, _ in calls] == [fronts]
+        for far in (False, True):
+            fronts = [(Point(5.0, 5.0), circ, 1.0), (Point(6.3, 3.44 + 5 * far), ell, 1.0)]
+            with pytest.raises(ParameterError, match="one spread model"):
+                burned_union_area(fronts, REGION)
 
     def test_fronts_said_apart_share_no_point(self, monkeypatch):
-        calls = self._record_sampler(monkeypatch)
+        calls = self._record_union(monkeypatch)
         region = RectRegion(100.0, 100.0)
         rng = np.random.Generator(np.random.Philox(key=[53, 0]))
         apart = 0
