@@ -276,12 +276,13 @@ def _union_area(fronts, region: RectRegion) -> float:
     by their midpoints in the plane, against the region's bounds and each
     front's own ``covers``. The sum, times ``model.area(s) / pi``, is the area.
     """
+    fronts = [f for f in fronts if f[2] > 0.0]  # a front at t = 0 burns nothing
+    if not fronts:
+        return 0.0
     model = fronts[0][1]
     s = max(t for _, _, t in fronts)
     if s == math.inf:
         return region.area  # a front of infinite age covers the region
-    if not s > 0.0:
-        return 0.0
     # The frame's map is linear plus a drift in t, so the frame centre of
     # (x, y) at t less that of the first front is the frame centre of (x, y)
     # less the first ignition, at t, less that of the origin at the first t.
@@ -292,11 +293,10 @@ def _union_area(fronts, region: RectRegion) -> float:
         fx, fy = model.frame_centre(Point(x - origin.x, y - origin.y), t)
         return (fx - ox) / s, (fy - oy) / s
 
-    # A front at t = 0 burns nothing, and one that repeats another adds nothing.
     circles, owners = [], []
     for ignition, _, t in fronts:
         circle = (*to_frame(ignition.x, ignition.y, t), t / s)
-        if t > 0.0 and circle not in circles:
+        if circle not in circles:  # a front that repeats another adds nothing
             circles.append(circle)
             owners.append((ignition, t))
 
