@@ -316,32 +316,46 @@ def _union_area(fronts, region: RectRegion) -> float:
     # index of the circle of an arc or -1 for an edge).
     pieces = []
     w, h = region.width, region.height
-    plane = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
-    corners = [to_frame(x, y, 0.0) for x, y in plane]
-    for k in range(4):
-        (ax, ay), (bx, by) = corners[k], corners[k - 3]
-        dx, dy = bx - ax, by - ay
-        dd = dx * dx + dy * dy
-        params = [0.0, 1.0]
+    # Each edge, counterclockwise, as its start corner, its unit direction and
+    # its length in the plane.
+    edges = (((0.0, 0.0), (1.0, 0.0), w), ((w, 0.0), (0.0, 1.0), h),
+             ((w, h), (-1.0, 0.0), w), ((0.0, h), (0.0, -1.0), h))
+    for (sx, sy), (ex, ey), length in edges:
+        lx, ly = model.frame_centre(Point(ex * length, ey * length), 0.0)
+        lam = math.hypot(lx, ly)
+        scale = lam / s / length  # frame length of a unit of plane length along the edge
+        if not scale > 0.0:
+            continue  # the edge has no length in the frame
+        ux, uy = lx / lam, ly / lam
+        # Points of the edge's line are measured by their length s' along
+        # (ux, uy) from the foot of the frame origin's perpendicular, which
+        # lies near the fronts that reach the edge: hn n + s' (ux, uy), with
+        # n = (-uy, ux). The anchor is the foot of the first ignition on the
+        # edge in the plane, at plane length t0 from the start corner.
+        fx = origin.x if ex else sx
+        fy = origin.y if ey else sy
+        t0 = (fx - sx) * ex + (fy - sy) * ey
+        qx, qy = to_frame(fx, fy, 0.0)
+        q = qx * ux + qy * uy
+        hn = qy * ux - qx * uy
+        params = [q - t0 * scale, q + (length - t0) * scale]
         for i, (cx, cy, r) in enumerate(circles):
-            # The edge's line is A + u (B - A); it meets the circle where u is
-            # the foot of the centre's perpendicular plus or minus ``half``.
-            foot = ((cx - ax) * dx + (cy - ay) * dy) / dd
-            off = (cx - ax) * dy - (cy - ay) * dx
-            disc = r * r * dd - off * off
+            # The circle meets the line at s' = its centre's s' -+ ``half``,
+            # -off n -+ half (ux, uy) from its centre.
+            off = cy * ux - cx * uy - hn
+            disc = r * r - off * off
             if disc >= 0.0:
-                half = math.sqrt(disc) / dd
-                for u in (foot - half, foot + half):
-                    cuts[i].append(math.atan2(ay + u * dy - cy, ax + u * dx - cx))
-                    if 0.0 < u < 1.0:
-                        params.append(u)
+                half = math.sqrt(disc)
+                foot = cx * ux + cy * uy
+                for sign in (-1.0, 1.0):
+                    cuts[i].append(math.atan2(sign * half * uy - off * ux, sign * half * ux + off * uy))
+                    if params[0] < foot + sign * half < params[1]:
+                        params.append(foot + sign * half)
         params.sort()
-        moment = 0.5 * (ax * by - ay * bx)
-        (px, py), (qx, qy) = plane[k], plane[k - 3]
         for u, v in zip(params, params[1:]):
             if u < v:
-                m = 0.5 * (u + v)
-                pieces.append(((v - u) * moment, px + m * (qx - px), py + m * (qy - py), -1))
+                m = t0 + (0.5 * (u + v) - q) / scale  # plane length from the start
+                pieces.append((0.5 * hn * (u - v), sx + m * ex, sy + m * ey, -1))
 
     tau = 2.0 * math.pi
     for i, ((cx, cy, r), (ignition, t)) in enumerate(zip(circles, owners)):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import firewatch.cli
+import firewatch.geometry
 import firewatch.montecarlo
 from firewatch.cli import PlanRequest, main, plan
 from firewatch.propagation import CircularModel, EllipticalModel
@@ -281,6 +282,25 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "area must be positive" in err
+
+    def test_fronts_that_meet_in_a_region_of_subnormal_width(self, capsys, monkeypatch):
+        # The union routine's frame gives the region's bottom and top edges
+        # no length; the run still measures every group of fronts that meet.
+        union = firewatch.geometry._union_area
+        groups = []
+
+        def counted(fronts, region):
+            groups.append(len(fronts))
+            return union(fronts, region)
+
+        monkeypatch.setattr(firewatch.geometry, "_union_area", counted)
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "1e-320x10", "--sensors", "1", "--ignitions", "3",
+            "--trials", "50", "--seed", "3",
+        )
+        assert code == 0, err
+        assert groups
+        assert 0.0 <= json.loads(out)["mean_ad"] <= 1e-319
 
     def test_zero_sensors_exit_2(self, capsys):
         code, _, err = run_cli(

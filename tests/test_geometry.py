@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -366,6 +367,54 @@ class TestUnionArea:
             got = burned_union_area([(p, model, 1.0), (q, model, 1.0)], region)
             want = lens_union_area(model.rate, math.hypot(q.x - p.x, q.y - p.y))
             assert got == pytest.approx(want, rel=4.5e-16)
+
+    @pytest.mark.parametrize("offset", [2.0**20, 2.0**30, 2.0**40])
+    def test_lens_clipped_far_from_the_origin(self, offset):
+        # A lens cut by each edge of a region `offset` wide and tall, at the
+        # edge's middle or by its far corner, has the area of the same lens
+        # cut in the same place of a 10 x 10 region. The ignitions sit on
+        # multiples of 1/8, which every offset keeps exactly.
+        def placed(x, y, side):
+            if side == 0:
+                return Point(x, y)
+            if side == 1:
+                return Point(side_len - y, x)
+            if side == 2:
+                return Point(side_len - x, side_len - y)
+            return Point(y, side_len - x)
+
+        pair = ((0.25, 0.5), (1.125, 0.75))
+        for model in (CircularModel(1.0), EllipticalModel(1.3, 2.0, 2.0, 0.7)):
+            for side in range(4):
+                for along, near_along in ((0.5 * offset, 4.0), (offset - 2.0, 8.0)):
+                    side_len = offset
+                    far = [(placed(along + x, y, side), model, 1.0) for x, y in pair]
+                    got = geometry._union_area(far, RectRegion(offset, offset))
+                    side_len = 10.0
+                    near = [(placed(near_along + x, y, side), model, 1.0) for x, y in pair]
+                    want = geometry._union_area(near, REGION)
+                    assert want < 2 * model.area(1.0)  # the edge cuts the lens
+                    assert got == pytest.approx(want, rel=1e-14), (side, along)
+
+    @pytest.mark.parametrize("rate", [1e-310, 1e300])
+    def test_lens_clipped_at_extreme_rates(self, rate):
+        # At 1e-310 a unit of plane length is infinite in the frame; at 1e300
+        # the ignitions' frame centres are subnormal.
+        pair = ((0.25e-10, 0.5e-10), (1.125e-10, 0.75e-10))
+        region = RectRegion(2e-10, 2e-10)
+        for model in (CircularModel(rate), EllipticalModel(rate, 2.0, 2.0, 0.7)):
+            unit = type(model)(1.0, *astuple(model)[1:])
+            got = geometry._union_area([(Point(*p), model, 1e-10 / rate) for p in pair], region)
+            want = geometry._union_area([(Point(*p), unit, 1e-10) for p in pair], region)
+            assert want < 2 * unit.area(1e-10)  # the region's edges cut the lens
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_region_of_subnormal_width(self):
+        # The region's bottom and top edges have no length in the frame.
+        circ = CircularModel(1.0)
+        fronts = [(Point(0.0, 4.0), circ, 1.0), (Point(0.0, 5.0), circ, 1.0)]
+        got = burned_union_area(fronts, RectRegion(1e-320, 10.0))
+        assert 0.0 < got <= 3e-320
 
 
 class TestFrontsThatMeet:
