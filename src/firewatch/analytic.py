@@ -17,18 +17,11 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .propagation import CircularModel, SpreadModel, burned_area, elliptical_time_scale
+from .propagation import CircularModel, SpreadModel
 
 __all__ = [
     "AnalyticLaw",
-    "GridMoments",
-    "TdMoments",
     "grid_td_cdf",
-    "grid_moments",
-    "random_ad_survival_exact",
-    "random_ad_survival_limit",
-    "random_td_survival",
-    "random_td_moments",
     "grid_td_law",
     "grid_ad_law",
     "exact_burned_area_law",
@@ -57,24 +50,6 @@ class AnalyticLaw:
     variance: Optional[float] = None
     support_upper: Optional[float] = None
     name: str = ""
-
-    def cdf(self, x):
-        return 1.0 - self.survival(x)
-
-
-@dataclass(frozen=True)
-class GridMoments:
-    mean_td: float
-    second_moment_td: float
-    var_td: float
-    mean_ad: float
-
-
-@dataclass(frozen=True)
-class TdMoments:
-    mean_td: float
-    second_moment_td: float
-    var_td: float
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -110,87 +85,15 @@ def grid_td_cdf(x, spacing: float, rate: float):
     return float(cdf) if np.ndim(x) == 0 else cdf
 
 
-def grid_moments(spacing: float, rate: float) -> GridMoments:
-    """Closed-form detection-time and burned-area moments for a grid.
+def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
+    """Detection-time law of a regular grid: ``(1 - c(t))^k`` for ``k``
+    independent ignitions, with closed-form moments for one.
 
-    mean T_d = (sqrt(2) + log(1 + sqrt(2))) / 6 * spacing / rate,
-    E[T_d^2] = spacing^2 / (6 rate^2), and the mean burned area at detection
-    is (pi/6) spacing^2 independent of the rate.
+    For one ignition, mean T_d = (sqrt(2) + log(1 + sqrt(2))) / 6 * D / rate
+    and E[T_d^2] = D^2 / (6 rate^2), for the grid spacing D.
     """
     _check_positive("spacing", spacing)
     _check_positive("rate", rate)
-    ratio = spacing / rate
-    mean_td = _GRID_MEAN_CONST / 6.0 * ratio
-    second = ratio * ratio / 6.0
-    var = (6.0 - _GRID_MEAN_CONST**2) / 36.0 * ratio * ratio
-    return GridMoments(
-        mean_td=mean_td,
-        second_moment_td=second,
-        var_td=var,
-        mean_ad=math.pi / 6.0 * spacing * spacing,
-    )
-
-
-def random_ad_survival_exact(x, area: float, n: int, clamp: bool = False):
-    """P(A_d > x) = (1 - x/area)^n for n uniformly placed sensors.
-
-    This is the void probability of the burned region and holds exactly for
-    every n, every spread model and every number of ignition points, as long
-    as the burned area is measured inside the region.  With ``clamp`` the
-    survival is clipped to [0, 1] instead of raising on out-of-range x.
-    """
-    _check_positive("area", area)
-    if n < 1:
-        raise ParameterError(f"sensor count must be >= 1, got {n}")
-    xa = np.asarray(x, dtype=float)
-    if clamp:
-        frac = np.clip(xa / area, 0.0, 1.0)
-    else:
-        if np.any(xa < 0) or np.any(xa > area):
-            raise DomainError("burned area must lie in [0, region area] (use clamp=True to clip)")
-        frac = xa / area
-    s = (1.0 - frac) ** n
-    return float(s) if np.ndim(x) == 0 else s
-
-
-def random_ad_survival_limit(x, char_distance: float):
-    """Large-N limit P(A_d > x) = exp(-x / D^2) for random placement."""
-    _check_positive("characteristic distance", char_distance)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise DomainError("burned area must be nonnegative")
-    s = np.exp(-xa / (char_distance * char_distance))
-    return float(s) if np.ndim(x) == 0 else s
-
-
-def random_td_survival(t, model: SpreadModel, char_distance: float):
-    """Large-N limit P(T_d > t) = exp(-F(t) / D^2) for random placement."""
-    _check_positive("characteristic distance", char_distance)
-    s = np.exp(-np.asarray(burned_area(model, t)) / (char_distance * char_distance))
-    return float(s) if np.ndim(t) == 0 else s
-
-
-def random_td_moments(model: SpreadModel, char_distance: float) -> TdMoments:
-    """Limit-law detection-time moments for random placement.
-
-    Circular spread gives mean D / (2 rate), E[T_d^2] = D^2 / (pi rate^2)
-    and variance (4 - pi)/(4 pi) (D/rate)^2.  Elliptical spread rescales
-    time by k = 2 sqrt(lb) / (1 + 1/hb): the mean picks up k, the second
-    moment and variance k^2.
-    """
-    _check_positive("characteristic distance", char_distance)
-    k = elliptical_time_scale(model)
-    ratio = char_distance / model.rate
-    mean = k * ratio / 2.0
-    second = k * k * ratio * ratio / math.pi
-    var = k * k * (4.0 - math.pi) / (4.0 * math.pi) * ratio * ratio
-    return TdMoments(mean_td=mean, second_moment_td=second, var_td=var)
-
-
-def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
-    """Detection-time law of a regular grid: ``(1 - c(t))^k`` for ``k``
-    independent ignitions, with closed-form moments for one."""
-    m = grid_moments(spacing, rate)
     if ignitions < 1:
         raise ParameterError(f"ignition count must be >= 1, got {ignitions}")
 
@@ -200,11 +103,12 @@ def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
         return float(s) if np.ndim(x) == 0 else s
 
     one = ignitions == 1
+    ratio = spacing / rate
     return AnalyticLaw(
         survival=survival,
-        mean=m.mean_td if one else None,
-        second_moment=m.second_moment_td if one else None,
-        variance=m.var_td if one else None,
+        mean=_GRID_MEAN_CONST / 6.0 * ratio if one else None,
+        second_moment=ratio * ratio / 6.0 if one else None,
+        variance=(6.0 - _GRID_MEAN_CONST**2) / 36.0 * ratio * ratio if one else None,
         support_upper=spacing / (math.sqrt(2.0) * rate),
         name="grid detection time" if one else f"grid detection time ({ignitions} ignitions)",
     )
@@ -215,9 +119,10 @@ def grid_ad_law(spacing: float, rate: float) -> AnalyticLaw:
 
     A_d = pi (rate T_d)^2, so the survival is the detection-time survival
     evaluated at t(a) = sqrt(a / pi) / rate; the support ends at
-    pi spacing^2 / 2.
+    pi spacing^2 / 2, and the mean is (pi/6) spacing^2 whatever the rate.
     """
-    m = grid_moments(spacing, rate)
+    _check_positive("spacing", spacing)
+    _check_positive("rate", rate)
 
     def survival(a):
         aa = np.clip(np.asarray(a, dtype=float), 0.0, None)
@@ -227,20 +132,28 @@ def grid_ad_law(spacing: float, rate: float) -> AnalyticLaw:
 
     return AnalyticLaw(
         survival=survival,
-        mean=m.mean_ad,
+        mean=math.pi / 6.0 * spacing * spacing,
         support_upper=math.pi * spacing * spacing / 2.0,
         name="grid burned area",
     )
 
 
 def exact_burned_area_law(area: float, n: int) -> AnalyticLaw:
-    """Exact finite-N burned-area law (1 - x/area)^n with its moments."""
+    """Exact finite-N burned-area law P(A_d > x) = (1 - x/area)^n with its
+    moments.
+
+    This is the void probability of the burned region and holds exactly for
+    every n, every spread model and every number of ignition points, as long
+    as the burned area is measured inside the region.
+    """
     _check_positive("area", area)
     if n < 1:
         raise ParameterError(f"sensor count must be >= 1, got {n}")
 
     def survival(x):
-        return random_ad_survival_exact(x, area, n, clamp=True)
+        frac = np.clip(np.asarray(x, dtype=float) / area, 0.0, 1.0)
+        s = (1.0 - frac) ** n
+        return float(s) if np.ndim(x) == 0 else s
 
     return AnalyticLaw(
         survival=survival,
@@ -272,19 +185,27 @@ def limit_burned_area_law(char_distance: float) -> AnalyticLaw:
 
 
 def random_td_law(model: SpreadModel, char_distance: float) -> AnalyticLaw:
-    """Limit detection-time law exp(-F(t)/D^2) for random placement."""
-    m = random_td_moments(model, char_distance)
+    """Limit detection-time law exp(-F(t)/D^2) for random placement.
+
+    Circular spread gives mean D / (2 rate), E[T_d^2] = D^2 / (pi rate^2)
+    and variance (4 - pi)/(4 pi) (D/rate)^2.  Elliptical spread rescales
+    time by the model's ``time_scale`` k: the mean picks up k, the second
+    moment and variance k^2.
+    """
+    _check_positive("characteristic distance", char_distance)
+    k = model.time_scale
+    ratio = char_distance / model.rate
 
     def survival(t):
         ta = np.clip(np.asarray(t, dtype=float), 0.0, None)
-        s = random_td_survival(ta, model, char_distance)
+        s = np.exp(-np.asarray(model.area(ta)) / (char_distance * char_distance))
         return float(s) if np.ndim(t) == 0 else s
 
     return AnalyticLaw(
         survival=survival,
-        mean=m.mean_td,
-        second_moment=m.second_moment_td,
-        variance=m.var_td,
+        mean=k * ratio / 2.0,
+        second_moment=k * k * ratio * ratio / math.pi,
+        variance=k * k * (4.0 - math.pi) / (4.0 * math.pi) * ratio * ratio,
         name="limit detection time",
     )
 
@@ -332,7 +253,7 @@ def plan(req: PlanRequest) -> dict:
             d = math.sqrt(req.target_value)
             assumptions.append("random placement, many sensors: mean burned area = D^2")
         else:
-            k = elliptical_time_scale(req.model)
+            k = req.model.time_scale
             d = 2.0 * req.model.rate * req.target_value / k
             assumptions.append("random placement, many sensors: mean detection time = k*D/(2*rate)")
             assumptions.append(f"time scale k = 2*sqrt(lb)/(1 + 1/hb) = {k!r}")

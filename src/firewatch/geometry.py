@@ -1,7 +1,7 @@
 """Planar primitives for fire-front geometry.
 
-Provides the protected rectangle, reach-time solving for elliptically
-growing fronts, the exact area of a disk intersected with a convex polygon
+Provides the protected rectangle, the axis rates of elliptically growing
+fronts, the exact area of a disk intersected with a convex polygon
 (which gives the clipped area of one circular or elliptical front), and the
 exact area of the union of fronts of one model, clipped to the region.
 
@@ -24,8 +24,6 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "Point",
     "RectRegion",
-    "ellipse_reach_time",
-    "ellipse_reach_times",
     "disk_polygon_area",
     "disk_rect_area",
     "burned_union_area",
@@ -42,9 +40,6 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ParameterError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -64,19 +59,6 @@ class RectRegion:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, p: Point) -> bool:
-        """True iff ``p`` lies in the region; the boundary counts as inside."""
-        return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
-
-
-def _validate_ellipse_params(rate: float, hb_ratio: float, lb_ratio: float) -> None:
-    if not rate > 0:
-        raise ParameterError(f"spread rate must be positive, got {rate}")
-    if not hb_ratio >= 1:
-        raise ParameterError(f"head-to-back ratio must be >= 1, got {hb_ratio}")
-    if not lb_ratio >= 1:
-        raise ParameterError(f"length-to-breadth ratio must be >= 1, got {lb_ratio}")
-
 
 def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[float, float, float]:
     """Growth rates (semi-major, semi-minor, center drift) of the fire ellipse.
@@ -90,64 +72,6 @@ def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[f
     b = a / lb_ratio
     c = 0.5 * rate * (1.0 - 1.0 / hb_ratio)
     return a, b, c
-
-
-def ellipse_reach_times(
-    rate: float,
-    hb_ratio: float,
-    lb_ratio: float,
-    heading: float,
-    ignition: Point,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Vectorized first-reach times from ``ignition`` to points ``(xs, ys)``.
-
-    Solves, per point, the smallest t >= 0 with
-    ``((x - c t) / (a t))^2 + (y / (b t))^2 = 1`` in the frame whose +x axis
-    points along ``heading``.  Growth is affine, so the solve reduces to one
-    quadratic per point. It is solved at unit rate, then divided by
-    ``rate``: the coefficients scale as rate^4, and would underflow or
-    overflow at rates far from 1.
-    """
-    _validate_ellipse_params(rate, hb_ratio, lb_ratio)
-    a, b, c = ellipse_axis_rates(1.0, hb_ratio, lb_ratio)
-    cos_h = math.cos(heading)
-    sin_h = math.sin(heading)
-    dx = np.asarray(xs, dtype=float) - ignition.x
-    dy = np.asarray(ys, dtype=float) - ignition.y
-    x = dx * cos_h + dy * sin_h
-    y = -dx * sin_h + dy * cos_h
-
-    # Quadratic A t^2 + B t - C0 = 0 with A > 0 and C0 >= 0; take the
-    # nonnegative root in the form that avoids cancellation either way.
-    quad_a = b * b * (a * a - c * c)
-    quad_b = 2.0 * b * b * c * x
-    c0 = b * b * x * x + a * a * y * y
-    root = np.sqrt(quad_b * quad_b + 4.0 * quad_a * c0)
-    plus = root + quad_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(
-            quad_b > 0.0,
-            2.0 * c0 / np.where(plus > 0.0, plus, 1.0),
-            (root - quad_b) / (2.0 * quad_a),
-        )
-    return np.where(c0 == 0.0, 0.0, t) / rate
-
-
-def ellipse_reach_time(
-    rate: float,
-    hb_ratio: float,
-    lb_ratio: float,
-    heading: float,
-    ignition: Point,
-    target: Point,
-) -> float:
-    """Time at which an elliptical front started at ``ignition`` first reaches ``target``."""
-    t = ellipse_reach_times(
-        rate, hb_ratio, lb_ratio, heading, ignition, np.asarray(target.x), np.asarray(target.y)
-    )
-    return float(t)
 
 
 def _sector_area(ux: float, uy: float, vx: float, vy: float, r2: float) -> float:

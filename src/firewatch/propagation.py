@@ -1,9 +1,12 @@
 """Constant-rate fire spread models.
 
 Each model exposes the total burned area ``F(t)`` of the free-growing front
-and first-reach times from an ignition to arbitrary points.  Both models
-grow affinely (the front at time ``t`` is ``t`` times the front at time 1),
-so ``F`` is exactly quadratic in ``t``.
+(``area``), first-reach times from an ignition to arbitrary points
+(``reach_times``), whether the front at ``t`` covers given points
+(``covers``), and the ratio of its reach times to those of a circular
+front of equal rate (``time_scale``).  Both models grow affinely (the front
+at time ``t`` is ``t`` times the front at time 1), so ``F`` is exactly
+quadratic in ``t``.
 """
 
 from __future__ import annotations
@@ -14,27 +17,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .geometry import (
-    Point,
-    RectRegion,
-    disk_polygon_area,
-    disk_rect_area,
-    ellipse_axis_rates,
-    ellipse_reach_time,
-    ellipse_reach_times,
-)
+from .errors import ParameterError
+from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area, ellipse_axis_rates
 
-__all__ = [
-    "CircularModel",
-    "EllipticalModel",
-    "SpreadModel",
-    "burned_area",
-    "inverse_burned_area",
-    "reach_time",
-    "reach_times",
-    "elliptical_time_scale",
-]
+__all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 
 
 def _check_rate(rate) -> None:
@@ -50,6 +36,12 @@ class CircularModel:
 
     def __post_init__(self):
         _check_rate(self.rate)
+
+    @property
+    def time_scale(self) -> float:
+        """Ratio of this model's reach times to a circular front of equal
+        rate: 1."""
+        return 1.0
 
     def area(self, t):
         if isinstance(t, np.ndarray):
@@ -121,6 +113,13 @@ class EllipticalModel:
     def axis_rates(self) -> tuple[float, float, float]:
         return ellipse_axis_rates(self.rate, self.hb_ratio, self.lb_ratio)
 
+    @property
+    def time_scale(self) -> float:
+        """Ratio of this model's reach times to a circular front of equal
+        rate: the burned-area law of the front equals the circular one after
+        substituting t -> t/k with k = 2 sqrt(lb) / (1 + 1/hb)."""
+        return 2.0 * math.sqrt(self.lb_ratio) / (1.0 + 1.0 / self.hb_ratio)
+
     def area(self, t):
         # Unit-rate axes and the distance rate * t, as in the reach times:
         # rate-scaled axes would underflow or overflow at rates far from 1.
@@ -129,9 +128,37 @@ class EllipticalModel:
         return math.pi * a * b * rt * rt
 
     def reach_times(self, ignition: Point, xs, ys):
-        return ellipse_reach_times(
-            self.rate, self.hb_ratio, self.lb_ratio, self.heading, ignition, xs, ys
-        )
+        """First-reach times from ``ignition`` to points ``(xs, ys)``.
+
+        Solves, per point, the smallest t >= 0 with
+        ``((x - c t) / (a t))^2 + (y / (b t))^2 = 1`` in the frame whose +x
+        axis points along the heading.  Growth is affine, so the solve
+        reduces to one quadratic per point. It is solved at unit rate, then
+        divided by ``rate``: the coefficients scale as rate^4, and would
+        underflow or overflow at rates far from 1.
+        """
+        a, b, c = ellipse_axis_rates(1.0, self.hb_ratio, self.lb_ratio)
+        cos_h = math.cos(self.heading)
+        sin_h = math.sin(self.heading)
+        dx = np.asarray(xs, dtype=float) - ignition.x
+        dy = np.asarray(ys, dtype=float) - ignition.y
+        x = dx * cos_h + dy * sin_h
+        y = -dx * sin_h + dy * cos_h
+
+        # Quadratic A t^2 + B t - C0 = 0 with A > 0 and C0 >= 0; take the
+        # nonnegative root in the form that avoids cancellation either way.
+        quad_a = b * b * (a * a - c * c)
+        quad_b = 2.0 * b * b * c * x
+        c0 = b * b * x * x + a * a * y * y
+        root = np.sqrt(quad_b * quad_b + 4.0 * quad_a * c0)
+        plus = root + quad_b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(
+                quad_b > 0.0,
+                2.0 * c0 / np.where(plus > 0.0, plus, 1.0),
+                (root - quad_b) / (2.0 * quad_a),
+            )
+        return np.where(c0 == 0.0, 0.0, t) / self.rate
 
     def covers(self, ignition: Point, t, xs, ys):
         if t <= 0.0:
@@ -190,44 +217,3 @@ class EllipticalModel:
 
 
 SpreadModel = Union[CircularModel, EllipticalModel]
-
-
-def burned_area(model: SpreadModel, t):
-    """Total burned area F(t) of the free-growing front at time ``t``."""
-    if np.any(np.asarray(t) < 0):
-        raise DomainError(f"time must be nonnegative, got {t}")
-    return model.area(t)
-
-
-def inverse_burned_area(model: SpreadModel, a):
-    """Time at which the free-growing front has burned area ``a``."""
-    if np.any(np.asarray(a) < 0):
-        raise DomainError(f"area must be nonnegative, got {a}")
-    # F(t) = F(1) t^2 for every constant-rate model here.
-    return np.sqrt(np.asarray(a) / model.area(1.0)) if np.ndim(a) else math.sqrt(a / model.area(1.0))
-
-
-def reach_time(model: SpreadModel, ignition: Point, target: Point) -> float:
-    """First time the front started at ``ignition`` touches ``target``."""
-    if isinstance(model, CircularModel):
-        return ignition.distance_to(target) / model.rate
-    return ellipse_reach_time(
-        model.rate, model.hb_ratio, model.lb_ratio, model.heading, ignition, target
-    )
-
-
-def reach_times(model: SpreadModel, ignition: Point, xs, ys) -> np.ndarray:
-    """Vectorized ``reach_time`` over point arrays ``(xs, ys)``."""
-    return model.reach_times(ignition, xs, ys)
-
-
-def elliptical_time_scale(model: SpreadModel) -> float:
-    """Ratio of this model's reach times to a circular front of equal rate.
-
-    The burned-area law of an elliptical front equals the circular one after
-    substituting t -> t/k with k = 2 sqrt(lb) / (1 + 1/hb); circular models
-    give k = 1.
-    """
-    if isinstance(model, CircularModel):
-        return 1.0
-    return 2.0 * math.sqrt(model.lb_ratio) / (1.0 + 1.0 / model.hb_ratio)

@@ -6,7 +6,8 @@ chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
 and for a union of fronts of one model clipped to a rectangle,
 the textbook two-circle lens formula, a dense per-trial sensor draw for
 the engine's lazy cell-by-cell sampler, and a trial-by-trial run of a
-fixed layout for the engine's batched one.
+fixed layout for the engine's batched one. ``time_to`` is no oracle: it is
+a model's own ``reach_times`` at one point, for the tests that check it.
 """
 
 import math
@@ -18,6 +19,11 @@ from scipy import integrate, optimize
 from firewatch.geometry import Point, burned_union_area, ellipse_axis_rates
 from firewatch.montecarlo import detection_time
 from firewatch.placement import build_layout
+
+
+def time_to(model, ign, tgt) -> float:
+    """The reach time of ``model``'s front from ``ign`` to the point ``tgt``."""
+    return float(model.reach_times(ign, np.asarray(tgt.x), np.asarray(tgt.y)))
 
 
 def front_member(rate, hb, lb, heading, ign, tgt, t):

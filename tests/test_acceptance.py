@@ -16,20 +16,19 @@ from scipy import integrate
 
 from firewatch.analytic import (
     exact_burned_area_law,
-    grid_moments,
+    grid_ad_law,
     grid_td_cdf,
     grid_td_law,
     limit_burned_area_law,
-    random_td_moments,
-    random_td_survival,
+    random_td_law,
 )
 from firewatch.cli import compare_random_sweep, main
-from firewatch.geometry import Point, RectRegion, burned_union_area, ellipse_reach_time
+from firewatch.geometry import Point, RectRegion, burned_union_area
 from firewatch.montecarlo import ScenarioConfig, ks_critical, ks_distance, run_trials, summarize
 from firewatch.placement import GridPlacement, RandomPlacement
 from firewatch.propagation import CircularModel, EllipticalModel
 
-from helpers import bisect_reach_time, lens_union_area
+from helpers import bisect_reach_time, lens_union_area, time_to
 
 SEED = 7
 TRIALS = 100_000
@@ -52,13 +51,13 @@ def criterion(num, desc):
 
 def test_criterion_1_grid_closed_forms():
     with criterion(1, "grid closed-form moments and CDF breakpoint"):
-        m = grid_moments(1.0, 1.0)
-        assert abs(m.mean_td - GRID_MEAN_CONST) <= 1e-9
-        assert m.mean_td == pytest.approx(0.3826, abs=1e-4)
-        assert m.var_td == pytest.approx((6 - (6 * GRID_MEAN_CONST) ** 2) / 36, abs=1e-9)
-        assert m.var_td == pytest.approx(0.0203, abs=5e-5)
-        assert m.mean_ad == pytest.approx(math.pi / 6, abs=1e-12)
-        assert m.mean_ad == pytest.approx(0.5236, abs=1e-4)
+        td, ad = grid_td_law(1.0, 1.0), grid_ad_law(1.0, 1.0)
+        assert abs(td.mean - GRID_MEAN_CONST) <= 1e-9
+        assert td.mean == pytest.approx(0.3826, abs=1e-4)
+        assert td.variance == pytest.approx((6 - (6 * GRID_MEAN_CONST) ** 2) / 36, abs=1e-9)
+        assert td.variance == pytest.approx(0.0203, abs=5e-5)
+        assert ad.mean == pytest.approx(math.pi / 6, abs=1e-12)
+        assert ad.mean == pytest.approx(0.5236, abs=1e-4)
         assert grid_td_cdf(0.5, 1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
@@ -71,9 +70,9 @@ def test_criterion_2_grid_law_vs_quadrature():
         sec_q, _ = integrate.quad(
             lambda t: 2 * t * surv(t), 0, upper, points=[d / (2 * r)], limit=200
         )
-        m = grid_moments(d, r)
-        assert mean_q == pytest.approx(m.mean_td, abs=1e-6)
-        assert sec_q == pytest.approx(m.second_moment_td, abs=1e-6)
+        law = grid_td_law(d, r)
+        assert mean_q == pytest.approx(law.mean, abs=1e-6)
+        assert sec_q == pytest.approx(law.second_moment, abs=1e-6)
 
 
 def test_criterion_3_grid_simulation():
@@ -86,10 +85,10 @@ def test_criterion_3_grid_simulation():
             master_seed=SEED,
         )
         st = summarize(run_trials(cfg, workers=WORKERS))
-        m = grid_moments(1.0, 1.0)
-        assert abs(st.mean_td - m.mean_td) < 3 * st.se_td
+        law = grid_td_law(1.0, 1.0)
+        assert abs(st.mean_td - law.mean) < 3 * st.se_td
         assert st.ecdf_td[-1] <= 1 / math.sqrt(2) + 1e-12
-        assert ks_distance(st.ecdf_td, grid_td_law(1.0, 1.0)) < 0.005
+        assert ks_distance(st.ecdf_td, law) < 0.005
 
 
 def test_criterion_4_exact_finite_n_law():
@@ -154,15 +153,15 @@ def test_criterion_6_sweep_reproduction():
 
 def test_criterion_7_elliptical_moments():
     with criterion(7, "elliptical detection-time moments vs quadrature"):
-        model = EllipticalModel(1.0, 2.0, 2.0)
-        m = random_td_moments(model, 1.0)
+        law = random_td_law(EllipticalModel(1.0, 2.0, 2.0), 1.0)
         k = 2 * math.sqrt(2.0) / 1.5
-        assert m.mean_td == pytest.approx(k * 0.5, rel=1e-12)
-        mean_q, _ = integrate.quad(lambda t: random_td_survival(t, model, 1.0), 0, np.inf)
-        assert mean_q == pytest.approx(m.mean_td, abs=1e-6)
-        ident = random_td_moments(EllipticalModel(1.0, 1.0, 1.0), 1.0)
-        circ = random_td_moments(CircularModel(1.0), 1.0)
-        assert ident == circ
+        assert law.mean == pytest.approx(k * 0.5, rel=1e-12)
+        mean_q, _ = integrate.quad(law.survival, 0, np.inf)
+        assert mean_q == pytest.approx(law.mean, abs=1e-6)
+        ident = random_td_law(EllipticalModel(1.0, 1.0, 1.0), 1.0)
+        circ = random_td_law(CircularModel(1.0), 1.0)
+        moments = lambda m: (m.mean, m.second_moment, m.variance)
+        assert moments(ident) == moments(circ)
 
 
 def test_criterion_8_determinism_across_workers(tmp_path, capsys):
@@ -189,7 +188,7 @@ def test_criterion_9_geometry_oracles():
             heading = rng.random() * 2 * math.pi
             ign = Point(rng.random() * 10 - 5, rng.random() * 10 - 5)
             tgt = Point(ign.x + rng.random() * 8 - 4, ign.y + rng.random() * 8 - 4)
-            got = ellipse_reach_time(rate, hb, lb, heading, ign, tgt)
+            got = time_to(EllipticalModel(rate, hb, lb, heading), ign, tgt)
             want = bisect_reach_time(rate, hb, lb, heading, ign, tgt)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 

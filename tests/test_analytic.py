@@ -7,15 +7,10 @@ from scipy import integrate
 from firewatch.analytic import (
     exact_burned_area_law,
     grid_ad_law,
-    grid_moments,
     grid_td_cdf,
     grid_td_law,
     limit_burned_area_law,
-    random_ad_survival_exact,
-    random_ad_survival_limit,
     random_td_law,
-    random_td_moments,
-    random_td_survival,
 )
 from firewatch.errors import DomainError, ParameterError
 from firewatch.propagation import CircularModel, EllipticalModel
@@ -94,19 +89,19 @@ class TestGridTdCdf:
 
 class TestGridMoments:
     def test_closed_forms(self):
-        m = grid_moments(1.0, 1.0)
-        assert m.mean_td == pytest.approx(GRID_MEAN_CONST, abs=1e-15)
-        assert m.mean_td == pytest.approx(0.3826, abs=1e-4)
-        assert m.second_moment_td == pytest.approx(1 / 6, abs=1e-15)
-        assert m.var_td == pytest.approx(0.0203, abs=5e-5)
-        assert m.mean_ad == pytest.approx(math.pi / 6, abs=1e-15)
-        assert m.mean_ad == pytest.approx(0.52, abs=4e-3)
+        td, ad = grid_td_law(1.0, 1.0), grid_ad_law(1.0, 1.0)
+        assert td.mean == pytest.approx(GRID_MEAN_CONST, abs=1e-15)
+        assert td.mean == pytest.approx(0.3826, abs=1e-4)
+        assert td.second_moment == pytest.approx(1 / 6, abs=1e-15)
+        assert td.variance == pytest.approx(0.0203, abs=5e-5)
+        assert ad.mean == pytest.approx(math.pi / 6, abs=1e-15)
+        assert ad.mean == pytest.approx(0.52, abs=4e-3)
 
     def test_scaling_in_d_and_r(self):
-        m = grid_moments(3.0, 2.0)
-        assert m.mean_td == pytest.approx(GRID_MEAN_CONST * 1.5, rel=1e-14)
-        assert m.second_moment_td == pytest.approx(1.5**2 / 6, rel=1e-14)
-        assert m.mean_ad == pytest.approx(math.pi / 6 * 9, rel=1e-14)
+        td, ad = grid_td_law(3.0, 2.0), grid_ad_law(3.0, 2.0)
+        assert td.mean == pytest.approx(GRID_MEAN_CONST * 1.5, rel=1e-14)
+        assert td.second_moment == pytest.approx(1.5**2 / 6, rel=1e-14)
+        assert ad.mean == pytest.approx(math.pi / 6 * 9, rel=1e-14)
 
     def test_against_quadrature_of_cdf(self):
         # The moment route the closed forms came from: mean = int S dt,
@@ -117,100 +112,92 @@ class TestGridMoments:
         surv = lambda t: 1.0 - grid_td_cdf(t, d, r)
         mean_q, _ = integrate.quad(surv, 0, upper, points=[d / (2 * r)], limit=200)
         sec_q, _ = integrate.quad(lambda t: 2 * t * surv(t), 0, upper, points=[d / (2 * r)], limit=200)
-        m = grid_moments(d, r)
-        assert mean_q == pytest.approx(m.mean_td, abs=1e-6)
-        assert sec_q == pytest.approx(m.second_moment_td, abs=1e-6)
+        law = grid_td_law(d, r)
+        assert mean_q == pytest.approx(law.mean, abs=1e-6)
+        assert sec_q == pytest.approx(law.second_moment, abs=1e-6)
         assert abs(mean_q - 0.317) > 0.06
 
 
 class TestExactBurnedAreaSurvival:
     def test_endpoints(self):
-        assert random_ad_survival_exact(0.0, 100.0, 10) == 1.0
-        assert random_ad_survival_exact(100.0, 100.0, 10) == 0.0
+        assert exact_burned_area_law(100.0, 10).survival(0.0) == 1.0
+        assert exact_burned_area_law(100.0, 10).survival(100.0) == 0.0
 
     def test_single_sensor_halfway(self):
-        assert random_ad_survival_exact(50.0, 100.0, 1) == pytest.approx(0.5)
-
-    def test_strict_mode_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            random_ad_survival_exact(101.0, 100.0, 10)
-        with pytest.raises(DomainError):
-            random_ad_survival_exact(-1.0, 100.0, 10)
+        assert exact_burned_area_law(100.0, 1).survival(50.0) == pytest.approx(0.5)
 
     def test_clamp_mode_clips(self):
-        assert random_ad_survival_exact(101.0, 100.0, 10, clamp=True) == 0.0
-        assert random_ad_survival_exact(-1.0, 100.0, 10, clamp=True) == 1.0
+        assert exact_burned_area_law(100.0, 10).survival(101.0) == 0.0
+        assert exact_burned_area_law(100.0, 10).survival(-1.0) == 1.0
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            random_ad_survival_exact(1.0, 100.0, 0)
+            exact_burned_area_law(100.0, 0)
         with pytest.raises(ParameterError):
-            random_ad_survival_exact(1.0, 0.0, 10)
+            exact_burned_area_law(0.0, 10)
 
 
 class TestLimitLaw:
     def test_values(self):
-        assert random_ad_survival_limit(0.0, 1.0) == 1.0
-        assert random_ad_survival_limit(1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
-        assert random_ad_survival_limit(2.0, math.sqrt(2.0)) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            random_ad_survival_limit(-0.5, 1.0)
+        assert limit_burned_area_law(1.0).survival(0.0) == 1.0
+        assert limit_burned_area_law(1.0).survival(1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert limit_burned_area_law(math.sqrt(2.0)).survival(2.0) == pytest.approx(
+            math.exp(-1), rel=1e-12
+        )
 
     def test_exact_converges_monotonically_to_limit(self):
         d = 1.0
         for x in (0.3, 1.0, 2.5):
             prev = -1.0
             for n in (10, 100, 1000, 10000):
-                s = random_ad_survival_exact(x, n * d * d, n)
+                s = exact_burned_area_law(n * d * d, n).survival(x)
                 assert s > prev
                 prev = s
-            assert prev == pytest.approx(random_ad_survival_limit(x, d), abs=1e-4)
+            assert prev == pytest.approx(limit_burned_area_law(d).survival(x), abs=1e-4)
 
     def test_finite_n_gap_bounded_by_c_over_n(self):
         # sup_x |(1 - x/(N D^2))^N - exp(-x/D^2)| over x in [0, 10 D^2]
         # decays like ~0.27/N; assert the 0.5/N envelope for N >= 100.
         xs = np.linspace(0, 10, 2001)
         for n in (100, 1000, 10000):
-            exact = random_ad_survival_exact(np.minimum(xs, n), float(n), n, clamp=True)
+            exact = exact_burned_area_law(float(n), n).survival(np.minimum(xs, n))
             gap = np.max(np.abs(exact - np.exp(-xs)))
             assert gap <= 0.5 / n
 
 
 class TestRandomTdLaw:
     def test_survival_values(self):
-        assert random_td_survival(0.0, CircularModel(1.0), 1.0) == 1.0
+        law = random_td_law(CircularModel(1.0), 1.0)
+        assert law.survival(0.0) == 1.0
         t = 1 / math.sqrt(math.pi)
-        assert random_td_survival(t, CircularModel(1.0), 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert law.survival(t) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_elliptical_identity_reduces_to_circular(self):
         ts = np.linspace(0, 3, 50)
-        circ = random_td_survival(ts, CircularModel(1.0), 1.0)
-        ell = random_td_survival(ts, EllipticalModel(1.0, 1.0, 1.0), 1.0)
+        circ = random_td_law(CircularModel(1.0), 1.0).survival(ts)
+        ell = random_td_law(EllipticalModel(1.0, 1.0, 1.0), 1.0).survival(ts)
         assert np.allclose(circ, ell, rtol=1e-14)
 
     def test_circular_moments(self):
-        m = random_td_moments(CircularModel(1.0), 1.0)
-        assert m.mean_td == pytest.approx(0.5, abs=1e-15)
-        assert m.second_moment_td == pytest.approx(1 / math.pi, rel=1e-14)
-        assert m.var_td == pytest.approx(0.068, abs=4e-4)
+        law = random_td_law(CircularModel(1.0), 1.0)
+        assert law.mean == pytest.approx(0.5, abs=1e-15)
+        assert law.second_moment == pytest.approx(1 / math.pi, rel=1e-14)
+        assert law.variance == pytest.approx(0.068, abs=4e-4)
 
     def test_elliptical_moments_scale(self):
-        m = random_td_moments(EllipticalModel(1.0, 2.0, 2.0), 1.0)
+        law = random_td_law(EllipticalModel(1.0, 2.0, 2.0), 1.0)
         k = 2 * math.sqrt(2) / 1.5
-        assert m.mean_td == pytest.approx(k * 0.5, rel=1e-14)
-        assert m.mean_td == pytest.approx(0.9428, abs=1e-4)
-        assert m.second_moment_td == pytest.approx(k * k / math.pi, rel=1e-14)
-        assert m.var_td == pytest.approx(k * k * (4 - math.pi) / (4 * math.pi), rel=1e-14)
+        assert law.mean == pytest.approx(k * 0.5, rel=1e-14)
+        assert law.mean == pytest.approx(0.9428, abs=1e-4)
+        assert law.second_moment == pytest.approx(k * k / math.pi, rel=1e-14)
+        assert law.variance == pytest.approx(k * k * (4 - math.pi) / (4 * math.pi), rel=1e-14)
 
     def test_elliptical_moments_match_quadrature(self):
-        model = EllipticalModel(1.0, 2.0, 2.0)
-        m = random_td_moments(model, 1.0)
-        mean_q, _ = integrate.quad(lambda t: random_td_survival(t, model, 1.0), 0, np.inf)
-        sec_q, _ = integrate.quad(lambda t: 2 * t * random_td_survival(t, model, 1.0), 0, np.inf)
-        assert mean_q == pytest.approx(m.mean_td, abs=1e-6)
-        assert sec_q == pytest.approx(m.second_moment_td, abs=1e-6)
+        law = random_td_law(EllipticalModel(1.0, 2.0, 2.0), 1.0)
+        mean_q, _ = integrate.quad(law.survival, 0, np.inf)
+        sec_q, _ = integrate.quad(lambda t: 2 * t * law.survival(t), 0, np.inf)
+        assert mean_q == pytest.approx(law.mean, abs=1e-6)
+        assert sec_q == pytest.approx(law.second_moment, abs=1e-6)
 
 
 LAW_CASES = [

@@ -533,3 +533,135 @@ class TestReproducibility:
         assert main(argv + ["--export-layout", str(f2)]) == 0
         capsys.readouterr()
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# The exact stdout of each law's moments, two survival tables and two plans,
+# recorded before the laws' free-function twins were folded into the
+# factories; every value is printed with repr, so one ulp shows.
+GOLDEN = [
+    (
+        "analytic grid-td --spacing 2 --rate 1.3 --moments",
+        """\
+{
+  "law": "grid detection time",
+  "mean": 0.5886120895878558,
+  "second_moment": 0.3944773175542406,
+  "variance": 0.048013125545258516,
+  "support_upper": 1.0878565864408423
+}
+""",
+    ),
+    (
+        "analytic grid-ad --spacing 2 --rate 1.3 --moments",
+        """\
+{
+  "law": "grid burned area",
+  "mean": 2.0943951023931953,
+  "second_moment": null,
+  "variance": null,
+  "support_upper": 6.283185307179586
+}
+""",
+    ),
+    (
+        "analytic random-td --char-distance 1.5 --model elliptical --hb 2.5 --lb 1.7 --rate 0.9 --moments",
+        """\
+{
+  "law": "limit detection time",
+  "mean": 1.5521910488577735,
+  "second_moment": 3.0676122818165767,
+  "variance": 0.6583152296623819,
+  "support_upper": null
+}
+""",
+    ),
+    (
+        "analytic random-td --char-distance 1.5 --rate 0.9 --moments",
+        """\
+{
+  "law": "limit detection time",
+  "mean": 0.8333333333333333,
+  "second_moment": 0.8841941282883072,
+  "variance": 0.18974968384386295,
+  "support_upper": null
+}
+""",
+    ),
+    (
+        "analytic ad-exact --area 100 --sensors 7 --moments",
+        """\
+{
+  "law": "exact burned area (n=7)",
+  "mean": 12.5,
+  "second_moment": 277.77777777777777,
+  "variance": 121.52777777777777,
+  "support_upper": 100.0
+}
+""",
+    ),
+    (
+        "analytic ad-limit --char-distance 1.5 --moments",
+        """\
+{
+  "law": "limit burned area",
+  "mean": 2.25,
+  "second_moment": 10.125,
+  "variance": 5.0625,
+  "support_upper": null
+}
+""",
+    ),
+    (
+        "analytic random-td --char-distance 1.5 --rate 0.9 --x 0,0.1,1,2.5",
+        """\
+x,cdf,survival
+0.0,0.0,1.0
+0.1,0.011246018941042935,0.9887539810589571
+1.0,0.677281016732951,0.322718983267049
+2.5,0.9991485616571948,0.0008514383428051582
+""",
+    ),
+    (
+        "analytic ad-exact --area 100 --sensors 7 --x 0,5,99,100,150",
+        """\
+x,cdf,survival
+0.0,0.0,1.0
+5.0,0.3016627039062503,0.6983372960937497
+99.0,0.99999999999999,1.0000000000000062e-14
+100.0,1.0,0.0
+150.0,1.0,0.0
+""",
+    ),
+    (
+        "plan --area 10000 --placement random --target-time 0.37 --model elliptical --hb 2.3 --lb 1.9 --rate 1.7",
+        """\
+{
+  "D": 0.6547265445014572,
+  "N": 23329,
+  "assumptions": [
+    "random placement, many sensors: mean detection time = k*D/(2*rate)",
+    "time scale k = 2*sqrt(lb)/(1 + 1/hb) = 1.92141285635197"
+  ]
+}
+""",
+    ),
+    (
+        "plan --area 10000 --placement grid --target-time 0.37 --rate 3",
+        """\
+{
+  "D": 2.9012185408696376,
+  "N": 1189,
+  "assumptions": [
+    "grid: mean detection time = (sqrt(2)+log(1+sqrt(2)))/6 * D/rate"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, want", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_bytes(capsys, command, want):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == want

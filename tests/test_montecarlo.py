@@ -40,7 +40,7 @@ from firewatch.montecarlo import (
 )
 from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
-from firewatch.propagation import CircularModel, EllipticalModel, burned_area
+from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import dense_detection_times, per_trial_outcomes
 
@@ -131,7 +131,7 @@ class TestDetectionTime:
         positions = np.array([[3.0, 4.0], [7.0, 7.0]])
         t = detection_time(model, positions, np.array([[3.0, 4.0]]))
         assert t == 0.0
-        assert burned_area(model, t) == 0.0
+        assert model.area(t) == 0.0
 
     def test_min_over_all_pairs(self):
         model = CircularModel(rate=2.0)
@@ -230,7 +230,7 @@ class TestRunTrials:
             if clipped:
                 assert np.all(out.a_d <= region.area + 1e-9)
             # a union of k fronts burns at most k F(t), up to rounding
-            bound = k * burned_area(model, out.t_d) * (1 + 1e-12) + 1e-9
+            bound = k * model.area(out.t_d) * (1 + 1e-12) + 1e-9
             assert np.all(out.a_d <= bound)
 
 

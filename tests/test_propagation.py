@@ -3,38 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from firewatch.errors import DomainError, ParameterError
+from firewatch.errors import ParameterError
 from firewatch.geometry import Point
-from firewatch.propagation import (
-    CircularModel,
-    EllipticalModel,
-    burned_area,
-    elliptical_time_scale,
-    inverse_burned_area,
-    reach_time,
-    reach_times,
-)
+from firewatch.propagation import CircularModel, EllipticalModel
 
-from helpers import front_member
+from helpers import bisect_reach_time, front_member, time_to
 
 
 def test_circular_area_unit_values():
-    assert burned_area(CircularModel(1.0), 1.0) == pytest.approx(math.pi, rel=1e-15)
-    assert burned_area(CircularModel(2.0), 3.0) == pytest.approx(math.pi * 36, rel=1e-15)
+    assert CircularModel(1.0).area(1.0) == pytest.approx(math.pi, rel=1e-15)
+    assert CircularModel(2.0).area(3.0) == pytest.approx(math.pi * 36, rel=1e-15)
 
 
 def test_area_zero_at_time_zero():
-    assert burned_area(CircularModel(1.0), 0.0) == 0.0
-    assert burned_area(EllipticalModel(1.0, 2.0, 2.0), 0.0) == 0.0
+    assert CircularModel(1.0).area(0.0) == 0.0
+    assert EllipticalModel(1.0, 2.0, 2.0).area(0.0) == 0.0
 
 
 def test_elliptical_area_reduces_to_circular():
-    assert burned_area(EllipticalModel(1.0, 1.0, 1.0), 1.0) == pytest.approx(math.pi, rel=1e-15)
+    assert EllipticalModel(1.0, 1.0, 1.0).area(1.0) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_elliptical_area_value():
     # pi * rate^2 * (1 + 1/hb)^2 / (4 lb) * t^2 at rate=1, hb=lb=2, t=1
-    got = burned_area(EllipticalModel(1.0, 2.0, 2.0), 1.0)
+    got = EllipticalModel(1.0, 2.0, 2.0).area(1.0)
     assert got == pytest.approx(math.pi * 2.25 / 8.0, rel=1e-15)
     assert got == pytest.approx(0.8835729338221293, rel=1e-12)
 
@@ -46,43 +38,21 @@ def test_area_is_exactly_quadratic():
             rate=0.5 + rng.random(), hb_ratio=1 + rng.random() * 3, lb_ratio=1 + rng.random() * 2
         )
         t = rng.random() * 5
-        assert burned_area(model, 2 * t) == pytest.approx(4 * burned_area(model, t), rel=1e-14)
-
-
-def test_negative_time_rejected():
-    with pytest.raises(DomainError):
-        burned_area(CircularModel(1.0), -0.1)
-
-
-def test_inverse_burned_area():
-    assert inverse_burned_area(CircularModel(1.0), math.pi) == pytest.approx(1.0, rel=1e-15)
-    assert inverse_burned_area(CircularModel(1.0), 0.0) == 0.0
-    with pytest.raises(DomainError):
-        inverse_burned_area(CircularModel(1.0), -1.0)
-
-
-def test_inverse_round_trip():
-    rng = np.random.Generator(np.random.Philox(key=[43, 0]))
-    for _ in range(30):
-        model = EllipticalModel(rate=0.3 + rng.random() * 2, hb_ratio=1.5, lb_ratio=1.2, heading=1.0)
-        t = rng.random() * 10
-        assert inverse_burned_area(model, burned_area(model, t)) == pytest.approx(t, abs=1e-12, rel=1e-12)
+        assert model.area(2 * t) == pytest.approx(4 * model.area(t), rel=1e-14)
 
 
 def test_reach_time_circular():
-    assert reach_time(CircularModel(2.0), Point(0, 0), Point(4, 0)) == pytest.approx(2.0)
-    assert reach_time(CircularModel(2.0), Point(1, 1), Point(1, 1)) == 0.0
+    assert time_to(CircularModel(2.0), Point(0, 0), Point(4, 0)) == pytest.approx(2.0)
+    assert time_to(CircularModel(2.0), Point(1, 1), Point(1, 1)) == 0.0
 
 
 def test_reach_time_elliptical_matches_bisection():
-    from helpers import bisect_reach_time
-
     model = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=1.5, heading=0.4)
     rng = np.random.Generator(np.random.Philox(key=[47, 0]))
     for _ in range(50):
         ign = Point(rng.random() * 4, rng.random() * 4)
         tgt = Point(rng.random() * 4, rng.random() * 4)
-        got = reach_time(model, ign, tgt)
+        got = time_to(model, ign, tgt)
         want = bisect_reach_time(1.0, 2.0, 1.5, 0.4, ign, tgt)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -98,7 +68,7 @@ def test_front_membership_transitions_at_reach_time():
         tgt = Point(rng.random() * 4 - 2, rng.random() * 4 - 2)
         if tgt.x == ign.x and tgt.y == ign.y:
             continue
-        t = reach_time(EllipticalModel(rate, hb, lb, heading), ign, tgt)
+        t = time_to(EllipticalModel(rate, hb, lb, heading), ign, tgt)
         assert not front_member(rate, hb, lb, heading, ign, tgt, t * (1 - 1e-9))
         assert front_member(rate, hb, lb, heading, ign, tgt, t * (1 + 1e-9))
 
@@ -112,7 +82,7 @@ def test_area_consistent_with_front_geometry():
     xs = (np.arange(n) + 0.5) * (4.0 / n) - 2.0
     gx, gy = np.meshgrid(xs, xs)
     grid_area = model.covers(ign, t, gx, gy).mean() * 16.0
-    assert grid_area == pytest.approx(burned_area(model, t), rel=2e-3)
+    assert grid_area == pytest.approx(model.area(t), rel=2e-3)
 
 
 def test_frame_is_the_front_as_an_ellipse():
@@ -134,20 +104,10 @@ def test_frame_is_the_front_as_an_ellipse():
     assert CircularModel(1.5).bounding_box(ign, t) == EllipticalModel(1.5).bounding_box(ign, t)
 
 
-def test_reach_times_vectorized_matches_scalar():
-    model = EllipticalModel(rate=1.2, hb_ratio=2.0, lb_ratio=1.5, heading=0.9)
-    ign = Point(1.0, 2.0)
-    xs = np.array([0.0, 1.0, 3.0, -2.0])
-    ys = np.array([0.5, 2.0, 3.0, 1.0])
-    vec = reach_times(model, ign, xs, ys)
-    for x, y, t in zip(xs, ys, vec):
-        assert t == pytest.approx(reach_time(model, ign, Point(x, y)), rel=1e-12)
-
-
 def test_elliptical_time_scale():
-    assert elliptical_time_scale(CircularModel(3.0)) == 1.0
-    assert elliptical_time_scale(EllipticalModel(1.0, 1.0, 1.0)) == pytest.approx(1.0)
-    k = elliptical_time_scale(EllipticalModel(1.0, 2.0, 2.0))
+    assert CircularModel(3.0).time_scale == 1.0
+    assert EllipticalModel(1.0, 1.0, 1.0).time_scale == pytest.approx(1.0)
+    k = EllipticalModel(1.0, 2.0, 2.0).time_scale
     assert k == pytest.approx(2 * math.sqrt(2) / 1.5, rel=1e-15)
 
 
@@ -158,6 +118,8 @@ def test_model_validation():
         EllipticalModel(rate=1.0, hb_ratio=0.9)
     with pytest.raises(ParameterError):
         EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.0)
+    with pytest.raises(ParameterError):
+        EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.9)
 
 
 @pytest.mark.parametrize(
