@@ -137,7 +137,8 @@ class EllipticalModel:
         divided by ``rate``: the coefficients scale as rate^4, and would
         underflow or overflow at rates far from 1.
         """
-        a, b, c = ellipse_axis_rates(1.0, self.hb_ratio, self.lb_ratio)
+        hb = self.hb_ratio
+        a, b, c = ellipse_axis_rates(1.0, hb, self.lb_ratio)
         cos_h = math.cos(self.heading)
         sin_h = math.sin(self.heading)
         dx = np.asarray(xs, dtype=float) - ignition.x
@@ -147,7 +148,9 @@ class EllipticalModel:
 
         # Quadratic A t^2 + B t - C0 = 0 with A > 0 and C0 >= 0; take the
         # nonnegative root in the form that avoids cancellation either way.
-        quad_a = b * b * (a * a - c * c)
+        # A = b^2 (a - c)(a + c), where a - c = 1/hb and a + c = 1: a^2 - c^2
+        # would cancel as hb grows.
+        quad_a = b * b / hb
         quad_b = 2.0 * b * b * c * x
         c0 = b * b * x * x + a * a * y * y
         root = np.sqrt(quad_b * quad_b + 4.0 * quad_a * c0)

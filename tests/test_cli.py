@@ -199,6 +199,16 @@ class TestSimulateCommand:
         assert summary["ks_td"] is None and summary["ks_ad"] is None
         assert summary["n"] == 100
 
+    def test_front_with_a_huge_head_to_back_ratio(self, capsys):
+        # At hb = 1e17 the back of the front once moved at speed 0 in the
+        # reach-time quadratic, so a trial could get an infinite T_d.
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "100",
+            "--model", "elliptical", "--hb", "1e17", "--lb", "1.5",
+        )
+        assert code == 0, err
+        assert json.loads(out)["n"] == 10000
+
     def test_config_file_with_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -92,6 +92,16 @@ class TestEllipseReachTime:
             t2 = time_to(EllipticalModel(1.3, 2.5, 1.7, 0.9), Point(0, 0), Point(s * dx, s * dy))
             assert t2 == pytest.approx(s * t1, rel=1e-10)
 
+    @pytest.mark.parametrize("hb", [1e4, 1e8, 1e12, 1e16, 1e17, 1e100])
+    def test_head_and_back_exact_at_large_head_to_back_ratios(self, hb):
+        # The head moves at rate, the back at rate / hb. The quadratic's
+        # leading coefficient b^2 (a^2 - c^2) cancelled here: at hb = 1e16
+        # the back took 5.4 instead of 3, at hb = 1e17 forever.
+        model = EllipticalModel(1.0, hb, 1.5, 0.0)
+        times = model.reach_times(Point(0, 0), np.array([5.0, -3.0 / hb]), np.zeros(2))
+        assert times[0] == pytest.approx(5.0, rel=1e-14)
+        assert times[1] == pytest.approx(3.0, rel=1e-14)
+
 
 class TestDiskRectArea:
     def test_exact_symmetric_cases(self):
