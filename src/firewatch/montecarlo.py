@@ -410,13 +410,9 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
     return best
 
 
-def _burned_areas(
-    config: ScenarioConfig, lo: int, t_d: np.ndarray, xs, ys,
-    stop: Optional[Callable[[int], bool]] = None,
-) -> np.ndarray:
-    """Burned areas of trials lo, lo + 1, ... with detection times ``t_d`` and
-    ignitions the rows of ``(xs, ys)``; only those up to the first trial
-    after which ``stop`` (see _simulate_range) says to end."""
+def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray:
+    """Burned areas of the trials with detection times ``t_d`` and ignitions
+    the rows of ``(xs, ys)``."""
     model, region = config.model, config.region
     # A lone front clear of the region's edges burns F(t) = model.area(t).
     free = np.full(t_d.size, config.ignition_count == 1)
@@ -433,8 +429,6 @@ def _burned_areas(
     ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
     for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions):
         areas[i] = burned_union_area([(Point(x, y), model, t) for x, y in ign], region)
-        if stop is not None and stop(lo + i + 1):
-            return areas[: i + 1]
     return areas
 
 
@@ -452,9 +446,9 @@ def _simulate_range(
     """``(t_d, a_d)`` arrays of trials [lo, hi).
 
     ``sensors`` is the run's layout as _sensors builds it (built here if
-    None). ``stop(j)`` is asked after each block and after each union area
-    once trials [lo, j) are done; the first True ends the range there, and
-    only those trials are returned.
+    None). ``stop(j)`` is asked after each block, once trials [lo, j) are
+    done; the first True ends the range there, and only those trials are
+    returned.
     """
     region, k = config.region, config.ignition_count
     if sensors is None:
@@ -475,12 +469,10 @@ def _simulate_range(
             t_d = sensors.first_reach(b0, xs, ys)
             s0, s1 = max(lo, b0), min(hi, b1)
             keep = slice(s0 - b0, s1 - b0)
-            a_d = _burned_areas(config, s0, t_d[keep], xs[keep], ys[keep], stop)
             t_out[s0 - lo : s1 - lo] = t_d[keep]
-            a_out[s0 - lo : s0 - lo + a_d.size] = a_d
-            if stop is not None and (a_d.size < s1 - s0 or stop(s1)):
-                done = s0 - lo + a_d.size
-                return t_out[:done], a_out[:done]
+            a_out[s0 - lo : s1 - lo] = _burned_areas(config, t_d[keep], xs[keep], ys[keep])
+            if stop is not None and stop(s1):
+                return t_out[: s1 - lo], a_out[: s1 - lo]
     return t_out, a_out
 
 

@@ -235,8 +235,9 @@ class TestRunTrials:
 
 
 POOL_CASES = {
-    # Resampled: the in-process part ends after block 0's first clipped
-    # trial, so the ranges meet inside blocks.
+    # Resampled, three blocks of 2^9 trials: the in-process part ends after
+    # block 0, and the other ranges meet inside blocks (at 1006 for two
+    # workers, at 841 and 1170 for three).
     "resampled": small_random_config(
         region=RectRegion(100, 100), placement=RandomPlacement(count=10_000), trials=1500,
     ),
@@ -248,11 +249,12 @@ POOL_CASES = {
         trials=5000,
         master_seed=9,
     ),
-    # Union areas of three clipped ellipses, checked trial by trial.
+    # Union areas of three clipped ellipses, checked trial by trial, over
+    # three blocks: a run of one block ends before the rule could fork.
     "ellipse3": small_random_config(
         model=EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=0.0),
         ignition_count=3,
-        trials=120,
+        trials=1100,
     ),
 }
 
@@ -305,12 +307,19 @@ class TestPoolRule:
         assert pools == ([1] if forks else [])
 
     def test_resampled_split_falls_inside_a_block(self):
+        # The rule is asked only at block ends: a stop after block 0 returns
+        # exactly its trials. The rest is split where run_trials splits it
+        # for two workers, inside block 1, and each range replays its block.
         cfg = POOL_CASES["resampled"]
-        t, a = _simulate_range(cfg, 0, cfg.trials, stop=lambda j: True)
-        assert 0 < t.size < firewatch.montecarlo._BLOCK
+        block = firewatch.montecarlo._BLOCK
         full = run_trials(cfg)
-        assert t.tobytes() == full.t_d[: t.size].tobytes()
-        assert a.tobytes() == full.a_d[: t.size].tobytes()
+        t, a = _simulate_range(cfg, 0, cfg.trials, stop=lambda j: True)
+        assert t.size == block
+        cut = (block + cfg.trials) // 2
+        assert cut % block != 0
+        parts = [(t, a), _simulate_range(cfg, block, cut), _simulate_range(cfg, cut, cfg.trials)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == full.t_d.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == full.a_d.tobytes()
 
     def test_a_worker_error_ends_the_run(self, forced, monkeypatch, capsys):
         parent, burned_areas = os.getpid(), firewatch.montecarlo._burned_areas
