@@ -545,9 +545,8 @@ class TestReproducibility:
         assert f1.read_bytes() == f2.read_bytes()
 
 
-# The exact stdout of each law's moments, two survival tables and two plans,
-# recorded before the laws' free-function twins were folded into the
-# factories; every value is printed with repr, so one ulp shows.
+# The exact stdout of each law's moments, two survival tables and two plans.
+# Every value is printed with repr, so a change of one ulp shows.
 GOLDEN = [
     (
         "analytic grid-td --spacing 2 --rate 1.3 --moments",
