@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -384,6 +385,69 @@ class TestRateScaling:
         one, scaled = run(1.0), run(2.0**exponent)
         assert scaled.t_d.tobytes() == (one.t_d * 2.0**-exponent).tobytes()
         assert scaled.a_d.tobytes() == one.a_d.tobytes()
+
+
+class TestGoldenOutcomes:
+    """sha256 of ``t_d.tobytes() + a_d.tobytes()`` at seed 7, at workers 1
+    and 2: the three benchmark workloads, several ignitions in dense, sparse
+    and long narrow regions, clipped grids and a fixed random layout. A
+    refactor of the geometry or the spread models must keep every byte."""
+
+    CASES = {
+        "random-dense": (
+            RectRegion(100, 100), RandomPlacement(10_000), CircularModel(1.0), 2000, {},
+            "ca0a7d14ae997672d353607a50c55b26df6fb2d4380c97211c1e9892adfdc2db",
+        ),
+        "ellipse3-sparse": (
+            RectRegion(10, 10), RandomPlacement(100), EllipticalModel(1.0, 2.0, 2.0), 3000,
+            {"ignition_count": 3},
+            "50e270d323827a3de9bfe8d34f14dc62499cdf8add86d1bf58063ceda2bf144b",
+        ),
+        "grid-csv": (
+            RectRegion(10, 10), GridPlacement(1.0), CircularModel(1.0), 20000, {},
+            "6b896c58f9f6a0c612a512d8783b811d2f0647a50cd0727fbb1dc7cac4bb2bd1",
+        ),
+        "circular-k3-dense": (
+            RectRegion(100, 100), RandomPlacement(10_000), CircularModel(1.0), 1000,
+            {"ignition_count": 3},
+            "005d692b7b496f5917a1074d3c4c0d2fcba5177bd37b996d53d3cb6a9f929e58",
+        ),
+        "circular-k3-sparse": (
+            RectRegion(10, 10), RandomPlacement(100), CircularModel(1.0), 3000,
+            {"ignition_count": 3},
+            "e67eb61c2ae3b3721cf73581ed15bd78dbb447a0abfd97a5d6bb6c63dcf25b21",
+        ),
+        "elliptical-k3-strip": (
+            RectRegion(40, 5), RandomPlacement(100), EllipticalModel(1.0, 2.5, 1.7, heading=0.7),
+            3000, {"ignition_count": 3},
+            "7f595294594a7274aa287d0d1b19ebe99f57e71b10cb2f1b48450d586b809bd6",
+        ),
+        "elliptical-grid-clipped-k2": (
+            RectRegion(10, 10), GridPlacement(1.0), EllipticalModel(1.0, 2.5, 1.7, heading=0.7),
+            3000, {"ignition_count": 2, "clip_to_region": True},
+            "b3ee0ddeaf5517c6f9d9a003a7b7695fcff5d1b58d339a902b0e5b0c32c61c09",
+        ),
+        "fixed-random-k3": (
+            RectRegion(10, 10), RandomPlacement(100), CircularModel(1.0), 1500,
+            {"ignition_count": 3, "resample_layout_each_trial": False},
+            "c3eca437d5fc5405c20c570570e272da91bc403ee08d19b2e421b3e4ae5e40ec",
+        ),
+        "circular-grid-clipped": (
+            RectRegion(10, 10), GridPlacement(1.0), CircularModel(1.0), 5000,
+            {"clip_to_region": True},
+            "5b33a27536909d26f46d502ffba291341d3583fae1a5d299ea919e3028aa1757",
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_outcome_digest(self, case, workers):
+        region, placement, model, trials, extra, want = self.CASES[case]
+        got = run_trials(ScenarioConfig(
+            region=region, placement=placement, model=model, trials=trials, master_seed=7,
+            **extra,
+        ), workers=workers)
+        assert hashlib.sha256(got.t_d.tobytes() + got.a_d.tobytes()).hexdigest() == want
 
 
 class TestLazySampler:
