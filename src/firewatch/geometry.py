@@ -1,9 +1,10 @@
 """Planar primitives for fire-front geometry.
 
-Provides the protected rectangle, the axis rates of elliptically growing
-fronts, the exact area of a disk intersected with a convex polygon
-(which gives the clipped area of one circular or elliptical front), and the
-exact area of the union of fronts of one model, clipped to the region.
+Provides the protected rectangle, the exact area of a disk intersected
+with a convex polygon (which gives the clipped area of one circular or
+elliptical front), and the exact area of the union of fronts of one model,
+clipped to the region. No spread model's shape is known here: fronts are
+seen only through the model's methods.
 
 Fronts that meet no other are measured alone. A group of fronts that meet
 is measured by Green's theorem in the model's frame, where every front is
@@ -58,20 +59,6 @@ class RectRegion:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-
-def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[float, float, float]:
-    """Growth rates (semi-major, semi-minor, center drift) of the fire ellipse.
-
-    The front at time ``t`` is an ellipse with semi-major axis ``a*t`` along
-    the heading, semi-minor ``b*t``, and center displaced ``c*t`` ahead of
-    the ignition.  The head then advances at ``a + c = rate`` and the back
-    recedes at ``a - c = rate / hb_ratio``.
-    """
-    a = 0.5 * rate * (1.0 + 1.0 / hb_ratio)
-    b = a / lb_ratio
-    c = 0.5 * rate * (1.0 - 1.0 / hb_ratio)
-    return a, b, c
 
 
 def _sector_area(ux: float, uy: float, vx: float, vy: float, r2: float) -> float:
@@ -160,7 +147,7 @@ def _group_fronts(fronts, boxes):
     centres are at most t1 + t2 apart.
     """
     # Union-find over pairs; front counts are small.
-    centres = [model.frame_centre(ignition, t) for ignition, model, t in fronts]
+    centres = [model.frame_centre(ignition.x, ignition.y, t) for ignition, model, t in fronts]
     parent = list(range(len(boxes)))
 
     def find(i):
@@ -211,10 +198,10 @@ def _union_area(fronts, region: RectRegion) -> float:
     # (x, y) at t less that of the first front is the frame centre of (x, y)
     # less the first ignition, at t, less that of the origin at the first t.
     origin = fronts[0][0]
-    ox, oy = model.frame_centre(Point(0.0, 0.0), fronts[0][2])
+    ox, oy = model.frame_centre(0.0, 0.0, fronts[0][2])
 
     def to_frame(x, y, t):
-        fx, fy = model.frame_centre(Point(x - origin.x, y - origin.y), t)
+        fx, fy = model.frame_centre(x - origin.x, y - origin.y, t)
         return (fx - ox) / s, (fy - oy) / s
 
     circles, owners = [], []
@@ -245,7 +232,7 @@ def _union_area(fronts, region: RectRegion) -> float:
     edges = (((0.0, 0.0), (1.0, 0.0), w), ((w, 0.0), (0.0, 1.0), h),
              ((w, h), (-1.0, 0.0), w), ((0.0, h), (0.0, -1.0), h))
     for (sx, sy), (ex, ey), length in edges:
-        lx, ly = model.frame_centre(Point(ex * length, ey * length), 0.0)
+        lx, ly = model.frame_centre(ex * length, ey * length, 0.0)
         lam = math.hypot(lx, ly)
         scale = lam / s / length  # frame length of a unit of plane length along the edge
         if not scale > 0.0:
@@ -313,9 +300,10 @@ def burned_union_area(
     """Exact area of the union of burned sets, clipped to ``region``.
 
     ``fronts`` is a sequence of ``(ignition, model, t)`` triples, all of one
-    spread model (else ``ParameterError``); the model must expose
-    ``area(t)``, ``bounding_box(ignition, t)``, ``frame``, ``frame_centre``,
-    ``covers`` and ``clipped_area_exact``. Fronts are grouped by the pairs
+    spread model (else ``ParameterError``). The model gives each front's
+    ``area(t)``, ``covers`` and ``clipped_area_exact``, and the frame that
+    both spread models inherit: ``bounding_box``, ``frame`` and
+    ``frame_centre(x, y, t)``. Fronts are grouped by the pairs
     whose clipped bounding boxes touch and that meet. A front that meets no
     other is measured alone: ``area(t)`` inside the region,
     ``clipped_area_exact`` across its edge. A group of fronts that meet is

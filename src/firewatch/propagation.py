@@ -5,20 +5,21 @@ Each model exposes the total burned area ``F(t)`` of the free-growing front
 (``reach_times``), whether the front at ``t`` covers given points
 (``covers``), and the ratio of its reach times to those of a circular
 front of equal rate (``time_scale``).  Both models grow affinely (the front
-at time ``t`` is ``t`` times the front at time 1), so ``F`` is exactly
-quadratic in ``t``.
+at time ``t`` is ``t`` times their ``shape``, the front at time 1), so ``F``
+is exactly quadratic in ``t``, and one base class derives both frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area, ellipse_axis_rates
+from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 
@@ -28,14 +29,63 @@ def _check_rate(rate) -> None:
         raise ParameterError(f"spread rate must be positive and finite, got {rate}")
 
 
+def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[float, float, float]:
+    """Growth rates (semi-major, semi-minor, center drift) of the fire ellipse.
+
+    The front at time ``t`` is an ellipse with semi-major axis ``a*t`` along
+    the heading, semi-minor ``b*t``, and center displaced ``c*t`` ahead of
+    the ignition.  The head then advances at ``a + c = rate`` and the back
+    recedes at ``a - c = rate / hb_ratio``.
+    """
+    a = 0.5 * rate * (1.0 + 1.0 / hb_ratio)
+    b = a / lb_ratio
+    c = 0.5 * rate * (1.0 - 1.0 / hb_ratio)
+    return a, b, c
+
+
+class _AffineFront:
+    """The frame of a model whose front at ``t`` is ``t`` times its
+    ``shape``, the front at t = 1 as ``(a, b, c, cos, sin)``: an ellipse
+    with semi-axes ``a`` along the heading and ``b`` across it, centred
+    ``c`` ahead of the ignition, and the heading's cosine and sine."""
+
+    def _to_heading(self, dx, dy):
+        """Plane offsets as offsets along and across the heading."""
+        _, _, _, cos_h, sin_h = self.shape
+        return dx * cos_h + dy * sin_h, -dx * sin_h + dy * cos_h
+
+    def frame(self, ignition: Point, t):
+        """The front at ``t`` as ``(cx, cy, a t, b t, cos, sin)``."""
+        a, b, c, cos_h, sin_h = self.shape
+        return ignition.x + c * t * cos_h, ignition.y + c * t * sin_h, a * t, b * t, cos_h, sin_h
+
+    def bounding_box(self, ignition: Point, t):
+        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
+        ex = math.hypot(at * cos_h, bt * sin_h)
+        ey = math.hypot(at * sin_h, bt * cos_h)
+        return (cx - ex, cy - ey, cx + ex, cy + ey)
+
+    def frame_centre(self, x, y, t):
+        """Centre of the front at ``t`` from the ignition ``(x, y)`` in the
+        frame where every front is the disk of radius ``t``: shift by ``c t``
+        along the heading, rotate by -heading, scale by 1/a and 1/b."""
+        a, b, c, _, _ = self.shape
+        u, v = self._to_heading(x, y)
+        return ((u + c * t) / a, v / b)
+
+
 @dataclass(frozen=True)
-class CircularModel:
+class CircularModel(_AffineFront):
     """Front spreads at ``rate`` m/s in every direction."""
 
     rate: float
 
     def __post_init__(self):
         _check_rate(self.rate)
+
+    @property
+    def shape(self):
+        return (self.rate, self.rate, 0.0, 1.0, 0.0)
 
     @property
     def time_scale(self) -> float:
@@ -63,28 +113,12 @@ class CircularModel:
         dy = np.asarray(ys) - ignition.y
         return dx * dx + dy * dy <= r * r
 
-    def bounding_box(self, ignition: Point, t):
-        r = self.rate * t
-        return (ignition.x - r, ignition.y - r, ignition.x + r, ignition.y + r)
-
-    def frame_centre(self, ignition: Point, t):
-        """Centre of the front at ``t`` in this model's frame, where every
-        front of the model is the disk of radius ``t``: the case a = b =
-        rate, c = 0 of ``EllipticalModel.frame_centre``."""
-        return (ignition.x / self.rate, ignition.y / self.rate)
-
-    def frame(self, ignition: Point, t):
-        """The front at ``t`` as an ellipse: the case a = b = rate, c = 0,
-        heading 0 of ``EllipticalModel.frame``."""
-        r = self.rate * t
-        return ignition.x, ignition.y, r, r, 1.0, 0.0
-
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         return disk_rect_area(ignition, self.rate * t, region)
 
 
 @dataclass(frozen=True)
-class EllipticalModel:
+class EllipticalModel(_AffineFront):
     """Elliptical front with the ignition on the long axis.
 
     ``hb_ratio`` is the head-to-back spread ratio, ``lb_ratio`` the
@@ -109,9 +143,10 @@ class EllipticalModel:
         if not math.isfinite(self.heading):
             raise ParameterError(f"heading must be finite, got {self.heading}")
 
-    @property
-    def axis_rates(self) -> tuple[float, float, float]:
-        return ellipse_axis_rates(self.rate, self.hb_ratio, self.lb_ratio)
+    @cached_property
+    def shape(self):
+        a, b, c = ellipse_axis_rates(self.rate, self.hb_ratio, self.lb_ratio)
+        return (a, b, c, math.cos(self.heading), math.sin(self.heading))
 
     @property
     def time_scale(self) -> float:
@@ -139,12 +174,9 @@ class EllipticalModel:
         """
         hb = self.hb_ratio
         a, b, c = ellipse_axis_rates(1.0, hb, self.lb_ratio)
-        cos_h = math.cos(self.heading)
-        sin_h = math.sin(self.heading)
-        dx = np.asarray(xs, dtype=float) - ignition.x
-        dy = np.asarray(ys, dtype=float) - ignition.y
-        x = dx * cos_h + dy * sin_h
-        y = -dx * sin_h + dy * cos_h
+        x, y = self._to_heading(
+            np.asarray(xs, dtype=float) - ignition.x, np.asarray(ys, dtype=float) - ignition.y
+        )
 
         # Quadratic A t^2 + B t - C0 = 0 with A > 0 and C0 >= 0; take the
         # nonnegative root in the form that avoids cancellation either way.
@@ -166,42 +198,11 @@ class EllipticalModel:
     def covers(self, ignition: Point, t, xs, ys):
         if t <= 0.0:
             return np.zeros(np.broadcast(np.asarray(xs), np.asarray(ys)).shape, dtype=bool)
-        a, b, c = self.axis_rates
-        cos_h = math.cos(self.heading)
-        sin_h = math.sin(self.heading)
-        dx = np.asarray(xs) - ignition.x
-        dy = np.asarray(ys) - ignition.y
-        x = dx * cos_h + dy * sin_h
-        y = -dx * sin_h + dy * cos_h
+        a, b, c, _, _ = self.shape
+        x, y = self._to_heading(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y)
         u = (x - c * t) / (a * t)
         v = y / (b * t)
         return u * u + v * v <= 1.0
-
-    def frame(self, ignition: Point, t):
-        """The front at ``t`` as ``(cx, cy, a t, b t, cos, sin)``: its centre,
-        ``c t`` ahead of the ignition, its semi-axes along and across the
-        heading, and the heading's cosine and sine."""
-        a, b, c = self.axis_rates
-        cos_h = math.cos(self.heading)
-        sin_h = math.sin(self.heading)
-        return ignition.x + c * t * cos_h, ignition.y + c * t * sin_h, a * t, b * t, cos_h, sin_h
-
-    def bounding_box(self, ignition: Point, t):
-        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
-        ex = math.hypot(at * cos_h, bt * sin_h)
-        ey = math.hypot(at * sin_h, bt * cos_h)
-        return (cx - ex, cy - ey, cx + ex, cy + ey)
-
-    def frame_centre(self, ignition: Point, t):
-        """Centre of the front at ``t`` in this model's frame, where every
-        front of the model is the disk of radius ``t``: shift by ``c t``
-        along the heading, rotate by -heading, scale by 1/a and 1/b."""
-        a, b, c = self.axis_rates
-        cos_h = math.cos(self.heading)
-        sin_h = math.sin(self.heading)
-        x = ignition.x * cos_h + ignition.y * sin_h
-        y = -ignition.x * sin_h + ignition.y * cos_h
-        return ((x + c * t) / a, y / b)
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         # The inverse affine map of the front (shift to its center, rotate by
@@ -210,12 +211,12 @@ class EllipticalModel:
         # 1/(a b t^2) and the corners still counterclockwise.
         if t <= 0.0:
             return 0.0
-        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
+        cx, cy, at, bt, _, _ = self.frame(ignition, t)
         w, h = region.width, region.height
         corners = []
         for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):
-            dx, dy = x - cx, y - cy
-            corners.append(((dx * cos_h + dy * sin_h) / at, (dy * cos_h - dx * sin_h) / bt))
+            u, v = self._to_heading(x - cx, y - cy)
+            corners.append((u / at, v / bt))
         return at * bt * disk_polygon_area(corners, 1.0)
 
 

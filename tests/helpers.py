@@ -16,9 +16,10 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
-from firewatch.geometry import Point, burned_union_area, ellipse_axis_rates
+from firewatch.geometry import Point, burned_union_area
 from firewatch.montecarlo import detection_time
 from firewatch.placement import build_layout
+from firewatch.propagation import ellipse_axis_rates
 
 
 def time_to(model, ign, tgt) -> float:

@@ -19,7 +19,7 @@ from firewatch.analytic import (
 )
 from firewatch.cli import main
 from firewatch.errors import DomainError, EstimatorError, ParameterError
-from firewatch.geometry import Point, RectRegion, disk_rect_area, ellipse_axis_rates
+from firewatch.geometry import Point, RectRegion, disk_rect_area
 from firewatch.montecarlo import (
     Outcomes,
     ScenarioConfig,
@@ -41,7 +41,7 @@ from firewatch.montecarlo import (
 )
 from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
-from firewatch.propagation import CircularModel, EllipticalModel
+from firewatch.propagation import CircularModel, EllipticalModel, ellipse_axis_rates
 
 from helpers import dense_detection_times, per_trial_outcomes
 
