@@ -122,7 +122,15 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
         (region.width - cx, region.height - cy),
         (0.0 - cx, region.height - cy),
     )
-    return disk_polygon_area(corners, radius)
+    # Measured in units of 2^e, the farthest corner offset's power of two,
+    # the products of four lengths in _tri_disk_area neither underflow nor
+    # overflow at any scale. Scaling by a power of two is exact; e is clamped
+    # so that 2^e and 2^-e are floats.
+    e = math.frexp(max(abs(v) for corner in corners for v in corner))[1]
+    e = min(max(e, -1023), 1023)
+    unit, inv = math.ldexp(1.0, e), math.ldexp(1.0, -e)
+    area = disk_polygon_area([(x * inv, y * inv) for x, y in corners], radius * inv)
+    return area * unit * unit
 
 
 def _clip_box(box, region: RectRegion):

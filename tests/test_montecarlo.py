@@ -387,6 +387,37 @@ class TestRateScaling:
         assert scaled.a_d.tobytes() == one.a_d.tobytes()
 
 
+class TestRegionScaling:
+    """A run in the region scaled by 2^e, grid spacing included, is the
+    unscaled run with every detection time times 2^e and every burned area
+    times 4^e, bit for bit: positions, times and areas all scale exactly, so
+    only arithmetic that underflows or overflows can tell the two apart."""
+
+    @pytest.mark.parametrize("exponent", [300, -300])
+    @pytest.mark.parametrize("ignitions", [1, 3])
+    @pytest.mark.parametrize("placement", ["resampled", "grid"])
+    @pytest.mark.parametrize("kind", ["circular", "elliptical"])
+    def test_outcomes_scale_exactly_with_the_region(self, kind, placement, ignitions, exponent):
+        if kind == "circular":
+            model = CircularModel(rate=1.0)
+        else:
+            model = EllipticalModel(1.0, 2.0, 1.5, heading=0.7)
+
+        def run(scale):
+            if placement == "resampled":
+                layout = RandomPlacement(count=100)
+            else:
+                layout = GridPlacement(spacing=scale)
+            return run_trials(ScenarioConfig(
+                region=RectRegion(10 * scale, 10 * scale), placement=layout, model=model,
+                trials=300, master_seed=17, ignition_count=ignitions, clip_to_region=True,
+            ))
+
+        one, scaled = run(1.0), run(2.0**exponent)
+        assert scaled.t_d.tobytes() == (one.t_d * 2.0**exponent).tobytes()
+        assert scaled.a_d.tobytes() == (one.a_d * 4.0**exponent).tobytes()
+
+
 class TestGoldenOutcomes:
     """sha256 of ``t_d.tobytes() + a_d.tobytes()`` at seed 7, at workers 1
     and 2: the three benchmark workloads, several ignitions in dense, sparse
