@@ -77,6 +77,13 @@ def test_functions_the_tracer_wraps_exist():
 
 
 @pytest.mark.parametrize("cls", tracer.MODEL_CLASSES)
+def test_each_model_has_what_burned_union_area_reads(cls):
+    # hasattr: the frame methods are inherited from one base class.
+    for name in ("area", "bounding_box", "frame", "frame_centre", "covers", "clipped_area_exact"):
+        assert hasattr(getattr(firewatch, cls), name), f"{cls}.{name}"
+
+
+@pytest.mark.parametrize("cls", tracer.MODEL_CLASSES)
 def test_methods_the_tracer_wraps_are_defined_in_each_model_class(cls):
     # The tracer wraps a method only where the class itself defines it.
     for _, method, _ in tracer.METHODS:

@@ -128,6 +128,24 @@ class TestDiskRectArea:
             want = quad_disk_rect(cx, cy, r, w, h)
             assert got == pytest.approx(want, abs=1e-4)
 
+    @pytest.mark.parametrize("exponent", [-500, -300, 300, 500])
+    def test_scales_exactly_with_the_region(self, exponent):
+        s = 2.0**exponent
+        for (cx, cy), r in (((5, 5), 1.0), ((0.3, 9.1), 2.5), ((-1, 4), 3.0), ((5, 5), 50.0)):
+            want = disk_rect_area(Point(cx, cy), r, REGION) * s * s
+            assert disk_rect_area(Point(cx * s, cy * s), r * s, RectRegion(10 * s, 10 * s)) == want
+
+    def test_thin_strip_far_below_unit_scale(self):
+        # The disk crosses the strip: a chord of 6e-101 over its width 1e-108.
+        got = disk_rect_area(Point(5e-109, 5e-101), 3e-101, RectRegion(1e-108, 1e-100))
+        assert got == pytest.approx(6e-209, rel=1e-12, abs=0.0)
+
+    def test_areas_past_the_floats_raise_nothing(self):
+        # A radius whose square overflows gives NaN, which the engine rejects.
+        assert math.isnan(disk_rect_area(Point(3, 4), 1e300, REGION))
+        assert disk_rect_area(Point(3, 4), 5e-324, REGION) == 0.0
+        assert disk_rect_area(Point(1e200, 1e200), 1e200, RectRegion(1e201, 1e201)) == math.inf
+
 
 class TestBurnedUnionArea:
     def test_empty_front_list(self):
@@ -201,6 +219,23 @@ class TestBurnedUnionArea:
         ):
             with pytest.raises(DomainError):
                 burned_union_area(fronts, REGION)
+
+    @pytest.mark.parametrize(
+        "model",
+        [CircularModel(1.5), EllipticalModel(1.5), EllipticalModel(1.5, 2.0, 1.5, heading=0.7)],
+        ids=["circular", "elliptical-round", "elliptical"],
+    )
+    def test_front_of_infinite_age(self, model):
+        # Alone, its exact clip is NaN, which the engine rejects; in a group
+        # it covers the region. A shared frame's centre drift c t is then
+        # 0 * inf = NaN for a round front, and must change neither answer.
+        inf = math.inf
+        assert math.isnan(burned_union_area([(Point(3, 4), model, inf)], REGION))
+        for fronts in (
+            [(Point(3, 4), model, inf), (Point(5, 5), model, 1.0)],
+            [(Point(3, 4), model, 1.0), (Point(9, 9), model, inf)],
+        ):
+            assert burned_union_area(fronts, REGION) == REGION.area
 
 
 class TestEllipseClip:

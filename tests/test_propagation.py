@@ -102,6 +102,9 @@ def test_frame_is_the_front_as_an_ellipse():
         assert not front_member(1.5, 3.0, 2.0, 2.2, ign, outward, t)
     assert CircularModel(1.5).frame(ign, t) == EllipticalModel(1.5).frame(ign, t)
     assert CircularModel(1.5).bounding_box(ign, t) == EllipticalModel(1.5).bounding_box(ign, t)
+    assert CircularModel(1.5).frame_centre(ign.x, ign.y, t) == EllipticalModel(1.5).frame_centre(
+        ign.x, ign.y, t
+    )
 
 
 def test_elliptical_time_scale():
