@@ -123,8 +123,8 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
         (0.0 - cx, region.height - cy),
     )
     # Measured in units of 2^e, the farthest corner offset's power of two,
-    # the products of four lengths in _tri_disk_area neither underflow nor
-    # overflow at any scale. Scaling by a power of two is exact; e is clamped
+    # the products of four lengths in _tri_disk_area stay normal whatever
+    # the region's scale. Scaling by a power of two is exact; e is clamped
     # so that 2^e and 2^-e are floats.
     e = math.frexp(max(abs(v) for corner in corners for v in corner))[1]
     e = min(max(e, -1023), 1023)
