@@ -666,6 +666,21 @@ x,cdf,survival
 }
 """,
     ),
+    (
+        "compare --sensor-counts 10,40 --char-distance 1.5 --trials 200 --seed 5",
+        """\
+n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_td,analytic_var_td,analytic_mean_ad,analytic_var_ad,ks_td,ks_ad_exact,ks_ad_limit
+10,1.5,0.8700193417833486,0.03607184688890849,0.26023562759537144,2.2378110362991332,0.14780604379918266,4.369325316713181,0.75,0.153697243913529,2.25,5.0625,0.13740445534713996,0.06432151983030676,0.04237712851140768
+40,1.5,0.8157748484028302,0.03386481285568619,0.22936510995012976,2.2480880045718465,0.16869925023730276,5.69188740612562,0.75,0.153697243913529,2.25,5.0625,0.056448439880805945,0.04176831364700925,0.04256998591407102
+""",
+    ),
+    (
+        "compare --spacing 1 --region 5x4 --trials 200 --seed 3",
+        """\
+n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_td,analytic_var_td,analytic_mean_ad,analytic_var_ad,ks_td,ks_ad_exact,ks_ad_limit
+30,1.0,0.3882909738877096,0.009697883142093465,0.01880978748754012,0.5324547753911362,0.022891031159066474,0.10479986150507045,0.38259785823210635,0.020285545542871725,0.5235987755982988,,0.05200976612410557,0.05200976612410557,
+""",
+    ),
 ]
 
 
