@@ -203,13 +203,6 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        _write_text(_json(rows), out)
-    else:
-        _write_text(_rows_to_csv(rows, columns), out)
-
-
 # ---------------------------------------------------------------------------
 # analytic
 
@@ -258,7 +251,10 @@ def _cmd_analytic(args) -> int:
         {"x": float(x), "cdf": float(1.0 - s), "survival": float(s)}
         for x, s in zip(xs, surv)
     ]
-    _emit_rows(rows, ["x", "cdf", "survival"], args.format, args.out)
+    if args.format == "json":
+        _write_text(_json(rows), args.out)
+    else:
+        _write_text(_rows_to_csv(rows, ["x", "cdf", "survival"]), args.out)
     return 0
 
 
@@ -323,24 +319,8 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-_COMPARE_COLUMNS = [
-    "n_sensors",
-    "char_distance",
-    "mean_td",
-    "se_td",
-    "var_td",
-    "mean_ad",
-    "se_ad",
-    "var_ad",
-    "analytic_mean_td",
-    "analytic_var_td",
-    "analytic_mean_ad",
-    "analytic_var_ad",
-    "ks_td",
-    "ks_ad_exact",
-    "ks_ad_limit",
-]
-
+# The compare table's header is the keys of _compare_row's dict; the ECDF
+# table's is spelled out, since --ecdf-points 0 leaves it without rows.
 _ECDF_COLUMNS = ["n_sensors", "x", "empirical", "exact", "limit"]
 
 
@@ -476,7 +456,7 @@ def _cmd_compare(args) -> int:
         payload = {"rows": rows, "ecdf": ecdf_rows}
         _write_text(_json(payload), args.out)
     else:
-        _write_text(_rows_to_csv(rows, _COMPARE_COLUMNS), args.out)
+        _write_text(_rows_to_csv(rows, list(rows[0])), args.out)
         if args.ecdf_out:
             with open(args.ecdf_out, "w") as fh:
                 fh.write(_rows_to_csv(ecdf_rows, _ECDF_COLUMNS))
