@@ -12,7 +12,10 @@ fixed grid of equal cells, and rings of cells are visited outward from each
 ignition's cell, one ring per step for every trial of the block that is still
 searching. A trial stops searching around an ignition once that front's
 bounding box at the trial's best reach time so far lies inside the visited
-cells: fronts only grow, so no sensor outside them can be reached sooner.
+cells: fronts only grow, so no sensor outside them can be reached sooner. A
+trial's search also ends once its time is NaN, which no later sensor can
+undo, once it has no sensors left, or once no sensor outside the visited
+cells can have a finite time.
 
 A fixed layout (a grid, or random sensors with resampling off) is bucketed
 into the cells once, and each ring step times the sensors of the new cells.
@@ -193,7 +196,13 @@ class _Ignitions(NamedTuple):
 
 class _Cells:
     """A grid of nx x ny equal cells over the region, of about ``per_cell``
-    of ``count`` sensors each, searched ring by ring around ignitions."""
+    of ``count`` sensors each, searched ring by ring around ignitions.
+
+    A layout gives only where a ring's sensors come from: its ``_block(b0,
+    trials, k)`` returns the count of sensors each trial has left and
+    ``ring_sensors(pairs, cells)``, which gives the new sensors of the cells
+    that the (trial, ignition) ``pairs`` visit as ``(pair, x, y)``, one entry
+    per pair that times a sensor, grouped by trial."""
 
     def __init__(self, config: ScenarioConfig, count: int, per_cell: int, margin: float):
         region = config.region
@@ -209,6 +218,9 @@ class _Cells:
         self.nx, self.ny = nx, ny
         self.cw, self.ch = region.width / nx, region.height / ny
         self.mx, self.my = margin * region.width, margin * region.height
+        # Only where a distance inside the region can overflow a reach time
+        # can a search run out of finite reach (see _beyond_reach).
+        self.overflows = math.isinf(0.5 * (region.width + region.height) / config.model.rate)
 
     def cell_of(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Column and row of the cell that holds each point."""
@@ -229,10 +241,43 @@ class _Cells:
         i, j = np.nonzero((gx >= 0) & (gx < self.nx) & (gy >= 0) & (gy < self.ny))
         return i, (cx[i] + dx[j]) * self.ny + cy[i] + dy[j]
 
+    def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Detection times of the trials b0, b0 + 1, ... whose ignitions are
+        the rows of ``(xs, ys)``."""
+        trials, k = xs.shape
+        px, py = xs.ravel(), ys.ravel()
+        cx, cy = self.cell_of(px, py)
+        owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
+        best = np.full(trials, math.inf)
+        ring_sensors, remaining = self._block(b0, trials, k)
+        live = np.arange(trials * k)
+        r = 0
+        while live.size:
+            rows, cell = self.ring_cells(cx[live], cy[live], r)
+            pair, sx, sy = ring_sensors(live[rows], cell)
+            if pair.size:
+                t = self.model.reach_times(_Ignitions(px[pair], py[pair]), sx, sy)
+                starts = _runs(owner[pair])[0]
+                hit = owner[pair[starts]]
+                best[hit] = np.minimum(best[hit], np.minimum.reduceat(t, starts))
+            # A NaN time stays NaN (np.minimum keeps it), so its search ends.
+            live = live[((remaining > 0) & ~np.isnan(best))[owner[live]]]
+            stop = _front_inside(self, px[live], py[live], best[owner[live]], cx[live], cy[live], r)
+            live = live[~stop]
+            # A trial with no finite time yet whose every pair's next ring is
+            # out of finite reach never gets one: its search ends.
+            if self.overflows:
+                lost = ~np.isfinite(best[owner[live]])
+                pairs = live[lost]
+                lost[lost] = _beyond_reach(self, px[pairs], py[pairs], cx[pairs], cy[pairs], r)
+                searching = np.bincount(owner[live[~lost]], minlength=trials) > 0
+                live = live[searching[owner[live]]]
+            r += 1
+        return best
+
 
 class _FixedSensors(_Cells):
-    """A layout that stays put across trials, bucketed once by cell and
-    searched ring by ring for blocks of trials."""
+    """A layout that stays put across trials, bucketed once by cell."""
 
     def __init__(self, config: ScenarioConfig):
         positions = build_layout(config.placement, config.region, seed=config.master_seed).positions
@@ -244,32 +289,18 @@ class _FixedSensors(_Cells):
         # The sensors of cell c are sx[start[c]:start[c + 1]].
         self.start = np.searchsorted(cell[order], np.arange(self.nx * self.ny + 1))
 
-    def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Detection times of the trials b0, b0 + 1, ... whose ignitions are
-        the rows of ``(xs, ys)``."""
-        trials, k = xs.shape
-        px, py = xs.ravel(), ys.ravel()
-        cx, cy = self.cell_of(px, py)
-        owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
-        best = np.full(trials, math.inf)
-        live = np.arange(trials * k)
-        r = 0
-        while live.size:
-            rows, cell = self.ring_cells(cx[live], cy[live], r)
+    def _block(self, b0: int, trials: int, k: int):
+        """Each sensor of a cell, once for each pair that visits the cell;
+        no trial runs out of sensors."""
+
+        def ring_sensors(pairs, cell):
             first, n = self.start[cell], self.start[cell + 1] - self.start[cell]
-            if n.any():
-                # One entry per (pair, sensor) of the ring, grouped by pair.
-                ends = np.cumsum(n)
-                ids = np.arange(ends[-1]) + np.repeat(first - (ends - n), n)
-                of = np.repeat(live[rows], n)
-                t = self.model.reach_times(_Ignitions(px[of], py[of]), self.sx[ids], self.sy[ids])
-                starts = _runs(owner[of])[0]
-                hit = owner[of[starts]]
-                best[hit] = np.minimum(best[hit], np.minimum.reduceat(t, starts))
-            stop = _front_inside(self, px[live], py[live], best[owner[live]], cx[live], cy[live], r)
-            live = live[~stop]
-            r += 1
-        return best
+            # One entry per (pair, sensor) of the ring, grouped by pair.
+            ends = np.cumsum(n)
+            ids = np.arange(ends[-1]) + np.repeat(first - (ends - n), n)
+            return np.repeat(pairs, n), self.sx[ids], self.sy[ids]
+
+        return ring_sensors, np.full(trials, self.sx.size)
 
 
 class _CellSampler(_Cells):
@@ -284,30 +315,21 @@ class _CellSampler(_Cells):
         count = config.placement.count
         super().__init__(config, count, _SENSORS_PER_CELL, 0.0)
         self.seed, self.count = config.master_seed, count
-        # Only where a distance inside the region can overflow a reach time
-        # can a search run out of finite reach (see _beyond_reach).
-        region = config.region
-        self.overflows = math.isinf(0.5 * (region.width + region.height) / config.model.rate)
 
-    def first_reach(self, b0: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Detection times of the trials of the block that starts at trial
-        ``b0``, whose ignitions are the rows of ``(xs, ys)``: their sensors
-        are drawn near the ignitions, from the block's stream."""
+    def _block(self, b0: int, trials: int, k: int):
+        """Sensors drawn in the cells that a trial visits first, from the
+        stream of the block that starts at trial ``b0``; each is timed by
+        every ignition of its trial."""
         key = np.array([self.seed, _BLOCK_TAG | b0 // _BLOCK], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         ny, cells = self.ny, self.nx * self.ny
-        trials, k = xs.shape
-        cx, cy = self.cell_of(xs.ravel(), ys.ravel())
-        owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
-        best = np.full(trials, math.inf)
         remaining = np.full(trials, self.count)
         undrawn = np.full(trials, cells)
         drawn = np.empty(0, dtype=np.intp)  # keys trial * cells + cell
-        live = np.arange(trials * k)
-        r = 0
-        while live.size:
-            rows, cell = self.ring_cells(cx[live], cy[live], r)
-            keys = np.sort(owner[live[rows]] * cells + cell)
+
+        def ring_sensors(pairs, cell):
+            nonlocal drawn
+            keys = np.sort(pairs // k * cells + cell)
             keys = keys[_runs(keys)[0]]
             new = keys[~np.isin(keys, drawn, assume_unique=True, kind="sort")]
             drawn = np.concatenate([drawn, new])
@@ -316,33 +338,15 @@ class _CellSampler(_Cells):
             n = rng.binomial(remaining[trial], count / undrawn[trial])
             remaining[trial] -= n
             undrawn[trial] -= count
-            if n.any():
-                ids = new[np.repeat(first, n) + rng.integers(0, np.repeat(count, n))]
-                of, cell = np.divmod(ids, cells)
-                gx, gy = np.divmod(cell, ny)
-                u = rng.random((ids.size, 2))
-                sx, sy = (gx + u[:, 0]) * self.cw, (gy + u[:, 1]) * self.ch
-                t = self.model.reach_times(_Ignitions(xs[of], ys[of]), sx[:, None], sy[:, None])
-                starts = _runs(of)[0]
-                hit = of[starts]
-                best[hit] = np.minimum(best[hit], np.minimum.reduceat(t.min(axis=1), starts))
-            # A NaN time stays NaN (np.minimum keeps it), so its search ends.
-            live = live[(remaining[owner[live]] > 0) & ~np.isnan(best[owner[live]])]
-            stop = _front_inside(
-                self, xs.ravel()[live], ys.ravel()[live], best[owner[live]], cx[live], cy[live], r
-            )
-            live = live[~stop]
-            # A trial with no finite time yet whose every pair's next ring is
-            # out of finite reach never gets one: its search ends.
-            if self.overflows:
-                lost = ~np.isfinite(best[owner[live]])
-                pairs = live[lost]
-                lost[lost] = _beyond_reach(self, xs.ravel()[pairs], ys.ravel()[pairs], cx[pairs], cy[pairs], r)
-                searching = np.zeros(trials, dtype=bool)
-                searching[owner[live[~lost]]] = True
-                live = live[searching[owner[live]]]
-            r += 1
-        return best
+            ids = new[np.repeat(first, n) + rng.integers(0, np.repeat(count, n))]
+            of, cell = np.divmod(ids, cells)
+            gx, gy = np.divmod(cell, ny)
+            u = rng.random((ids.size, 2))
+            sx, sy = (gx + u[:, 0]) * self.cw, (gy + u[:, 1]) * self.ch
+            pair = (of[:, None] * k + np.arange(k)).ravel()
+            return pair, np.repeat(sx, k), np.repeat(sy, k)
+
+        return ring_sensors, remaining
 
 
 def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

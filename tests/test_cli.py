@@ -135,11 +135,17 @@ class TestSimulateCommand:
         else:
             assert summary["ks_ad"] is None
 
-    def test_non_finite_outcomes_exit_3(self, capsys):
-        # A subnormal rate overflows every reach time.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--spacing", "1", "--trials", "10", "--seed", "1"],
+         ["--sensors", "1000000", "--no-resample", "--trials", "3", "--seed", "7"]],
+        ids=["grid", "fixed random layout"],
+    )
+    def test_non_finite_outcomes_exit_3(self, capsys, flags):
+        # A subnormal rate overflows every reach time; the fixed layout's
+        # search ends once every ring left is out of finite reach.
         code, out, err = run_cli(
-            capsys, "simulate", "--region", "10x10", "--spacing", "1", "--rate", "1e-320",
-            "--trials", "10", "--seed", "1",
+            capsys, "simulate", "--region", "10x10", "--rate", "1e-320", *flags
         )
         assert code == 3
         assert out == ""

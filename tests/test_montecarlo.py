@@ -24,6 +24,7 @@ from firewatch.montecarlo import (
     Outcomes,
     ScenarioConfig,
     SummaryStats,
+    _Cells,
     _CellSampler,
     _FixedSensors,
     _beyond_reach,
@@ -65,6 +66,19 @@ def small_random_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def count_rings(monkeypatch) -> list:
+    """Log the radius of each ring step of every search from here on."""
+    rings = []
+    ring_cells = _Cells.ring_cells
+
+    def logged(self, cx, cy, r):
+        rings.append(r)
+        return ring_cells(self, cx, cy, r)
+
+    monkeypatch.setattr(_Cells, "ring_cells", logged)
+    return rings
 
 
 class TestConfig:
@@ -595,17 +609,22 @@ class TestLazySampler:
             assert cy + r >= ny - 1 or np.all(py <= (cy + r + 1) * ch + eps)
         assert stops > 300
 
-    def test_search_out_of_finite_reach_ends(self):
+    @pytest.mark.parametrize("resample", [True, False], ids=["resampled", "fixed"])
+    def test_search_out_of_finite_reach_ends(self, monkeypatch, resample):
         # At this rate a reach time overflows beyond ~1.8e-12 of the
-        # ignition, and 2^53 sensors make 2^51 cells: a search that went on
-        # until it held every cell would never end.
+        # ignition. A search that went on until it held every cell would
+        # never end among 2^53 resampled sensors (2^51 cells), and would walk
+        # ~880 rings of a fixed layout of 10^6 sensors.
+        rings = count_rings(monkeypatch)
         for model in (CircularModel(rate=1e-320), EllipticalModel(1e-320, 2.0, 1.5, heading=0.7)):
             cfg = small_random_config(
-                region=RectRegion(10, 10), placement=RandomPlacement(count=2**53), model=model,
-                trials=3, ignition_count=2,
+                region=RectRegion(10, 10), placement=RandomPlacement(count=2**53 if resample else 10**6),
+                model=model, trials=3, ignition_count=2, resample_layout_each_trial=resample,
             )
+            rings.clear()
             t_d, _ = _simulate_range(cfg, 0, cfg.trials)
             assert np.isinf(t_d).all()
+            assert len(rings) <= 2
 
     def test_cells_of_a_region_near_the_largest_floats_are_square(self):
         # cells * width overflows here; a grid of one row would take ~500
@@ -616,16 +635,20 @@ class TestLazySampler:
         sampler = _CellSampler(cfg)
         assert (sampler.nx, sampler.ny) == (500, 500)
 
-    def test_search_with_a_nan_time_ends(self):
+    @pytest.mark.parametrize("resample", [True, False], ids=["resampled", "fixed"])
+    def test_search_with_a_nan_time_ends(self, monkeypatch, resample):
         # At this breadth b^2 underflows and the reach-time quadratic gives
-        # NaN, which no later sensor can undo; among 2^53 sensors a search
-        # that went on would never end.
+        # NaN, which no later sensor can undo; among 2^53 resampled sensors
+        # a search that went on would never end, and it would walk ~880
+        # rings of a fixed layout of 10^6 sensors.
+        rings = count_rings(monkeypatch)
         cfg = small_random_config(
-            region=RectRegion(10, 10), placement=RandomPlacement(count=2**53),
-            model=EllipticalModel(1.0, 1.0, 1e308), trials=3,
+            region=RectRegion(10, 10), placement=RandomPlacement(count=2**53 if resample else 10**6),
+            model=EllipticalModel(1.0, 1.0, 1e308), trials=3, resample_layout_each_trial=resample,
         )
         t_d, _ = _simulate_range(cfg, 0, cfg.trials)
         assert np.isnan(t_d).all()
+        assert len(rings) <= 2
 
     def test_a_ring_within_finite_reach_is_searched(self):
         # A reach time is at least the distance over the head's rate: the
