@@ -133,30 +133,19 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     return area * unit * unit
 
 
-def _clip_box(box, region: RectRegion):
-    x0, y0, x1, y1 = box
-    x0, y0 = max(x0, 0.0), max(y0, 0.0)
-    x1, y1 = min(x1, region.width), min(y1, region.height)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return (x0, y0, x1, y1)
-
-
-def _boxes_touch(b1, b2) -> bool:
-    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
-
-
-def _group_fronts(fronts, boxes):
+def _group_fronts(fronts):
     """Groups of indices of ``fronts``, all of one model, joined by the pairs
-    whose clipped ``boxes`` touch and that meet.
+    that meet.
 
     The model's affine frame maps each front at time t to the disk of radius
     t about the front's ``frame_centre``, so two fronts meet iff their
-    centres are at most t1 + t2 apart.
+    centres are at most t1 + t2 apart. Fronts whose ignitions lie in the
+    region and that meet also have clipped bounding boxes that touch: each
+    box holds the clamp of any common point into the region.
     """
     # Union-find over pairs; front counts are small.
     centres = [model.frame_centre(ignition.x, ignition.y, t) for ignition, model, t in fronts]
-    parent = list(range(len(boxes)))
+    parent = list(range(len(fronts)))
 
     def find(i):
         while parent[i] != i:
@@ -169,12 +158,12 @@ def _group_fronts(fronts, boxes):
         # A NaN distance keeps the pair together.
         return not math.hypot(xi - xj, yi - yj) > fronts[i][2] + fronts[j][2]
 
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if _boxes_touch(boxes[i], boxes[j]) and meet(i, j):
+    for i in range(len(fronts)):
+        for j in range(i + 1, len(fronts)):
+            if meet(i, j):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(len(boxes)):
+    for i in range(len(fronts)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
@@ -311,11 +300,12 @@ def burned_union_area(
     spread model (else ``ParameterError``). The model gives each front's
     ``area(t)``, ``covers`` and ``clipped_area_exact``, and the frame that
     both spread models inherit: ``bounding_box``, ``frame`` and
-    ``frame_centre(x, y, t)``. Fronts are grouped by the pairs
-    whose clipped bounding boxes touch and that meet. A front that meets no
-    other is measured alone: ``area(t)`` inside the region,
-    ``clipped_area_exact`` across its edge. A group of fronts that meet is
-    measured by Green's theorem in the model's frame (``_union_area``).
+    ``frame_centre(x, y, t)``. Fronts at t = 0 burn nothing and are dropped;
+    the rest are grouped by the pairs that meet. A front that meets no other
+    is measured alone: ``area(t)`` inside the region, ``clipped_area_exact``
+    across its edge, and 0 if its bounding box misses the region. A group of
+    fronts that meet is measured by Green's theorem in the model's frame
+    (``_union_area``).
     """
     fronts = list(fronts)
     if not fronts:
@@ -323,33 +313,22 @@ def burned_union_area(
     model = fronts[0][1]
     if any(m != model for _, m, _ in fronts[1:]):
         raise ParameterError("fronts of one union must share one spread model")
-    raw_boxes = []
-    for ignition, _, t in fronts:
+    for _, _, t in fronts:
         if not t >= 0:
             raise DomainError(f"front time must be a nonnegative number, got {t}")
-        raw_boxes.append(model.bounding_box(ignition, t))
-
-    live = []
-    clipped = []
-    for front, box in zip(fronts, raw_boxes):
-        cb = _clip_box(box, region)
-        if cb is not None:
-            live.append((front, box))
-            clipped.append(cb)
-    if not live:
-        return 0.0
+    # Kept, a front at t = 0 could join a group and change its last bits.
+    fronts = [f for f in fronts if f[2] > 0.0]
 
     total = 0.0
-    for group in _group_fronts([m[0] for m in live], clipped):
+    w, h = region.width, region.height
+    for group in _group_fronts(fronts):
         if len(group) > 1:
-            total += _union_area([live[i][0] for i in group], region)
+            total += _union_area([fronts[i] for i in group], region)
             continue
-        (ignition, _, t), box = live[group[0]]
-        inside = (
-            box[0] >= 0.0
-            and box[1] >= 0.0
-            and box[2] <= region.width
-            and box[3] <= region.height
-        )
+        ignition, _, t = fronts[group[0]]
+        x0, y0, x1, y1 = model.bounding_box(ignition, t)
+        if max(x0, 0.0) >= min(x1, w) or max(y0, 0.0) >= min(y1, h):
+            continue  # the front's box misses the region
+        inside = x0 >= 0.0 and y0 >= 0.0 and x1 <= w and y1 <= h
         total += model.area(t) if inside else model.clipped_area_exact(ignition, t, region)
     return total

@@ -3,6 +3,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from firewatch import geometry
 from firewatch.errors import DomainError, ParameterError
@@ -237,6 +239,17 @@ class TestBurnedUnionArea:
         ):
             assert burned_union_area(fronts, REGION) == REGION.area
 
+    def test_front_whose_box_misses_the_region_burns_nothing(self):
+        # Its exact clip would give a few ulps (8.9e-16), not 0.
+        assert burned_union_area([(Point(5, -3.2), CircularModel(1.0), 3.0)], REGION) == 0.0
+
+    def test_front_at_time_zero_joins_no_group(self):
+        # In a group with the zero front, the lone front would be measured by
+        # the union routine, whose last bits differ (2.5274078042854153).
+        circ = CircularModel(1.0)
+        fronts = [(Point(0.2, 5), circ, 0.0), (Point(0.5, 5), circ, 1.0)]
+        assert burned_union_area(fronts, REGION) == 2.5274078042854144
+
 
 class TestEllipseClip:
     def test_against_chord_quadrature(self):
@@ -463,12 +476,18 @@ class TestFrontsThatMeet:
         monkeypatch.setattr(geometry, "_union_area", record)
         return calls
 
+    @staticmethod
+    def _boxes_touch(model, fronts):
+        """Whether the bounding boxes of two fronts overlap or touch."""
+        (a0, b0, a1, b1), (c0, d0, c1, d1) = (model.bounding_box(p, t) for p, _, t in fronts)
+        return max(a0, c0) <= min(a1, c1) and max(b0, d0) <= min(b1, d1)
+
     def test_side_by_side_ellipses_give_their_exact_clips(self, monkeypatch):
         self._no_union(monkeypatch)
         ell = EllipticalModel(1.0, 2.0, 4.0, 0.7)
         beside = Point(1.0 - 0.8 * math.sin(0.7), 5.0 + 0.8 * math.cos(0.7))
         fronts = [(Point(1.0, 5.0), ell, 1.5), (beside, ell, 1.5)]
-        assert geometry._boxes_touch(*(ell.bounding_box(p, t) for p, _, t in fronts))
+        assert self._boxes_touch(ell, fronts)
         want = [ell.clipped_area_exact(p, t, REGION) for p, _, t in fronts]
         assert want[1] < ell.area(1.5)  # the second front crosses the region's edge
         assert burned_union_area(fronts, REGION) == sum(want)
@@ -481,7 +500,7 @@ class TestFrontsThatMeet:
         ell = EllipticalModel(1.0, 4.0, 2.0, 0.7)
         ahead = Point(3.0 + 1.1 * math.cos(0.7), 3.0 + 1.1 * math.sin(0.7))
         fronts = [(Point(3.0, 3.0), ell, 0.5), (ahead, ell, 2.0)]
-        assert geometry._boxes_touch(*(ell.bounding_box(p, t) for p, _, t in fronts))
+        assert self._boxes_touch(ell, fronts)
         assert burned_union_area(fronts, REGION) == ell.area(0.5) + ell.area(2.0)
 
     def test_a_chain_samples_only_the_pair_that_meets(self, monkeypatch):
@@ -489,10 +508,38 @@ class TestFrontsThatMeet:
         circ = CircularModel(1.0)
         a, b, c = [(Point(x, y), circ, 1.0) for x, y in ((3.5, 5.0), (5.0, 5.0), (6.6, 6.6))]
         # C's box touches B's, but C is 2.26 from B and 3.49 from A.
-        assert geometry._boxes_touch(circ.bounding_box(b[0], 1.0), circ.bounding_box(c[0], 1.0))
+        assert self._boxes_touch(circ, [b, c])
         got = burned_union_area([a, b, c], REGION)
         assert calls == [[a, b]]
         assert got == circ.area(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        side=st.tuples(st.floats(0.5, 100.0), st.floats(0.5, 100.0)),
+        shape=st.one_of(
+            st.tuples(st.floats(0.1, 10.0)),
+            st.tuples(
+                st.floats(0.1, 10.0), st.floats(1.0, 6.0), st.floats(1.0, 6.0),
+                st.floats(0.0, 2 * math.pi),
+            ),
+        ),
+        place=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        times=st.tuples(st.floats(1e-3, 50.0), st.floats(1e-3, 50.0)),
+    )
+    def test_fronts_that_meet_have_clipped_boxes_that_touch(self, side, shape, place, times):
+        # Grouping tests only that fronts meet; with the ignitions in the
+        # region that implies the clipped boxes touch: each holds the clamp
+        # of any common point into the region.
+        (w, h), (u1, v1, u2, v2) = side, place
+        model = CircularModel(*shape) if len(shape) == 1 else EllipticalModel(*shape)
+        fronts = [(Point(u1 * w, v1 * h), times[0]), (Point(u2 * w, v2 * h), times[1])]
+        (xa, ya), (xb, yb) = (model.frame_centre(p.x, p.y, t) for p, t in fronts)
+        assume(math.hypot(xa - xb, ya - yb) <= times[0] + times[1])
+        (a0, b0, a1, b1), (c0, d0, c1, d1) = (
+            (max(x0, 0.0), max(y0, 0.0), min(x1, w), min(y1, h))
+            for x0, y0, x1, y1 in (model.bounding_box(p, t) for p, t in fronts)
+        )
+        assert max(a0, c0) <= min(a1, c1) and max(b0, d0) <= min(b1, d1)
 
     def test_fronts_of_two_models_rejected(self):
         # Fronts of two models have no common frame, even when far apart.
@@ -519,13 +566,13 @@ class TestFrontsThatMeet:
             p1 = Point(*(45 + 10 * rng.random(2)))
             p2 = Point(*(np.array([p1.x, p1.y]) + (rng.random(2) - 0.5) * 2 * rate * (t1 + t2)))
             boxes = [model.bounding_box(p1, t1), model.bounding_box(p2, t2)]
-            calls.clear()
-            burned_union_area([(p1, model, t1), (p2, model, t2)], region)
-            if calls or not geometry._boxes_touch(*boxes):
-                continue
-            apart += 1
             x0, y0 = max(boxes[0][0], boxes[1][0]), max(boxes[0][1], boxes[1][1])
             x1, y1 = min(boxes[0][2], boxes[1][2]), min(boxes[0][3], boxes[1][3])
+            calls.clear()
+            burned_union_area([(p1, model, t1), (p2, model, t2)], region)
+            if calls or x0 > x1 or y0 > y1:  # grouped, or boxes apart
+                continue
+            apart += 1
             gx, gy = np.meshgrid(np.linspace(x0, x1, 300), np.linspace(y0, y1, 300))
             both = model.covers(p1, t1, gx, gy) & model.covers(p2, t2, gx, gy)
             assert not both.any(), (i, model, p1, t1, p2, t2)
