@@ -199,10 +199,10 @@ class _Cells:
     of ``count`` sensors each, searched ring by ring around ignitions.
 
     A layout gives only where a ring's sensors come from: its ``_block(b0,
-    trials, k)`` returns the count of sensors each trial has left and
-    ``ring_sensors(pairs, cells)``, which gives the new sensors of the cells
-    that the (trial, ignition) ``pairs`` visit as ``(pair, x, y)``, one entry
-    per pair that times a sensor, grouped by trial."""
+    trials, k)`` returns ``ring_sensors(pairs, cells)``, which gives the new
+    sensors of the cells that the (trial, ignition) ``pairs`` visit as
+    ``(pair, x, y)``, one entry per pair that times a sensor, grouped by
+    trial, and the count of sensors each trial has left."""
 
     def __init__(self, config: ScenarioConfig, count: int, per_cell: int, margin: float):
         region = config.region
