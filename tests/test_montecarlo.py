@@ -614,7 +614,7 @@ class TestLazySampler:
         # At this rate a reach time overflows beyond ~1.8e-12 of the
         # ignition. A search that went on until it held every cell would
         # never end among 2^53 resampled sensors (2^51 cells), and would walk
-        # ~880 rings of a fixed layout of 10^6 sensors.
+        # hundreds of rings of a fixed layout of 10^6 sensors.
         rings = count_rings(monkeypatch)
         for model in (CircularModel(rate=1e-320), EllipticalModel(1e-320, 2.0, 1.5, heading=0.7)):
             cfg = small_random_config(
@@ -639,8 +639,8 @@ class TestLazySampler:
     def test_search_with_a_nan_time_ends(self, monkeypatch, resample):
         # At this breadth b^2 underflows and the reach-time quadratic gives
         # NaN, which no later sensor can undo; among 2^53 resampled sensors
-        # a search that went on would never end, and it would walk ~880
-        # rings of a fixed layout of 10^6 sensors.
+        # a search that went on would never end, and it would walk hundreds
+        # of rings of a fixed layout of 10^6 sensors.
         rings = count_rings(monkeypatch)
         cfg = small_random_config(
             region=RectRegion(10, 10), placement=RandomPlacement(count=2**53 if resample else 10**6),
