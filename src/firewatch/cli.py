@@ -288,7 +288,9 @@ def _summary_laws(config: ScenarioConfig, char_distance: Optional[float] = None)
     # k independent ignitions: exp(-k F(t) / D^2), the law of D / sqrt(k).
     td_law = analytic.random_td_law(config.model, d / math.sqrt(k))
     if clipped:
-        ad_law = analytic.exact_burned_area_law(area, n)
+        # (1 - x/A)^N averages over layouts: a fixed layout has no law yet.
+        resample = config.resample_layout_each_trial
+        ad_law = analytic.exact_burned_area_law(area, n) if resample else None
     else:
         ad_law = analytic.limit_burned_area_law(d)
     return td_law, ad_law

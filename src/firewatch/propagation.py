@@ -5,8 +5,9 @@ Each model exposes the total burned area ``F(t)`` of the free-growing front
 (``reach_times``), whether the front at ``t`` covers given points
 (``covers``), and the ratio of its reach times to those of a circular
 front of equal rate (``time_scale``).  Both models grow affinely (the front
-at time ``t`` is ``t`` times their ``shape``, the front at time 1), so ``F``
-is exactly quadratic in ``t``, and one base class derives both frames.
+at time ``t`` is ``rate * t`` times their ``shape``, the front once the head
+has spread a unit distance), so ``F`` is exactly quadratic in ``t``, and one
+base class derives both frames.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .errors import ParameterError
 from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
+
+
+# Measured fire ellipses stay near lb <= 10. A far narrower front spans the
+# region before it meets a sensor: the search walks ~sqrt(lb) rings, then all.
+_MAX_LB_RATIO = 1e3
 
 
 def _check_rate(rate) -> None:
@@ -44,20 +50,27 @@ def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[f
 
 
 class _AffineFront:
-    """The frame of a model whose front at ``t`` is ``t`` times its
-    ``shape``, the front at t = 1 as ``(a, b, c, cos, sin)``: an ellipse
-    with semi-axes ``a`` along the heading and ``b`` across it, centred
-    ``c`` ahead of the ignition, and the heading's cosine and sine."""
+    """The frame of a model whose front at ``t`` is ``rate * t`` times its
+    ``shape``, the front once the head has spread a unit distance, as ``(a,
+    b, c, cos, sin)``: an ellipse with semi-axes ``a`` along the heading and
+    ``b`` across it, centred ``c`` ahead of the ignition, and the heading's
+    cosine and sine."""
 
-    def _to_heading(self, dx, dy):
-        """Plane offsets as offsets along and across the heading."""
-        _, _, _, cos_h, sin_h = self.shape
-        return dx * cos_h + dy * sin_h, -dx * sin_h + dy * cos_h
+    def _to_frame(self, dx, dy, r, s):
+        """Plane offsets ``(dx, dy)`` from an ignition as offsets from the
+        centre of its front at reach ``r`` (``rate * t``), in the frame where
+        that front is the disk of radius ``r / s``: rotate by -heading, shift
+        by ``c r`` back along the heading, scale by 1/(a s) and 1/(b s)."""
+        a, b, c, cos_h, sin_h = self.shape
+        u = dx * cos_h + dy * sin_h
+        v = dy * cos_h - dx * sin_h
+        return (u - c * r) / (a * s), v / (b * s)
 
     def frame(self, ignition: Point, t):
-        """The front at ``t`` as ``(cx, cy, a t, b t, cos, sin)``."""
+        """The front at ``t`` as ``(cx, cy, a rate t, b rate t, cos, sin)``."""
         a, b, c, cos_h, sin_h = self.shape
-        return ignition.x + c * t * cos_h, ignition.y + c * t * sin_h, a * t, b * t, cos_h, sin_h
+        r = self.rate * t
+        return ignition.x + c * r * cos_h, ignition.y + c * r * sin_h, a * r, b * r, cos_h, sin_h
 
     def bounding_box(self, ignition: Point, t):
         cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
@@ -67,11 +80,8 @@ class _AffineFront:
 
     def frame_centre(self, x, y, t):
         """Centre of the front at ``t`` from the ignition ``(x, y)`` in the
-        frame where every front is the disk of radius ``t``: shift by ``c t``
-        along the heading, rotate by -heading, scale by 1/a and 1/b."""
-        a, b, c, _, _ = self.shape
-        u, v = self._to_heading(x, y)
-        return ((u + c * t) / a, v / b)
+        frame where every front is the disk of radius ``t``."""
+        return self._to_frame(x, y, -self.rate * t, self.rate)
 
 
 @dataclass(frozen=True)
@@ -79,13 +89,10 @@ class CircularModel(_AffineFront):
     """Front spreads at ``rate`` m/s in every direction."""
 
     rate: float
+    shape = (1.0, 1.0, 0.0, 1.0, 0.0)
 
     def __post_init__(self):
         _check_rate(self.rate)
-
-    @property
-    def shape(self):
-        return (self.rate, self.rate, 0.0, 1.0, 0.0)
 
     @property
     def time_scale(self) -> float:
@@ -136,17 +143,17 @@ class EllipticalModel(_AffineFront):
         _check_rate(self.rate)
         if not 1 <= self.hb_ratio < math.inf:
             raise ParameterError(f"head-to-back ratio must be finite and >= 1, got {self.hb_ratio}")
-        if not 1 <= self.lb_ratio < math.inf:
+        if not 1 <= self.lb_ratio <= _MAX_LB_RATIO:
             raise ParameterError(
-                f"length-to-breadth ratio must be finite and >= 1, got {self.lb_ratio}"
+                f"length-to-breadth ratio must lie in [1, {_MAX_LB_RATIO:g}], got {self.lb_ratio}"
             )
         if not math.isfinite(self.heading):
             raise ParameterError(f"heading must be finite, got {self.heading}")
 
     @cached_property
     def shape(self):
-        a, b, c = ellipse_axis_rates(self.rate, self.hb_ratio, self.lb_ratio)
-        return (a, b, c, math.cos(self.heading), math.sin(self.heading))
+        return (*ellipse_axis_rates(1.0, self.hb_ratio, self.lb_ratio),
+                math.cos(self.heading), math.sin(self.heading))
 
     @property
     def time_scale(self) -> float:
@@ -156,68 +163,55 @@ class EllipticalModel(_AffineFront):
         return 2.0 * math.sqrt(self.lb_ratio) / (1.0 + 1.0 / self.hb_ratio)
 
     def area(self, t):
-        # Unit-rate axes and the distance rate * t, as in the reach times:
-        # rate-scaled axes would underflow or overflow at rates far from 1.
-        a, b, _ = ellipse_axis_rates(1.0, self.hb_ratio, self.lb_ratio)
+        # The distance rate * t, as in the reach times: rate-scaled axes
+        # would underflow or overflow at rates far from 1.
+        a, b = self.shape[:2]
         rt = self.rate * t
         return math.pi * a * b * rt * rt
 
     def reach_times(self, ignition: Point, xs, ys):
         """First-reach times from ``ignition`` to points ``(xs, ys)``.
 
-        Solves, per point, the smallest t >= 0 with
-        ``((x - c t) / (a t))^2 + (y / (b t))^2 = 1`` in the frame whose +x
-        axis points along the heading.  Growth is affine, so the solve
-        reduces to one quadratic per point. It is solved at unit rate, then
-        divided by ``rate``: the coefficients scale as rate^4, and would
-        underflow or overflow at rates far from 1.
-        """
-        hb = self.hb_ratio
-        a, b, c = ellipse_axis_rates(1.0, hb, self.lb_ratio)
-        x, y = self._to_heading(
-            np.asarray(xs, dtype=float) - ignition.x, np.asarray(ys, dtype=float) - ignition.y
-        )
-
-        # Quadratic A t^2 + B t - C0 = 0 with A > 0 and C0 >= 0; take the
-        # nonnegative root in the form that avoids cancellation either way.
-        # A = b^2 (a - c)(a + c), where a - c = 1/hb and a + c = 1: a^2 - c^2
-        # would cancel as hb grows.
-        quad_a = b * b / hb
-        quad_b = 2.0 * b * b * c * x
-        c0 = b * b * x * x + a * a * y * y
-        root = np.sqrt(quad_b * quad_b + 4.0 * quad_a * c0)
-        plus = root + quad_b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(
-                quad_b > 0.0,
-                2.0 * c0 / np.where(plus > 0.0, plus, 1.0),
-                (root - quad_b) / (2.0 * quad_a),
-            )
-        return np.where(c0 == 0.0, 0.0, t) / self.rate
+        In ``_to_frame`` at reach 0 and scale 1 a point is ``(u, v) = rho (w,
+        sqrt(1 - w^2))``, and the front at reach r is the disk of radius r
+        about ``(e r, 0)``, e = c / a. So r solves ``k^2 r^2 + 2 e u r - rho^2
+        = 0``, k^2 = 1 - e^2 = 1 / (hb a^2) as a + c = 1 and a - c = 1/hb:
+        ``r = rho / (e w + g)`` = ``rho (g - e w) / k^2``, g = sqrt((e w)^2 +
+        k^2), whichever adds terms of one sign. Only bounded ratios are
+        squared; r is divided by ``rate`` last."""
+        a, _, c, _, _ = self.shape
+        k2 = 1.0 / (self.hb_ratio * a * a)
+        u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, 0.0, 1.0)
+        rho = np.hypot(u, v)
+        # The branch not taken may divide by 0, and a time past the largest
+        # float is inf. w is NaN at the ignition (0/0) and where u and rho
+        # overflow: taken as 1 there, it gives rho's time, 0 or inf.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ew = (c / a) * np.fmin(u / rho, 1.0)
+            g = np.sqrt(ew * ew + k2)
+            r = np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)
+            return r / self.rate
 
     def covers(self, ignition: Point, t, xs, ys):
         if t <= 0.0:
             return np.zeros(np.broadcast(np.asarray(xs), np.asarray(ys)).shape, dtype=bool)
-        a, b, c, _, _ = self.shape
-        x, y = self._to_heading(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y)
-        u = (x - c * t) / (a * t)
-        v = y / (b * t)
+        r = self.rate * t
+        u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, r, r)
         return u * u + v * v <= 1.0
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
-        # The inverse affine map of the front (shift to its center, rotate by
-        # -heading, scale by 1/(a t) and 1/(b t)) takes the ellipse to the
-        # unit disk and the region to a parallelogram, with areas scaled by
-        # 1/(a b t^2) and the corners still counterclockwise.
+        # The frame at scale r = rate * t takes the front to the unit disk and
+        # the region to a parallelogram, still counterclockwise, of area / (a b r^2).
         if t <= 0.0:
             return 0.0
-        cx, cy, at, bt, _, _ = self.frame(ignition, t)
+        r = self.rate * t
+        a, b = self.shape[:2]
         w, h = region.width, region.height
-        corners = []
-        for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)):
-            u, v = self._to_heading(x - cx, y - cy)
-            corners.append((u / at, v / bt))
-        return at * bt * disk_polygon_area(corners, 1.0)
+        corners = [
+            self._to_frame(x - ignition.x, y - ignition.y, r, r)
+            for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
+        ]
+        return (a * r) * (b * r) * disk_polygon_area(corners, 1.0)
 
 
 SpreadModel = Union[CircularModel, EllipticalModel]

@@ -2,6 +2,7 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: bisection on the front-membership predicate,
+the front's quadratic in 60-digit decimal arithmetic for reach times,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
 and for a union of fronts of one model clipped to a rectangle,
 the textbook two-circle lens formula, a dense per-trial sensor draw for
@@ -12,6 +13,7 @@ a model's own ``reach_times`` at one point, for the tests that check it.
 
 import math
 import warnings
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 from scipy import integrate, optimize
@@ -57,6 +59,40 @@ def bisect_reach_time(rate, hb, lb, heading, ign, tgt):
         else:
             lo = mid
     return hi
+
+
+def exact_reach_times(model, dx, dy) -> list:
+    """Reach times of an elliptical ``model`` from an ignition to the points
+    at plane offsets ``(dx, dy)``, as 60-digit ``Decimal``s.
+
+    The offsets are turned to the heading in floats, by the same products
+    and sums of the heading's float cosine and sine as the model's frame,
+    so that the rotation's rounding is not counted against the solve. The
+    front's equation ``((x - c t)/a)^2 + (y/b)^2 = t^2`` at unit rate is
+    then the quadratic ``A t^2 + B t - C = 0`` with ``A = b^2 (a - c)(a + c)
+    = b^2 / hb``, ``B = 2 c b^2 x`` and ``C = b^2 x^2 + a^2 y^2``, with a, b
+    and c from the float ratios, solved for its root t >= 0 without
+    cancellation and divided by the rate.
+    """
+    _, _, _, cos_h, sin_h = model.shape
+    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
+    xs, ys = dx * cos_h + dy * sin_h, dy * cos_h - dx * sin_h
+    times = []
+    with localcontext(Context(prec=60, Emax=10**6, Emin=-(10**6))):
+        hb, lb, rate = Decimal(model.hb_ratio), Decimal(model.lb_ratio), Decimal(model.rate)
+        a, c = (1 + 1 / hb) / 2, (1 - 1 / hb) / 2
+        b2 = (a / lb) ** 2
+        for x, y in zip(map(Decimal, xs.tolist()), map(Decimal, ys.tolist())):
+            quad_a, quad_b, quad_c = b2 / hb, 2 * c * b2 * x, b2 * x * x + a * a * y * y
+            root = (quad_b * quad_b + 4 * quad_a * quad_c).sqrt()
+            if quad_c == 0:
+                t = Decimal(0)
+            elif quad_b > 0:
+                t = 2 * quad_c / (quad_b + root)
+            else:
+                t = (root - quad_b) / (2 * quad_a)
+            times.append(t / rate)
+    return times
 
 
 def quad_disk_rect(cx, cy, r, width, height):

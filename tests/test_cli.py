@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -207,13 +208,41 @@ class TestSimulateCommand:
 
     def test_front_with_a_huge_head_to_back_ratio(self, capsys):
         # At hb = 1e17 the back of the front once moved at speed 0 in the
-        # reach-time quadratic, so a trial could get an infinite T_d.
+        # reach-time solve (1 - e^2 cancelled), so a trial could get an
+        # infinite T_d.
         code, out, err = run_cli(
             capsys, "simulate", "--region", "10x10", "--sensors", "100",
             "--model", "elliptical", "--hb", "1e17", "--lb", "1.5",
         )
         assert code == 0, err
         assert json.loads(out)["n"] == 10000
+
+    @pytest.mark.parametrize("lb", ["1e12", "1e308"])
+    def test_a_front_too_narrow_to_search_exits_2(self, capsys, lb):
+        # So narrow a front spans the region long before it meets a sensor,
+        # and the ring search would go on through all 2^51 cells.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "9007199254740992",
+            "--model", "elliptical", "--lb", lb, "--trials", "2",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "length-to-breadth" in err
+
+    def test_fixed_random_layout_has_no_clipped_burned_area_law(self, capsys):
+        # (1 - x/A)^N is the law of A_d averaged over layouts; one fixed
+        # layout has another, and here ks_ad read 0.0317 against it, with a
+        # 99% band of 0.0115.
+        code, out, _ = run_cli(
+            capsys, "simulate", "--region", "10x10", "--sensors", "100", "--no-resample",
+            "--trials", "20000", "--seed", "16",
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["ks_ad"] is None
+        assert summary["ks_td"] is not None
 
     def test_config_file_with_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

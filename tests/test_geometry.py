@@ -1,5 +1,7 @@
 import math
+import sys
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import (
     bisect_reach_time,
+    exact_reach_times,
     lens_union_area,
     quad_disk_rect,
     quad_ellipse_rect,
@@ -96,13 +99,37 @@ class TestEllipseReachTime:
 
     @pytest.mark.parametrize("hb", [1e4, 1e8, 1e12, 1e16, 1e17, 1e100])
     def test_head_and_back_exact_at_large_head_to_back_ratios(self, hb):
-        # The head moves at rate, the back at rate / hb. The quadratic's
-        # leading coefficient b^2 (a^2 - c^2) cancelled here: at hb = 1e16
-        # the back took 5.4 instead of 3, at hb = 1e17 forever.
+        # The head moves at rate, the back at rate / hb. Taken as 1 - e^2,
+        # the solve's k^2 = 1 / (hb a^2) cancels here: a form that cancelled
+        # so gave the back 5.4 instead of 3 at hb = 1e16, and never at 1e17.
         model = EllipticalModel(1.0, hb, 1.5, 0.0)
         times = model.reach_times(Point(0, 0), np.array([5.0, -3.0 / hb]), np.zeros(2))
         assert times[0] == pytest.approx(5.0, rel=1e-14)
         assert times[1] == pytest.approx(3.0, rel=1e-14)
+
+
+    @pytest.mark.parametrize("rate", [1.0, 0.37])
+    @pytest.mark.parametrize("heading", [0.0, 0.7])
+    @pytest.mark.parametrize("hb", [1.0, 2.5, 1e4, 1e17, 1e100])
+    @pytest.mark.parametrize("lb", [1.0, 1.7, 1e3])
+    def test_within_1e_15_of_a_decimal_oracle_at_every_scale(self, lb, hb, heading, rate):
+        # Distances 1e-300 to 1e300 in 16 random directions and along and
+        # across the heading; a time past the largest float must be inf.
+        rng = np.random.Generator(np.random.Philox(key=[29, 0]))
+        theta = np.concatenate([rng.random(16) * 2 * math.pi, heading + np.arange(4) * math.pi / 2])
+        d = 10.0 ** np.arange(-300, 301, 50)[:, None] * (0.5 + rng.random(theta.size))
+        dx, dy = (d * np.cos(theta)).ravel(), (d * np.sin(theta)).ravel()
+        dx, dy = np.append(dx, 0.0), np.append(dy, 0.0)
+        model = EllipticalModel(rate, hb, lb, heading)
+        got = model.reach_times(Point(0.0, 0.0), dx, dy).tolist()
+        want = exact_reach_times(model, dx, dy)
+        largest = Decimal(sys.float_info.max)
+        for g, w in zip(got, want):
+            if w > largest:
+                assert g == math.inf
+            else:
+                assert abs(Decimal(g) - w) <= Decimal("1e-15") * w, (g, w)
+        assert got[-1] == 0.0
 
 
 class TestDiskRectArea:

@@ -125,6 +125,15 @@ def test_model_validation():
         EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.9)
 
 
+@pytest.mark.parametrize("lb", [1e3 * (1 + 2**-52), 1e12, 1e308])
+def test_length_to_breadth_ratio_is_bounded(lb):
+    # A front narrower than lb = 1000 would make the sensor search walk the
+    # whole grid (see _MAX_LB_RATIO); the bound itself is allowed.
+    assert EllipticalModel(rate=1.0, lb_ratio=1e3).lb_ratio == 1e3
+    with pytest.raises(ParameterError, match="length-to-breadth"):
+        EllipticalModel(rate=1.0, lb_ratio=lb)
+
+
 @pytest.mark.parametrize(
     "make",
     [
