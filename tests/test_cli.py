@@ -580,7 +580,9 @@ class TestReproducibility:
         assert f1.read_bytes() == f2.read_bytes()
 
 
-# The exact stdout of each law's moments, two survival tables and two plans.
+# The exact stdout of each law's moments, two survival tables, two plans, two
+# compare tables and five simulate summaries, one for each way the summary's
+# laws are chosen.
 # Every value is printed with repr, so a change of one ulp shows.
 GOLDEN = [
     (
@@ -714,6 +716,86 @@ n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_
         """\
 n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_td,analytic_var_td,analytic_mean_ad,analytic_var_ad,ks_td,ks_ad_exact,ks_ad_limit
 30,1.0,0.3882909738877096,0.009697883142093465,0.01880978748754012,0.5324547753911362,0.022891031159066474,0.10479986150507045,0.38259785823210635,0.020285545542871725,0.5235987755982988,,0.05200976612410557,0.05200976612410557,
+""",
+    ),
+    (
+        "simulate --region 10x10 --sensors 50 --ignitions 3 --trials 200 --seed 5",
+        """\
+{
+  "n": 200,
+  "mean_td": 0.43058355345174093,
+  "se_td": 0.016403697088321498,
+  "var_td": 0.053816255633081435,
+  "mean_ad": 2.0619901850238107,
+  "se_ad": 0.1487904911433359,
+  "var_ad": 4.427722050935023,
+  "ks_td": 0.05763977797898562,
+  "ks_ad": 0.04421516731333747
+}
+""",
+    ),
+    (
+        "simulate --region 10x10 --sensors 50 --no-clip --trials 200 --seed 5",
+        """\
+{
+  "n": 200,
+  "mean_td": 0.8134022572139736,
+  "se_td": 0.03219281056220452,
+  "var_td": 0.20727541037879743,
+  "mean_ad": 2.7264697172069314,
+  "se_ad": 0.25730944516504406,
+  "var_ad": 13.241630114228563,
+  "ks_td": 0.12070239329248378,
+  "ks_ad": 0.12070239329248378
+}
+""",
+    ),
+    (
+        "simulate --region 10x10 --sensors 50 --no-resample --trials 200 --seed 5",
+        """\
+{
+  "n": 200,
+  "mean_td": 0.7656918593506012,
+  "se_td": 0.032172766976123354,
+  "var_td": 0.20701738697998673,
+  "mean_ad": 2.0675256411149316,
+  "se_ad": 0.1599097067655586,
+  "var_ad": 5.114222863569387,
+  "ks_td": 0.08088354393324548,
+  "ks_ad": null
+}
+""",
+    ),
+    (
+        "simulate --region 5x4 --spacing 1 --ignitions 2 --trials 200 --seed 3",
+        """\
+{
+  "n": 200,
+  "mean_td": 0.3117260532296735,
+  "se_td": 0.008753511085694122,
+  "var_td": 0.01532479126547398,
+  "mean_ad": 0.6473465782089641,
+  "se_ad": 0.03042197916703176,
+  "var_ad": 0.1850993632878629,
+  "ks_td": 0.10264498391781585,
+  "ks_ad": null
+}
+""",
+    ),
+    (
+        "simulate --region 5x4 --spacing 1 --model elliptical --hb 2 --lb 2 --trials 200 --seed 3",
+        """\
+{
+  "n": 200,
+  "mean_td": 0.7789950466266344,
+  "se_td": 0.02286634737745829,
+  "var_td": 0.10457396847731872,
+  "mean_ad": 0.6281181983968965,
+  "se_ad": 0.03264325282186321,
+  "var_ad": 0.21311639095841606,
+  "ks_td": null,
+  "ks_ad": null
+}
 """,
     ),
 ]
