@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .placement import GridPlacement, characteristic_distance
 from .propagation import CircularModel, SpreadModel
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "exact_burned_area_law",
     "limit_burned_area_law",
     "random_td_law",
-    "PlanRequest",
+    "scenario_laws",
     "plan",
 ]
 
@@ -210,58 +211,78 @@ def random_td_law(model: SpreadModel, char_distance: float) -> AnalyticLaw:
     )
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    """Inputs for network sizing.
+def scenario_laws(config, char_distance: Optional[float] = None):
+    """Laws of the detection time and the burned area of a
+    ``montecarlo.ScenarioConfig``, chosen by placement kind and ignition
+    count; None where no law applies.
 
-    ``target_kind`` is "area" (mean burned area at detection, m^2) or
-    "time" (mean detection time, s); ``placement_kind`` picks which family
-    of laws to invert.
+    ``char_distance`` is the D that a random region was built from, as a
+    square of area n D^2: the laws then take D and n D^2 as given, not as
+    the region's sides give them back after rounding.
     """
+    k = config.ignition_count
+    clipped = config.clip_to_region or k > 1  # several fronts are always clipped
+    if isinstance(config.placement, GridPlacement):
+        if not isinstance(config.model, CircularModel):
+            return None, None  # the grid closed forms assume circular spread
+        spacing, rate = config.placement.spacing, config.model.rate
+        return grid_td_law(spacing, rate, k), None if clipped else grid_ad_law(spacing, rate)
+    n = config.placement.count
+    if char_distance is None:
+        area = config.region.area
+        d = characteristic_distance(area, n)
+    else:
+        d, area = char_distance, n * char_distance * char_distance
+    # k independent ignitions: exp(-k F(t) / D^2), the law of D / sqrt(k).
+    td_law = random_td_law(config.model, d / math.sqrt(k))
+    if clipped:
+        # (1 - x/A)^N averages over layouts: a fixed layout has no law yet.
+        resample = config.resample_layout_each_trial
+        ad_law = exact_burned_area_law(area, n) if resample else None
+    else:
+        ad_law = limit_burned_area_law(d)
+    return td_law, ad_law
 
-    area: float
-    model: SpreadModel
-    placement_kind: Literal["grid", "random"]
-    target_kind: Literal["area", "time"]
-    target_value: float
 
-
-def plan(req: PlanRequest) -> dict:
+def plan(
+    area: float, model: SpreadModel, placement_kind: str, target_kind: str, target_value: float
+) -> dict:
     """Size a network: spacing D and sensor count N hitting a mean target.
 
-    Grid targets use the exact grid moment formulas (circular spread only);
-    random targets invert the exponential-limit moments.
+    ``target_kind`` is "area" (mean burned area at detection, m^2) or
+    "time" (mean detection time, s); ``placement_kind`` ("grid" or "random")
+    picks which family of laws to invert. Grid targets use the exact grid
+    moment formulas (circular spread only); random targets invert the
+    exponential-limit moments.
     """
-    if not (req.area > 0 and math.isfinite(req.area)):
-        raise ParameterError(f"area must be positive and finite, got {req.area}")
-    if not (req.target_value > 0 and math.isfinite(req.target_value)):
-        raise ParameterError(f"target must be positive and finite, got {req.target_value}")
+    _check_positive("area", area)
+    _check_positive("target", target_value)
     assumptions = []
-    if req.placement_kind == "grid":
-        if not isinstance(req.model, CircularModel):
+    if placement_kind == "grid":
+        if not isinstance(model, CircularModel):
             raise ParameterError("grid planning laws assume circular spread")
-        if req.target_kind == "area":
-            d = math.sqrt(6.0 * req.target_value / math.pi)
+        if target_kind == "area":
+            d = math.sqrt(6.0 * target_value / math.pi)
             assumptions.append("grid: mean burned area at detection = (pi/6) D^2")
         else:
-            d = 6.0 * req.model.rate * req.target_value / _GRID_MEAN_CONST
+            d = 6.0 * model.rate * target_value / _GRID_MEAN_CONST
             assumptions.append(
                 "grid: mean detection time = (sqrt(2)+log(1+sqrt(2)))/6 * D/rate"
             )
-    elif req.placement_kind == "random":
-        if req.target_kind == "area":
-            d = math.sqrt(req.target_value)
+    elif placement_kind == "random":
+        if target_kind == "area":
+            d = math.sqrt(target_value)
             assumptions.append("random placement, many sensors: mean burned area = D^2")
         else:
-            k = req.model.time_scale
-            d = 2.0 * req.model.rate * req.target_value / k
+            k = model.time_scale
+            d = 2.0 * model.rate * target_value / k
             assumptions.append("random placement, many sensors: mean detection time = k*D/(2*rate)")
             assumptions.append(f"time scale k = 2*sqrt(lb)/(1 + 1/hb) = {k!r}")
     else:
-        raise ParameterError(f"unknown placement kind {req.placement_kind!r}")
-    quotient = req.area / (d * d) if 0 < d * d < math.inf else math.inf
+        raise ParameterError(f"unknown placement kind {placement_kind!r}")
+    quotient = area / (d * d) if 0 < d * d < math.inf else math.inf
     if not math.isfinite(quotient):
-        raise ParameterError(f"target {req.target_value} is out of range for area {req.area}")
+        raise ParameterError(f"target {target_value} is out of range for area {area}")
     # Relative guard so exact-intent quotients (e.g. 10000.0) don't round up.
     n = math.ceil(quotient * (1.0 - 1e-12))
     return {"D": d, "N": int(n), "assumptions": assumptions}

@@ -20,29 +20,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .analytic import PlanRequest, plan
 from .errors import DomainError, ParameterError
 from .geometry import RectRegion
 from .montecarlo import (
     ScenarioConfig,
-    ks_distance,
+    compare_grid,
+    compare_random_sweep,
     outcomes_to_csv,
-    run_trials,
-    summarize,
+    simulate,
     summary_to_json,
-    sweep_seed,
 )
-from .placement import (
-    GridPlacement,
-    RandomPlacement,
-    _check_master_seed,
-    build_layout,
-    characteristic_distance,
-    layout_to_csv,
-)
+from .placement import GridPlacement, RandomPlacement, build_layout, layout_to_csv
 from .propagation import CircularModel, EllipticalModel, SpreadModel
 
-__all__ = ["main", "PlanRequest", "plan", "compare_random_sweep", "compare_grid"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -261,183 +252,31 @@ def _cmd_analytic(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _summary_laws(config: ScenarioConfig, char_distance: Optional[float] = None):
-    """Laws for the KS columns of the detection time and the burned area,
-    chosen by placement kind and ignition count; None where no law applies.
-
-    ``char_distance`` is the D that a random region was built from, as a
-    square of area n D^2: the laws then take D and n D^2 as given, not as
-    the region's sides give them back after rounding.
-    """
-    k = config.ignition_count
-    clipped = config.clip_to_region or k > 1  # several fronts are always clipped
-    if isinstance(config.placement, GridPlacement):
-        if not isinstance(config.model, CircularModel):
-            return None, None  # the grid closed forms assume circular spread
-        spacing = config.placement.spacing
-        rate = config.model.rate
-        td_law = analytic.grid_td_law(spacing, rate, k)
-        ad_law = None if clipped else analytic.grid_ad_law(spacing, rate)
-        return td_law, ad_law
-    n = config.placement.count
-    if char_distance is None:
-        area = config.region.area
-        d = characteristic_distance(area, n)
-    else:
-        d, area = char_distance, n * char_distance * char_distance
-    # k independent ignitions: exp(-k F(t) / D^2), the law of D / sqrt(k).
-    td_law = analytic.random_td_law(config.model, d / math.sqrt(k))
-    if clipped:
-        # (1 - x/A)^N averages over layouts: a fixed layout has no law yet.
-        resample = config.resample_layout_each_trial
-        ad_law = analytic.exact_burned_area_law(area, n) if resample else None
-    else:
-        ad_law = analytic.limit_burned_area_law(d)
-    return td_law, ad_law
-
-
-def _check_trials(trials: int) -> None:
-    # summarize needs two outcomes; say so before running any trial.
-    if trials < 2:
-        raise ParameterError(f"trials must be >= 2 to summarize, got {trials}")
-
-
 def _cmd_simulate(args) -> int:
-    config = _scenario_from_args(args)
-    _check_trials(config.trials)
-    # The laws reject a region whose area underflows before a trial runs.
-    td_law, ad_law = _summary_laws(config)
-    outcomes = run_trials(config, workers=args.workers)
-    stats = summarize(outcomes)
-    ks_td = ks_distance(stats.ecdf_td, td_law) if td_law else None
-    ks_ad = ks_distance(stats.ecdf_ad, ad_law) if ad_law else None
+    run = simulate(_scenario_from_args(args), workers=args.workers)
     if args.out:
         with open(args.out, "w") as fh:
-            outcomes_to_csv(outcomes, fh)
-    sys.stdout.write(summary_to_json(stats, ks_td=ks_td, ks_ad=ks_ad) + "\n")
+            outcomes_to_csv(run.outcomes, fh)
+    sys.stdout.write(summary_to_json(run.stats, ks_td=run.ks_td, ks_ad=run.ks_ad) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # compare
 
-# The compare table's header is the keys of _compare_row's dict; the ECDF
-# table's is spelled out, since --ecdf-points 0 leaves it without rows.
+# The compare table's header is the keys of a row's dict; the ECDF table's
+# is spelled out, since --ecdf-points 0 leaves it without rows.
 _ECDF_COLUMNS = ["n_sensors", "x", "empirical", "exact", "limit"]
-
-
-def _compare_row(n, char_distance, stats, td_law, ad_law, limit_law=None) -> dict:
-    """One row of the compare table. ``ad_law`` is the exact burned-area law;
-    the analytic burned-area moments are those of ``limit_law`` where there
-    is one (random sweeps), else of ``ad_law``."""
-    moments = limit_law or ad_law
-    return {
-        "n_sensors": n,
-        "char_distance": char_distance,
-        "mean_td": stats.mean_td,
-        "se_td": stats.se_td,
-        "var_td": stats.var_td,
-        "mean_ad": stats.mean_ad,
-        "se_ad": stats.se_ad,
-        "var_ad": stats.var_ad,
-        "analytic_mean_td": td_law.mean,
-        "analytic_var_td": td_law.variance,
-        "analytic_mean_ad": moments.mean,
-        "analytic_var_ad": moments.variance,
-        "ks_td": ks_distance(stats.ecdf_td, td_law),
-        "ks_ad_exact": ks_distance(stats.ecdf_ad, ad_law),
-        "ks_ad_limit": ks_distance(stats.ecdf_ad, limit_law) if limit_law else None,
-    }
-
-
-def compare_random_sweep(
-    sensor_counts: Sequence[int],
-    char_distance: float,
-    model: SpreadModel,
-    trials: int,
-    master_seed: int,
-    ignition_count: int = 1,
-    workers: int = 1,
-    ecdf_points: int = 256,
-) -> tuple[list[dict], list[dict]]:
-    """Simulate each sensor count at fixed D and tabulate against the laws.
-
-    The region per entry is the square of area ``n * D^2``; each entry runs
-    under a seed derived from (master_seed, n) so sweep entries are
-    decorrelated but reproducible.
-    """
-    _check_master_seed(master_seed)
-    if ecdf_points < 0:
-        raise ParameterError(f"ECDF points must be >= 0, got {ecdf_points}")
-    rows = []
-    ecdf_rows = []
-    for n in sensor_counts:
-        placement = RandomPlacement(count=n)
-        side = math.sqrt(n * char_distance * char_distance)
-        config = ScenarioConfig(
-            region=RectRegion(side, side),
-            placement=placement,
-            model=model,
-            trials=trials,
-            master_seed=sweep_seed(master_seed, n),
-            ignition_count=ignition_count,
-        )
-        stats = summarize(run_trials(config, workers=workers))
-        # Random placement clips: the burned-area law is the exact one.
-        td_law, exact_law = _summary_laws(config, char_distance)
-        limit_law = analytic.limit_burned_area_law(char_distance)
-        rows.append(_compare_row(n, char_distance, stats, td_law, exact_law, limit_law))
-        if ecdf_points:
-            sample = stats.ecdf_ad
-            idx = np.unique(np.linspace(0, sample.size - 1, min(ecdf_points, sample.size)).astype(int))
-            for j in idx:
-                x = float(sample[j])
-                ecdf_rows.append(
-                    {
-                        "n_sensors": n,
-                        "x": x,
-                        "empirical": float((j + 1) / sample.size),
-                        "exact": float(1.0 - exact_law.survival(x)),
-                        "limit": float(1.0 - limit_law.survival(x)),
-                    }
-                )
-    return rows, ecdf_rows
-
-
-def compare_grid(
-    region: RectRegion,
-    spacing: float,
-    model: SpreadModel,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-) -> list[dict]:
-    """Single-row comparison of a grid scenario against its exact laws."""
-    if not isinstance(model, CircularModel):
-        raise ParameterError("grid comparison laws assume circular spread")
-    config = ScenarioConfig(
-        region=region,
-        placement=GridPlacement(spacing=spacing),
-        model=model,
-        trials=trials,
-        master_seed=master_seed,
-    )
-    stats = summarize(run_trials(config, workers=workers))
-    td_law, ad_law = _summary_laws(config)
-    n = len(build_layout(config.placement, region))
-    return [_compare_row(n, spacing, stats, td_law, ad_law)]
 
 
 def _cmd_compare(args) -> int:
     model = _model_from_args(args, {})
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else 10000
-    _check_trials(trials)
     if args.spacing is not None:
         if not args.region:
             raise ParameterError("grid comparison requires --region")
         rows = compare_grid(
-            _parse_region(args.region), args.spacing, model, trials, seed, workers=args.workers
+            _parse_region(args.region), args.spacing, model, args.trials, args.seed,
+            workers=args.workers,
         )
         ecdf_rows = []
     else:
@@ -445,18 +284,11 @@ def _cmd_compare(args) -> int:
         if not counts:
             raise ParameterError("--sensor-counts must name at least one count")
         rows, ecdf_rows = compare_random_sweep(
-            counts,
-            args.char_distance,
-            model,
-            trials,
-            seed,
-            ignition_count=args.ignitions if args.ignitions is not None else 1,
-            workers=args.workers,
-            ecdf_points=args.ecdf_points,
+            counts, args.char_distance, model, args.trials, args.seed,
+            ignition_count=args.ignitions, workers=args.workers, ecdf_points=args.ecdf_points,
         )
     if args.format == "json":
-        payload = {"rows": rows, "ecdf": ecdf_rows}
-        _write_text(_json(payload), args.out)
+        _write_text(_json({"rows": rows, "ecdf": ecdf_rows}), args.out)
     else:
         _write_text(_rows_to_csv(rows, list(rows[0])), args.out)
         if args.ecdf_out:
@@ -475,20 +307,14 @@ def _cmd_plan(args) -> int:
     area = args.area if args.area is not None else (region.area if region else None)
     if area is None:
         raise ParameterError("an area is required (--area or --region WxH)")
-    model = _model_from_args(args, {})
-    if args.target_area is not None:
-        req = PlanRequest(area, model, args.placement, "area", args.target_area)
-    else:
-        req = PlanRequest(area, model, args.placement, "time", args.target_time)
-    result = plan(req)
+    target = ("area", args.target_area) if args.target_time is None else ("time", args.target_time)
+    result = analytic.plan(area, _model_from_args(args, {}), args.placement, *target)
     if args.export_layout:
         if region is None:
             raise ParameterError("--export-layout requires --region WxH")
-        if args.placement == "grid":
-            placement = GridPlacement(spacing=result["D"])
-        else:
-            placement = RandomPlacement(count=result["N"])
-        layout = build_layout(placement, region, seed=args.seed if args.seed is not None else 0)
+        grid = args.placement == "grid"
+        placement = GridPlacement(result["D"]) if grid else RandomPlacement(result["N"])
+        layout = build_layout(placement, region, seed=args.seed)
         with open(args.export_layout, "w") as fh:
             layout_to_csv(layout, fh)
         result = dict(result, layout_file=args.export_layout)
@@ -567,9 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--region", help="grid mode: protected rectangle WxH")
     p_cmp.add_argument("--spacing", type=float, help="grid mode: lattice spacing, m")
     _add_model_flags(p_cmp)
-    p_cmp.add_argument("--ignitions", type=int, help="ignition points per trial (default 1)")
-    p_cmp.add_argument("--trials", type=int, help="trials per sweep entry (default 10000)")
-    p_cmp.add_argument("--seed", type=int, help="master seed (default 0)")
+    p_cmp.add_argument("--ignitions", type=int, default=1,
+                       help="ignition points per trial (default 1)")
+    p_cmp.add_argument("--trials", type=int, default=10000,
+                       help="trials per sweep entry (default 10000)")
+    p_cmp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_cmp.add_argument("--workers", type=int, default=1)
     p_cmp.add_argument("--ecdf-points", type=int, default=256,
                        help="ECDF table rows per sweep entry (0 disables)")
@@ -586,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--target-area", type=float, help="max mean burned area at detection, m^2")
     p_plan.add_argument("--target-time", type=float, help="max mean detection time, s")
     p_plan.add_argument("--export-layout", help="write a concrete layout CSV here (needs --region)")
-    p_plan.add_argument("--seed", type=int, help="seed for random layout export")
+    p_plan.add_argument("--seed", type=int, default=0,
+                        help="seed for random layout export (default 0)")
     p_plan.set_defaults(func=_cmd_plan)
 
     return parser

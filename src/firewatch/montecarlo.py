@@ -43,14 +43,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 # numpy loads numpy.random lazily; load it here, once, so that the worker
 # processes run_trials forks do not each import it again.
 import numpy.random  # noqa: F401
 
-from .analytic import AnalyticLaw
+from .analytic import AnalyticLaw, limit_burned_area_law, scenario_laws
 from .errors import DomainError, EstimatorError, ParameterError
 from .geometry import Point, RectRegion, burned_union_area
 from .philox import philox4x64
@@ -69,6 +69,10 @@ __all__ = [
     "ks_critical",
     "outcomes_to_csv",
     "summary_to_json",
+    "Simulation",
+    "simulate",
+    "compare_random_sweep",
+    "compare_grid",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -616,3 +620,123 @@ def summary_to_json(
         return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise DomainError("the summary has a value that is not finite") from exc
+
+
+class Simulation(NamedTuple):
+    """A run scored against its scenario's laws; None where no law applies."""
+
+    outcomes: Outcomes
+    stats: SummaryStats
+    td_law: Optional[AnalyticLaw]
+    ad_law: Optional[AnalyticLaw]
+    ks_td: Optional[float]
+    ks_ad: Optional[float]
+
+
+def simulate(
+    config: ScenarioConfig, workers: int = 1, char_distance: Optional[float] = None
+) -> Simulation:
+    """Run the trials of ``config``, summarize them and measure the KS
+    distance of each statistic to its law (``analytic.scenario_laws``, which
+    takes ``char_distance``)."""
+    # summarize needs two outcomes; say so before running any trial.
+    if config.trials < 2:
+        raise ParameterError(f"trials must be >= 2 to summarize, got {config.trials}")
+    # The laws reject a region whose area underflows before a trial runs.
+    td_law, ad_law = scenario_laws(config, char_distance)
+    outcomes = run_trials(config, workers=workers)
+    stats = summarize(outcomes)
+    ks_td = ks_distance(stats.ecdf_td, td_law) if td_law else None
+    ks_ad = ks_distance(stats.ecdf_ad, ad_law) if ad_law else None
+    return Simulation(outcomes, stats, td_law, ad_law, ks_td, ks_ad)
+
+
+def _compare_row(n, char_distance, run: Simulation, limit_law=None) -> dict:
+    """One row of the compare table. The analytic burned-area moments are
+    those of ``limit_law`` where there is one (random sweeps), else of the
+    run's own law."""
+    stats, td_law = run.stats, run.td_law
+    moments = limit_law or run.ad_law
+    return {
+        "n_sensors": n,
+        "char_distance": char_distance,
+        "mean_td": stats.mean_td,
+        "se_td": stats.se_td,
+        "var_td": stats.var_td,
+        "mean_ad": stats.mean_ad,
+        "se_ad": stats.se_ad,
+        "var_ad": stats.var_ad,
+        "analytic_mean_td": td_law.mean,
+        "analytic_var_td": td_law.variance,
+        "analytic_mean_ad": moments.mean,
+        "analytic_var_ad": moments.variance,
+        "ks_td": run.ks_td,
+        "ks_ad_exact": run.ks_ad,
+        "ks_ad_limit": ks_distance(stats.ecdf_ad, limit_law) if limit_law else None,
+    }
+
+
+def compare_random_sweep(
+    sensor_counts: Sequence[int],
+    char_distance: float,
+    model: SpreadModel,
+    trials: int,
+    master_seed: int,
+    ignition_count: int = 1,
+    workers: int = 1,
+    ecdf_points: int = 256,
+) -> tuple[list[dict], list[dict]]:
+    """Simulate each sensor count at fixed D and tabulate against the laws.
+
+    The region per entry is the square of area ``n * D^2``; each entry runs
+    under ``sweep_seed(master_seed, n)``, so sweep entries are decorrelated
+    but reproducible.
+    """
+    _check_master_seed(master_seed)
+    if ecdf_points < 0:
+        raise ParameterError(f"ECDF points must be >= 0, got {ecdf_points}")
+    limit_law = limit_burned_area_law(char_distance)
+    rows, ecdf_rows = [], []
+    for n in sensor_counts:
+        side = math.sqrt(n * char_distance * char_distance)
+        config = ScenarioConfig(
+            region=RectRegion(side, side),
+            placement=RandomPlacement(count=n),
+            model=model,
+            trials=trials,
+            master_seed=sweep_seed(master_seed, n),
+            ignition_count=ignition_count,
+        )
+        # Random placement clips: the run's burned-area law is the exact one.
+        run = simulate(config, workers, char_distance)
+        rows.append(_compare_row(n, char_distance, run, limit_law))
+        if ecdf_points:
+            sample, size = run.stats.ecdf_ad, run.stats.n
+            idx = np.unique(np.linspace(0, size - 1, min(ecdf_points, size)).astype(int))
+            ecdf_rows += [
+                {
+                    "n_sensors": n,
+                    "x": x,
+                    "empirical": (j + 1) / size,
+                    "exact": float(1.0 - run.ad_law.survival(x)),
+                    "limit": float(1.0 - limit_law.survival(x)),
+                }
+                for j, x in zip(idx.tolist(), sample[idx].tolist())
+            ]
+    return rows, ecdf_rows
+
+
+def compare_grid(
+    region: RectRegion,
+    spacing: float,
+    model: SpreadModel,
+    trials: int,
+    master_seed: int,
+    workers: int = 1,
+) -> list[dict]:
+    """Single-row comparison of a grid scenario against its exact laws."""
+    config = ScenarioConfig(region, GridPlacement(spacing), model, trials, master_seed)
+    if scenario_laws(config)[0] is None:
+        raise ParameterError("grid comparison laws assume circular spread")
+    n = len(build_layout(config.placement, region))
+    return [_compare_row(n, spacing, simulate(config, workers))]

@@ -22,9 +22,16 @@ from firewatch.analytic import (
     limit_burned_area_law,
     random_td_law,
 )
-from firewatch.cli import compare_random_sweep, main
+from firewatch.cli import main
 from firewatch.geometry import Point, RectRegion, burned_union_area
-from firewatch.montecarlo import ScenarioConfig, ks_critical, ks_distance, run_trials, summarize
+from firewatch.montecarlo import (
+    ScenarioConfig,
+    compare_random_sweep,
+    ks_critical,
+    ks_distance,
+    run_trials,
+    summarize,
+)
 from firewatch.placement import GridPlacement, RandomPlacement
 from firewatch.propagation import CircularModel, EllipticalModel
 

@@ -88,3 +88,20 @@ def test_methods_the_tracer_wraps_are_defined_in_each_model_class(cls):
     # The tracer wraps a method only where the class itself defines it.
     for _, method, _ in tracer.METHODS:
         assert method in vars(getattr(firewatch, cls)), f"{cls}.{method}"
+
+
+def test_cli_is_a_thin_parser():
+    # The law choice, the run-and-score step and the sweeps live in the
+    # library; the CLI only parses flags and calls them.
+    import firewatch.cli
+
+    assert firewatch.cli.__all__ == ["main"]
+    for name in (
+        "run_trials",
+        "summarize",
+        "ks_distance",
+        "sweep_seed",
+        "characteristic_distance",
+        "_check_master_seed",
+    ):
+        assert not hasattr(firewatch.cli, name), name

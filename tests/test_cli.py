@@ -7,7 +7,8 @@ import pytest
 import firewatch.cli
 import firewatch.geometry
 import firewatch.montecarlo
-from firewatch.cli import PlanRequest, main, plan
+from firewatch.analytic import plan
+from firewatch.cli import main
 from firewatch.propagation import CircularModel, EllipticalModel
 from firewatch.errors import ParameterError
 from firewatch.montecarlo import ks_critical
@@ -362,14 +363,18 @@ class TestSimulateCommand:
         ["compare", "--sensor-counts", "10", "--trials", "1"],
         ["compare", "--region", "4x4", "--spacing", "1", "--trials", "1"],
         ["compare", "--sensor-counts", "10", "--trials", "10", "--seed", str(2**64)],
+        ["compare", "--region", "4x4", "--spacing", "1", "--model", "elliptical",
+         "--hb", "2", "--lb", "2", "--trials", "10"],
     ],
-    ids=["simulate one trial", "compare one trial", "compare grid one trial", "compare seed"],
+    ids=["simulate one trial", "compare one trial", "compare grid one trial", "compare seed",
+         "compare elliptical grid"],
 )
 def test_rejected_before_any_trial_runs(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("run_trials called")
 
-    monkeypatch.setattr(firewatch.cli, "run_trials", refuse)
+    # Every run goes through montecarlo's run_trials, whoever calls it.
+    monkeypatch.setattr(firewatch.montecarlo, "run_trials", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -466,17 +471,17 @@ class TestPlanCommand:
 
     def test_elliptical_time_target_divides_by_k(self):
         k = 2 * math.sqrt(2) / 1.5
-        req = PlanRequest(10000.0, EllipticalModel(1.0, 2.0, 2.0), "random", "time", 0.5)
-        assert plan(req)["D"] == pytest.approx(1.0 / k)
+        result = plan(10000.0, EllipticalModel(1.0, 2.0, 2.0), "random", "time", 0.5)
+        assert result["D"] == pytest.approx(1.0 / k)
 
     def test_grid_time_target(self):
         const = (math.sqrt(2) + math.log(1 + math.sqrt(2))) / 6
-        req = PlanRequest(100.0, CircularModel(1.0), "grid", "time", const)
-        assert plan(req)["D"] == pytest.approx(1.0, rel=1e-12)
+        result = plan(100.0, CircularModel(1.0), "grid", "time", const)
+        assert result["D"] == pytest.approx(1.0, rel=1e-12)
 
     def test_grid_rejects_elliptical(self):
         with pytest.raises(ParameterError):
-            plan(PlanRequest(100.0, EllipticalModel(1.0, 2.0, 2.0), "grid", "area", 1.0))
+            plan(100.0, EllipticalModel(1.0, 2.0, 2.0), "grid", "area", 1.0)
 
     def test_exactly_one_target_required(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--placement", "random", "--area", "100")
@@ -547,7 +552,7 @@ class TestPlanCommand:
         from firewatch.placement import RandomPlacement
 
         target = 1.0
-        result = plan(PlanRequest(1000.0, CircularModel(1.0), "random", "area", target))
+        result = plan(1000.0, CircularModel(1.0), "random", "area", target)
         assert result["N"] == 1000
         side = _math.sqrt(result["N"] * result["D"] ** 2)
         cfg = ScenarioConfig(
