@@ -276,7 +276,7 @@ def _cmd_compare(args) -> int:
             raise ParameterError("grid comparison requires --region")
         rows = compare_grid(
             _parse_region(args.region), args.spacing, model, args.trials, args.seed,
-            workers=args.workers,
+            ignition_count=args.ignitions, workers=args.workers,
         )
         ecdf_rows = []
     else:

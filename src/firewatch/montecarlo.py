@@ -654,7 +654,7 @@ def simulate(
 def _compare_row(n, char_distance, run: Simulation, limit_law=None) -> dict:
     """One row of the compare table. The analytic burned-area moments are
     those of ``limit_law`` where there is one (random sweeps), else of the
-    run's own law."""
+    run's own law; a column with no closed form is None."""
     stats, td_law = run.stats, run.td_law
     moments = limit_law or run.ad_law
     return {
@@ -668,8 +668,8 @@ def _compare_row(n, char_distance, run: Simulation, limit_law=None) -> dict:
         "var_ad": stats.var_ad,
         "analytic_mean_td": td_law.mean,
         "analytic_var_td": td_law.variance,
-        "analytic_mean_ad": moments.mean,
-        "analytic_var_ad": moments.variance,
+        "analytic_mean_ad": moments.mean if moments else None,
+        "analytic_var_ad": moments.variance if moments else None,
         "ks_td": run.ks_td,
         "ks_ad_exact": run.ks_ad,
         "ks_ad_limit": ks_distance(stats.ecdf_ad, limit_law) if limit_law else None,
@@ -732,10 +732,13 @@ def compare_grid(
     model: SpreadModel,
     trials: int,
     master_seed: int,
+    ignition_count: int = 1,
     workers: int = 1,
 ) -> list[dict]:
     """Single-row comparison of a grid scenario against its exact laws."""
-    config = ScenarioConfig(region, GridPlacement(spacing), model, trials, master_seed)
+    config = ScenarioConfig(
+        region, GridPlacement(spacing), model, trials, master_seed, ignition_count
+    )
     if scenario_laws(config)[0] is None:
         raise ParameterError("grid comparison laws assume circular spread")
     n = len(build_layout(config.placement, region))

@@ -438,6 +438,30 @@ class TestCompareCommand:
         assert row["analytic_mean_td"] == pytest.approx(0.3826, abs=1e-4)
         assert row["analytic_mean_ad"] == pytest.approx(math.pi / 6, abs=1e-12)
 
+    def test_grid_mode_honours_ignitions(self, capsys):
+        from firewatch.analytic import grid_td_law
+        from firewatch.geometry import RectRegion
+        from firewatch.montecarlo import ScenarioConfig, ks_distance, run_trials, summarize
+        from firewatch.placement import GridPlacement
+
+        code, out, _ = run_cli(
+            capsys,
+            "compare", "--region", "4x4", "--spacing", "1", "--ignitions", "2",
+            "--trials", "300", "--seed", "2",
+        )
+        assert code == 0
+        header, line = out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        config = ScenarioConfig(
+            RectRegion(4.0, 4.0), GridPlacement(1.0), CircularModel(1.0), 300, 2, 2
+        )
+        ecdf_td = summarize(run_trials(config)).ecdf_td
+        assert float(row["ks_td"]) == ks_distance(ecdf_td, grid_td_law(1.0, 1.0, 2))
+        # Two ignitions have no closed-form moments and always clip the area.
+        for column in ("analytic_mean_td", "analytic_var_td", "analytic_mean_ad",
+                       "analytic_var_ad", "ks_ad_exact", "ks_ad_limit"):
+            assert row[column] == "", column
+
 
 class TestPlanCommand:
     def test_random_area_target(self, capsys):
