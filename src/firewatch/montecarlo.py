@@ -698,10 +698,11 @@ def compare_random_sweep(
     limit_law = limit_burned_area_law(char_distance)
     rows, ecdf_rows = [], []
     for n in sensor_counts:
+        placement = RandomPlacement(count=n)  # checks n before it sizes the region
         side = math.sqrt(n * char_distance * char_distance)
         config = ScenarioConfig(
             region=RectRegion(side, side),
-            placement=RandomPlacement(count=n),
+            placement=placement,
             model=model,
             trials=trials,
             master_seed=sweep_seed(master_seed, n),
