@@ -78,12 +78,14 @@ def _parse_points(args) -> Optional[np.ndarray]:
 
 def _model_from_args(args, cfg: dict) -> SpreadModel:
     """The spread model of the model flags; a flag left out takes its value
-    from ``cfg`` (a config file's ``model`` section), else its default."""
-    kind = args.model or cfg.get("kind", "circular")
+    from ``cfg`` (a config file's ``model`` object), else its default."""
+    kind = _config_value(cfg, "kind", "string", "circular")
+    kind = args.model or kind
     values = []
     for flag, default in (("rate", 1.0), ("hb", 1.0), ("lb", 1.0), ("heading", 0.0)):
+        value = _config_value(cfg, flag, "number", default)
         given = getattr(args, flag)
-        values.append(given if given is not None else float(cfg.get(flag, default)))
+        values.append(given if given is not None else float(value))
     rate, hb, lb, heading = values
     if kind == "circular":
         return CircularModel(rate=rate)
@@ -102,24 +104,70 @@ def _load_config_file(path: str) -> dict:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+# The keys of each object in a config file; a grid or random placement
+# holds only its own.
+_CONFIG_KEYS = {
+    "top-level": ("region", "placement", "model", "ignitions", "trials", "seed",
+                  "resample_layout", "clip_to_region"),
+    "region": ("width", "height"),
+    "placement": ("kind", "spacing", "count"),
+    "grid": ("kind", "spacing"),
+    "random": ("kind", "count"),
+    "model": ("kind", "rate", "hb", "lb", "heading"),
+}
+# The Python types that json.load gives for each JSON type. A bool is an
+# int to Python, but JSON's true is no integer.
+_JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float), "string": str}
+
+
+def _config_object(value, name: str, path: str) -> dict:
+    """``value``, which must be a JSON object holding only the keys of
+    ``name`` in _CONFIG_KEYS."""
+    if not isinstance(value, dict):
+        raise TypeError(f"the {name} value must be a JSON object, got {json.dumps(value)}")
+    unknown = [key for key in value if key not in _CONFIG_KEYS[name]]
+    if unknown:
+        raise ParameterError(f"config file {path} has an unknown {name} key {unknown[0]!r}")
+    return value
+
+
+def _config_value(obj: dict, key: str, kind: str, *default):
+    """``obj[key]``, which must be a JSON ``kind``; ``default`` where given
+    and the key is absent."""
+    if default and key not in obj:
+        return default[0]
+    value = obj[key]
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
     """Merge the optional JSON config file with flag overrides."""
     cfg = _load_config_file(args.config) if args.config else {}
     try:
         return _scenario_from(cfg, args)
-    except (ParameterError, DomainError):
-        raise
     except KeyError as exc:
         raise ParameterError(f"config file {args.config} has no key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise ParameterError(f"config file {args.config} has a mistyped value: {exc}") from exc
 
 
-def _scenario_from(cfg: dict, args) -> ScenarioConfig:
+def _scenario_from(cfg, args) -> ScenarioConfig:
+    """The scenario of the flags, each left out taken from the config file
+    ``cfg``; every value the file holds is checked, whether a flag
+    overrides it or not."""
+    path = args.config
+    cfg = _config_object(cfg, "top-level", path)
     region = None
     if "region" in cfg:
         raw = cfg["region"]
-        region = _parse_region(raw) if isinstance(raw, str) else RectRegion(raw["width"], raw["height"])
+        if isinstance(raw, str):
+            region = _parse_region(raw)
+        else:
+            raw = _config_object(raw, "region", path)
+            sides = (float(_config_value(raw, key, "number")) for key in ("width", "height"))
+            region = RectRegion(*sides)
     if args.region:
         region = _parse_region(args.region)
     if region is None:
@@ -127,13 +175,15 @@ def _scenario_from(cfg: dict, args) -> ScenarioConfig:
 
     placement = None
     if "placement" in cfg:
-        raw = cfg["placement"]
-        if raw.get("kind") == "grid":
-            placement = GridPlacement(spacing=float(raw["spacing"]))
-        elif raw.get("kind") == "random":
-            placement = RandomPlacement(count=int(raw["count"]))
+        raw = _config_object(cfg["placement"], "placement", path)
+        kind = _config_value(raw, "kind", "string")
+        if kind not in ("grid", "random"):
+            raise ParameterError(f"unknown placement kind in config: {kind!r}")
+        _config_object(raw, kind, path)
+        if kind == "grid":
+            placement = GridPlacement(spacing=float(_config_value(raw, "spacing", "number")))
         else:
-            raise ParameterError(f"unknown placement kind in config: {raw!r}")
+            placement = RandomPlacement(count=_config_value(raw, "count", "integer"))
     if args.spacing is not None and args.sensors is not None:
         raise ParameterError("--spacing and --sensors are mutually exclusive")
     if args.spacing is not None:
@@ -143,23 +193,23 @@ def _scenario_from(cfg: dict, args) -> ScenarioConfig:
     if placement is None:
         raise ParameterError("a placement is required (--spacing D or --sensors N or config file)")
 
-    model = _model_from_args(args, cfg.get("model", {}))
+    model = _model_from_args(args, _config_object(cfg.get("model", {}), "model", path))
 
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 10000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    ignitions = args.ignitions if args.ignitions is not None else int(cfg.get("ignitions", 1))
-    resample = args.resample if args.resample is not None else cfg.get("resample_layout")
-    clip = args.clip if args.clip is not None else cfg.get("clip_to_region")
+    trials = _config_value(cfg, "trials", "integer", 10000)
+    seed = _config_value(cfg, "seed", "integer", 0)
+    ignitions = _config_value(cfg, "ignitions", "integer", 1)
+    resample = _config_value(cfg, "resample_layout", "boolean", None)
+    clip = _config_value(cfg, "clip_to_region", "boolean", None)
 
     return ScenarioConfig(
         region=region,
         placement=placement,
         model=model,
-        trials=trials,
-        master_seed=seed,
-        ignition_count=ignitions,
-        resample_layout_each_trial=resample,
-        clip_to_region=clip,
+        trials=args.trials if args.trials is not None else trials,
+        master_seed=args.seed if args.seed is not None else seed,
+        ignition_count=args.ignitions if args.ignitions is not None else ignitions,
+        resample_layout_each_trial=args.resample if args.resample is not None else resample,
+        clip_to_region=args.clip if args.clip is not None else clip,
     )
 
 

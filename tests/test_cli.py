@@ -78,6 +78,10 @@ class TestAnalyticCommand:
         assert err.count("\n") == 1 and err.startswith("configuration error:")
 
 
+# A valid config file; each bad-config case changes one thing in it.
+_CFG = {"region": "10x10", "placement": {"kind": "random", "count": 20}, "trials": 10}
+
+
 class TestSimulateCommand:
     def test_summary_and_outcomes(self, capsys, tmp_path):
         out_file = tmp_path / "outcomes.csv"
@@ -305,10 +309,30 @@ class TestSimulateCommand:
              "mistyped value"),
             ({"region": "10x10", "placement": {"kind": "grid", "spacing": 1},
               "model": {"rate": "fast"}}, "mistyped value"),
-            ([1, 2], "a region is required"),
+            ([1, 2], "mistyped value"),
+            (dict(_CFG, clip_to_region="false"), "clip_to_region must be a JSON boolean"),
+            (dict(_CFG, resample_layout="no"), "resample_layout must be a JSON boolean"),
+            (dict(_CFG, placement={"kind": "random", "count": True}),
+             "count must be a JSON integer"),
+            (dict(_CFG, trials=50.9), "trials must be a JSON integer"),
+            (dict(_CFG, seed=3.9), "seed must be a JSON integer"),
+            (dict(_CFG, ignitions=True), "ignitions must be a JSON integer"),
+            (dict(_CFG, model={"rate": "2"}), "rate must be a JSON number"),
+            (dict(_CFG, model={"kind": "elliptical", "hb": True}), "hb must be a JSON number"),
+            (dict(_CFG, region={"width": 10, "height": "10"}), "height must be a JSON number"),
+            (dict(_CFG, clip=False), "unknown top-level key 'clip'"),
+            (dict(_CFG, sensors=100), "unknown top-level key 'sensors'"),
+            (dict(_CFG, placement={"kind": "grid", "spacing": 1, "count": 5}),
+             "unknown grid key 'count'"),
+            (dict(_CFG, model={"kind": "circular", "speed": 2}), "unknown model key 'speed'"),
+            (dict(_CFG, region={"width": 10, "height": 10, "depth": 1}),
+             "unknown region key 'depth'"),
         ],
         ids=["no count", "no height", "region number", "placement string", "count list",
-             "rate string", "not an object"],
+             "rate string", "not an object", "clip string", "resample string", "count bool",
+             "trials float", "seed float", "ignitions bool", "rate numeric string", "hb bool",
+             "height string", "key clip", "key sensors", "grid with count", "model key",
+             "region key"],
     )
     def test_bad_config_file_exit_2(self, capsys, tmp_path, cfg, message):
         path = tmp_path / "cfg.json"
