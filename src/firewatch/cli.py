@@ -78,20 +78,23 @@ def _parse_points(args) -> Optional[np.ndarray]:
 
 def _model_from_args(args, cfg: dict) -> SpreadModel:
     """The spread model of the model flags; a flag left out takes its value
-    from ``cfg`` (a config file's ``model`` object), else its default."""
-    kind = _config_value(cfg, "kind", "string", "circular")
-    kind = args.model or kind
-    values = []
-    for flag, default in (("rate", 1.0), ("hb", 1.0), ("lb", 1.0), ("heading", 0.0)):
-        value = _config_value(cfg, flag, "number", default)
-        given = getattr(args, flag)
-        values.append(given if given is not None else float(value))
-    rate, hb, lb, heading = values
+    from ``cfg`` (a config file's checked ``model`` object), else its default."""
+    kind = _first_given(args.model, cfg.get("kind"), "circular")
+    rate, hb, lb, heading = (
+        _first_given(getattr(args, key), cfg.get(key), default)
+        for key, default in (("rate", 1.0), ("hb", 1.0), ("lb", 1.0), ("heading", 0.0))
+    )
     if kind == "circular":
         return CircularModel(rate=rate)
     if kind == "elliptical":
         return EllipticalModel(rate=rate, hb_ratio=hb, lb_ratio=lb, heading=heading)
     raise ParameterError(f"unknown model kind {kind!r}")
+
+
+def _first_given(*values):
+    """The first of ``values`` that is not None: a flag's, then a config
+    file's, then a default."""
+    return next((value for value in values if value is not None), None)
 
 
 def _load_config_file(path: str) -> dict:
@@ -104,112 +107,90 @@ def _load_config_file(path: str) -> dict:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-# The keys of each object in a config file; a grid or random placement
-# holds only its own.
+# The keys of each object in a config file and their JSON types. A region
+# may instead be a "WxH" string; a placement holds only its kind's keys.
 _CONFIG_KEYS = {
-    "top-level": ("region", "placement", "model", "ignitions", "trials", "seed",
-                  "resample_layout", "clip_to_region"),
-    "region": ("width", "height"),
-    "placement": ("kind", "spacing", "count"),
-    "grid": ("kind", "spacing"),
-    "random": ("kind", "count"),
-    "model": ("kind", "rate", "hb", "lb", "heading"),
+    "top-level": {"region": "object or string", "placement": "object", "model": "object",
+                  "ignitions": "integer", "trials": "integer", "seed": "integer",
+                  "resample_layout": "boolean", "clip_to_region": "boolean"},
+    "region": {"width": "number", "height": "number"},
+    "grid": {"kind": "string", "spacing": "number"},
+    "random": {"kind": "string", "count": "integer"},
+    "model": {"kind": "string", "rate": "number", "hb": "number", "lb": "number",
+              "heading": "number"},
 }
 # The Python types that json.load gives for each JSON type. A bool is an
 # int to Python, but JSON's true is no integer.
-_JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float), "string": str}
+_JSON_TYPES = {"boolean": bool, "integer": int, "number": (int, float), "string": str,
+               "object": dict, "object or string": (dict, str)}
 
 
 def _config_object(value, name: str, path: str) -> dict:
-    """``value``, which must be a JSON object holding only the keys of
-    ``name`` in _CONFIG_KEYS."""
+    """``value``, which must be a JSON object holding only keys of ``name``
+    in _CONFIG_KEYS, each of its JSON type; its numbers become floats."""
     if not isinstance(value, dict):
         raise TypeError(f"the {name} value must be a JSON object, got {json.dumps(value)}")
-    unknown = [key for key in value if key not in _CONFIG_KEYS[name]]
-    if unknown:
-        raise ParameterError(f"config file {path} has an unknown {name} key {unknown[0]!r}")
-    return value
+    types, checked = _CONFIG_KEYS[name], {}
+    for key, item in value.items():
+        if key not in types:
+            raise ParameterError(f"config file {path} has an unknown {name} key {key!r}")
+        kind = types[key]
+        if isinstance(item, bool) != (kind == "boolean") or not isinstance(item, _JSON_TYPES[kind]):
+            raise TypeError(f"{key} must be a JSON {kind}, got {json.dumps(item)}")
+        checked[key] = float(item) if kind == "number" else item
+    return checked
 
 
-def _config_value(obj: dict, key: str, kind: str, *default):
-    """``obj[key]``, which must be a JSON ``kind``; ``default`` where given
-    and the key is absent."""
-    if default and key not in obj:
-        return default[0]
-    value = obj[key]
-    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
-        raise TypeError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
-    return value
+def _config_values(cfg, path: str) -> dict:
+    """The checked values of the config file ``cfg`` read from ``path``,
+    with its region and placement built."""
+    try:
+        values = _config_object(cfg, "top-level", path)
+        region = values.get("region")
+        if isinstance(region, str):
+            values["region"] = _parse_region(region)
+        elif region is not None:
+            sides = _config_object(region, "region", path)
+            values["region"] = RectRegion(sides["width"], sides["height"])
+        if "placement" in values:
+            kind = values["placement"]["kind"]
+            if kind not in ("grid", "random"):
+                raise ParameterError(f"unknown placement kind in config: {kind!r}")
+            raw = _config_object(values["placement"], kind, path)
+            grid = kind == "grid"
+            values["placement"] = GridPlacement(raw["spacing"]) if grid else RandomPlacement(raw["count"])
+        values["model"] = _config_object(values.get("model", {}), "model", path)
+        return values
+    except KeyError as exc:
+        raise ParameterError(f"config file {path} has no key {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ParameterError(f"config file {path} has a mistyped value: {exc}") from exc
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    """Merge the optional JSON config file with flag overrides."""
-    cfg = _load_config_file(args.config) if args.config else {}
-    try:
-        return _scenario_from(cfg, args)
-    except KeyError as exc:
-        raise ParameterError(f"config file {args.config} has no key {exc}") from exc
-    except (TypeError, OverflowError) as exc:
-        raise ParameterError(f"config file {args.config} has a mistyped value: {exc}") from exc
-
-
-def _scenario_from(cfg, args) -> ScenarioConfig:
-    """The scenario of the flags, each left out taken from the config file
-    ``cfg``; every value the file holds is checked, whether a flag
+    """The scenario of the flags, each left out taken from the config file,
+    else its default; every value the file holds is checked, whether a flag
     overrides it or not."""
-    path = args.config
-    cfg = _config_object(cfg, "top-level", path)
-    region = None
-    if "region" in cfg:
-        raw = cfg["region"]
-        if isinstance(raw, str):
-            region = _parse_region(raw)
-        else:
-            raw = _config_object(raw, "region", path)
-            sides = (float(_config_value(raw, key, "number")) for key in ("width", "height"))
-            region = RectRegion(*sides)
-    if args.region:
-        region = _parse_region(args.region)
+    cfg = _config_values(_load_config_file(args.config), args.config) if args.config else {}
+    region = _parse_region(args.region) if args.region else cfg.get("region")
     if region is None:
         raise ParameterError("a region is required (--region WxH or config file)")
-
-    placement = None
-    if "placement" in cfg:
-        raw = _config_object(cfg["placement"], "placement", path)
-        kind = _config_value(raw, "kind", "string")
-        if kind not in ("grid", "random"):
-            raise ParameterError(f"unknown placement kind in config: {kind!r}")
-        _config_object(raw, kind, path)
-        if kind == "grid":
-            placement = GridPlacement(spacing=float(_config_value(raw, "spacing", "number")))
-        else:
-            placement = RandomPlacement(count=_config_value(raw, "count", "integer"))
     if args.spacing is not None and args.sensors is not None:
         raise ParameterError("--spacing and --sensors are mutually exclusive")
-    if args.spacing is not None:
-        placement = GridPlacement(spacing=args.spacing)
-    if args.sensors is not None:
-        placement = RandomPlacement(count=args.sensors)
+    placement = (GridPlacement(spacing=args.spacing) if args.spacing is not None
+                 else RandomPlacement(count=args.sensors) if args.sensors is not None
+                 else cfg.get("placement"))
     if placement is None:
         raise ParameterError("a placement is required (--spacing D or --sensors N or config file)")
-
-    model = _model_from_args(args, _config_object(cfg.get("model", {}), "model", path))
-
-    trials = _config_value(cfg, "trials", "integer", 10000)
-    seed = _config_value(cfg, "seed", "integer", 0)
-    ignitions = _config_value(cfg, "ignitions", "integer", 1)
-    resample = _config_value(cfg, "resample_layout", "boolean", None)
-    clip = _config_value(cfg, "clip_to_region", "boolean", None)
-
     return ScenarioConfig(
         region=region,
         placement=placement,
-        model=model,
-        trials=args.trials if args.trials is not None else trials,
-        master_seed=args.seed if args.seed is not None else seed,
-        ignition_count=args.ignitions if args.ignitions is not None else ignitions,
-        resample_layout_each_trial=args.resample if args.resample is not None else resample,
-        clip_to_region=args.clip if args.clip is not None else clip,
+        model=_model_from_args(args, cfg.get("model", {})),
+        trials=_first_given(args.trials, cfg.get("trials"), 10000),
+        master_seed=_first_given(args.seed, cfg.get("seed"), 0),
+        ignition_count=_first_given(args.ignitions, cfg.get("ignitions"), 1),
+        resample_layout_each_trial=_first_given(args.resample, cfg.get("resample_layout")),
+        clip_to_region=_first_given(args.clip, cfg.get("clip_to_region")),
     )
 
 
@@ -253,7 +234,7 @@ def _law_from_args(args) -> analytic.AnalyticLaw:
         if args.spacing is None:
             raise ParameterError(f"law {name} requires --spacing")
         maker = analytic.grid_td_law if name == "grid-td" else analytic.grid_ad_law
-        return maker(args.spacing, args.rate if args.rate is not None else 1.0)
+        return maker(args.spacing, _first_given(args.rate, 1.0))
     if name == "random-td":
         if args.char_distance is None:
             raise ParameterError("law random-td requires --char-distance")
