@@ -53,6 +53,17 @@ class AnalyticLaw:
     name: str = ""
 
 
+def _law(survival, **fields) -> AnalyticLaw:
+    """The AnalyticLaw of ``survival`` with ``fields``: its arguments are
+    clipped at 0, and a scalar argument gives a float."""
+
+    def clamped(x):
+        s = survival(np.clip(np.asarray(x, dtype=float), 0.0, None))
+        return float(s) if np.ndim(x) == 0 else s
+
+    return AnalyticLaw(survival=clamped, **fields)
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):
         raise ParameterError(f"{name} must be positive and finite, got {value}")
@@ -97,16 +108,10 @@ def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
     _check_positive("rate", rate)
     if ignitions < 1:
         raise ParameterError(f"ignition count must be >= 1, got {ignitions}")
-
-    def survival(x):
-        xa = np.clip(np.asarray(x, dtype=float), 0.0, None)
-        s = (1.0 - grid_td_cdf(xa, spacing, rate)) ** ignitions
-        return float(s) if np.ndim(x) == 0 else s
-
     one = ignitions == 1
     ratio = spacing / rate
-    return AnalyticLaw(
-        survival=survival,
+    return _law(
+        lambda x: (1.0 - grid_td_cdf(x, spacing, rate)) ** ignitions,
         mean=_GRID_MEAN_CONST / 6.0 * ratio if one else None,
         second_moment=ratio * ratio / 6.0 if one else None,
         variance=(6.0 - _GRID_MEAN_CONST**2) / 36.0 * ratio * ratio if one else None,
@@ -124,15 +129,8 @@ def grid_ad_law(spacing: float, rate: float) -> AnalyticLaw:
     """
     _check_positive("spacing", spacing)
     _check_positive("rate", rate)
-
-    def survival(a):
-        aa = np.clip(np.asarray(a, dtype=float), 0.0, None)
-        t = np.sqrt(aa / math.pi) / rate
-        s = 1.0 - grid_td_cdf(t, spacing, rate)
-        return float(s) if np.ndim(a) == 0 else s
-
-    return AnalyticLaw(
-        survival=survival,
+    return _law(
+        lambda a: 1.0 - grid_td_cdf(np.sqrt(a / math.pi) / rate, spacing, rate),
         mean=math.pi / 6.0 * spacing * spacing,
         support_upper=math.pi * spacing * spacing / 2.0,
         name="grid burned area",
@@ -150,14 +148,8 @@ def exact_burned_area_law(area: float, n: int) -> AnalyticLaw:
     _check_positive("area", area)
     if n < 1:
         raise ParameterError(f"sensor count must be >= 1, got {n}")
-
-    def survival(x):
-        frac = np.clip(np.asarray(x, dtype=float) / area, 0.0, 1.0)
-        s = (1.0 - frac) ** n
-        return float(s) if np.ndim(x) == 0 else s
-
-    return AnalyticLaw(
-        survival=survival,
+    return _law(
+        lambda x: (1.0 - np.minimum(x / area, 1.0)) ** n,
         mean=area / (n + 1),
         second_moment=2.0 * area * area / ((n + 1) * (n + 2)),
         variance=n * area * area / ((n + 1) ** 2 * (n + 2)),
@@ -170,14 +162,8 @@ def limit_burned_area_law(char_distance: float) -> AnalyticLaw:
     """Exponential burned-area limit law: mean D^2, variance D^4."""
     _check_positive("characteristic distance", char_distance)
     d2 = char_distance * char_distance
-
-    def survival(x):
-        xa = np.clip(np.asarray(x, dtype=float), 0.0, None)
-        s = np.exp(-xa / d2)
-        return float(s) if np.ndim(x) == 0 else s
-
-    return AnalyticLaw(
-        survival=survival,
+    return _law(
+        lambda x: np.exp(-x / d2),
         mean=d2,
         second_moment=2.0 * d2 * d2,
         variance=d2 * d2,
@@ -196,14 +182,8 @@ def random_td_law(model: SpreadModel, char_distance: float) -> AnalyticLaw:
     _check_positive("characteristic distance", char_distance)
     k = model.time_scale
     ratio = char_distance / model.rate
-
-    def survival(t):
-        ta = np.clip(np.asarray(t, dtype=float), 0.0, None)
-        s = np.exp(-np.asarray(model.area(ta)) / (char_distance * char_distance))
-        return float(s) if np.ndim(t) == 0 else s
-
-    return AnalyticLaw(
-        survival=survival,
+    return _law(
+        lambda t: np.exp(-np.asarray(model.area(t)) / (char_distance * char_distance)),
         mean=k * ratio / 2.0,
         second_moment=k * k * ratio * ratio / math.pi,
         variance=k * k * (4.0 - math.pi) / (4.0 * math.pi) * ratio * ratio,
