@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -489,10 +490,13 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> Outcomes:
 
     ``workers`` is the most processes the run may use: the caller's and
     ``workers - 1`` forked ones, which it starts only when the rest of the
-    run pays for them. The output is bit-identical for any value.
+    run pays for them. It is capped at the CPUs this process may run on,
+    since the pool starts all its processes at once. The output is
+    bit-identical for any value.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(os.sched_getaffinity(0)))
     trials = config.trials
     sensors = _sensors(config)
     start, verdict = perf_counter(), None

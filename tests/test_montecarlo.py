@@ -280,7 +280,8 @@ class TestPoolRule:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The size of each pool that run_trials starts."""
+        """The size of each pool that run_trials starts, as seen by a
+        process that may run on 8 CPUs."""
         sizes = []
 
         class Recorded(ProcessPoolExecutor):
@@ -289,6 +290,7 @@ class TestPoolRule:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(firewatch.montecarlo, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         return sizes
 
     @pytest.fixture
@@ -320,6 +322,25 @@ class TestPoolRule:
         monkeypatch.setattr(firewatch.montecarlo, "perf_counter", lambda: next(clock))
         assert same(run_trials(cfg, workers=2), reference)
         assert pools == ([1] if forks else [])
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # The stand-in pool records its size and raises before any process
+        # starts, so the test forks nothing even if the cap is missing.
+        sizes = []
+
+        class NoPool(Exception):
+            pass
+
+        def refused(max_workers):
+            sizes.append(max_workers)
+            raise NoPool
+
+        monkeypatch.setattr(firewatch.montecarlo, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(firewatch.montecarlo, "_POOL_START_S", 0.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        with pytest.raises(NoPool):
+            run_trials(POOL_CASES["grid"], workers=5000)
+        assert sizes == [3]
 
     def test_resampled_split_falls_inside_a_block(self):
         # The rule is asked only at block ends: a stop after block 0 returns
