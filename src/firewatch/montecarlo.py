@@ -701,8 +701,9 @@ def compare_random_sweep(
         raise ParameterError(f"ECDF points must be >= 0, got {ecdf_points}")
     limit_law = limit_burned_area_law(char_distance)
     rows, ecdf_rows = [], []
-    for n in sensor_counts:
-        placement = RandomPlacement(count=n)  # checks n before it sizes the region
+    # Each count is checked before the first entry runs and before it sizes a region.
+    for placement in [RandomPlacement(count=n) for n in sensor_counts]:
+        n = placement.count
         side = math.sqrt(n * char_distance * char_distance)
         config = ScenarioConfig(
             region=RectRegion(side, side),

@@ -390,9 +390,10 @@ class TestSimulateCommand:
         ["compare", "--region", "4x4", "--spacing", "1", "--model", "elliptical",
          "--hb", "2", "--lb", "2", "--trials", "10"],
         ["compare", "--sensor-counts", "-1", "--trials", "1"],
+        ["compare", "--sensor-counts", "10,-1", "--trials", "10"],
     ],
     ids=["simulate one trial", "compare one trial", "compare grid one trial", "compare seed",
-         "compare elliptical grid", "compare negative count"],
+         "compare elliptical grid", "compare negative count", "compare negative later count"],
 )
 def test_rejected_before_any_trial_runs(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
