@@ -15,6 +15,7 @@ the region's edges, each classified by its midpoint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,7 +52,9 @@ class RectRegion:
     height: float
 
     def __post_init__(self):
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+        # An int side can be finite yet too large for a float.
+        top = sys.float_info.max
+        if not (0 < self.width <= top and 0 < self.height <= top):
             raise ParameterError(
                 f"region sides must be positive and finite, got {self.width} x {self.height}"
             )

@@ -13,6 +13,7 @@ base class derives both frames.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -28,10 +29,13 @@ __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 # Measured fire ellipses stay near lb <= 10. A far narrower front spans the
 # region before it meets a sensor: the search walks ~sqrt(lb) rings, then all.
 _MAX_LB_RATIO = 1e3
+# An int can be finite yet too large for a float, and math.isfinite raises on
+# it: model parameters are bounded by the largest float instead.
+_MAX_FLOAT = sys.float_info.max
 
 
 def _check_rate(rate) -> None:
-    if not (rate > 0 and math.isfinite(rate)):
+    if not 0 < rate <= _MAX_FLOAT:
         raise ParameterError(f"spread rate must be positive and finite, got {rate}")
 
 
@@ -141,13 +145,13 @@ class EllipticalModel(_AffineFront):
 
     def __post_init__(self):
         _check_rate(self.rate)
-        if not 1 <= self.hb_ratio < math.inf:
+        if not 1 <= self.hb_ratio <= _MAX_FLOAT:
             raise ParameterError(f"head-to-back ratio must be finite and >= 1, got {self.hb_ratio}")
         if not 1 <= self.lb_ratio <= _MAX_LB_RATIO:
             raise ParameterError(
                 f"length-to-breadth ratio must lie in [1, {_MAX_LB_RATIO:g}], got {self.lb_ratio}"
             )
-        if not math.isfinite(self.heading):
+        if not abs(self.heading) <= _MAX_FLOAT:
             raise ParameterError(f"heading must be finite, got {self.heading}")
 
     @cached_property

@@ -38,6 +38,8 @@ class TestRegionValidation:
             RectRegion(0.0, 5.0)
         with pytest.raises(ParameterError):
             RectRegion(5.0, -1.0)
+        with pytest.raises(ParameterError):  # finite, but too large for a float
+            RectRegion(10**400, 10.0)
 
     def test_point_must_be_finite(self):
         with pytest.raises(ParameterError):

@@ -123,6 +123,8 @@ def test_model_validation():
         EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.0)
     with pytest.raises(ParameterError):
         EllipticalModel(rate=1.0, hb_ratio=1.0, lb_ratio=0.9)
+    with pytest.raises(ParameterError):  # finite, but too large for a float
+        EllipticalModel(1.0, 10**400, 1.0)
 
 
 @pytest.mark.parametrize("lb", [1e3 * (1 + 2**-52), 1e12, 1e308])
@@ -144,9 +146,11 @@ def test_length_to_breadth_ratio_is_bounded(lb):
         lambda: EllipticalModel(rate=1.0, heading=-math.inf),
         lambda: EllipticalModel(rate=1.0, hb_ratio=math.inf),
         lambda: EllipticalModel(rate=1.0, lb_ratio=math.inf),
+        lambda: CircularModel(rate=10**400),
+        lambda: EllipticalModel(rate=1.0, heading=-(10**400)),
     ],
     ids=["circ rate inf", "circ rate nan", "ell rate inf", "heading nan", "heading -inf",
-         "hb inf", "lb inf"],
+         "hb inf", "lb inf", "rate int too large", "heading int too large"],
 )
 def test_non_finite_parameters_rejected(make):
     with pytest.raises(ParameterError):
