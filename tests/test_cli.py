@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +342,15 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+    def test_readme_config_example_runs(self, capsys, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("Scenario configs can also be given as JSON"):]
+        path = tmp_path / "cfg.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--trials", "2")
+        assert code == 0, err
+        assert json.loads(out)["n"] == 2
 
     def test_region_whose_area_underflows_exit_2_before_any_trial(self, capsys):
         # Its cells would have zero width: a ring search among 2^53 sensors
