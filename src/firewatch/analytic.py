@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .placement import GridPlacement, characteristic_distance
+from .errors import DomainError, ParameterError, check_count, check_positive
+from .placement import _MAX_SENSORS, GridPlacement, characteristic_distance
 from .propagation import CircularModel, SpreadModel
 
 __all__ = [
@@ -64,11 +64,6 @@ def _law(survival, **fields) -> AnalyticLaw:
     return AnalyticLaw(survival=clamped, **fields)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
-
-
 def grid_td_cdf(x, spacing: float, rate: float):
     """P(T_d <= x) for a regular grid with the given spacing and spread rate.
 
@@ -78,8 +73,8 @@ def grid_td_cdf(x, spacing: float, rate: float):
     branch is forced by the area-ratio derivation (quarter-disk area over
     quarter-cell area).
     """
-    _check_positive("spacing", spacing)
-    _check_positive("rate", rate)
+    check_positive("spacing", spacing)
+    check_positive("rate", rate)
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise DomainError("detection time must be nonnegative")
@@ -104,10 +99,9 @@ def grid_td_law(spacing: float, rate: float, ignitions: int = 1) -> AnalyticLaw:
     For one ignition, mean T_d = (sqrt(2) + log(1 + sqrt(2))) / 6 * D / rate
     and E[T_d^2] = D^2 / (6 rate^2), for the grid spacing D.
     """
-    _check_positive("spacing", spacing)
-    _check_positive("rate", rate)
-    if ignitions < 1:
-        raise ParameterError(f"ignition count must be >= 1, got {ignitions}")
+    check_positive("spacing", spacing)
+    check_positive("rate", rate)
+    check_count("ignition count", ignitions, 1, _MAX_SENSORS)
     one = ignitions == 1
     ratio = spacing / rate
     return _law(
@@ -127,8 +121,8 @@ def grid_ad_law(spacing: float, rate: float) -> AnalyticLaw:
     evaluated at t(a) = sqrt(a / pi) / rate; the support ends at
     pi spacing^2 / 2, and the mean is (pi/6) spacing^2 whatever the rate.
     """
-    _check_positive("spacing", spacing)
-    _check_positive("rate", rate)
+    check_positive("spacing", spacing)
+    check_positive("rate", rate)
     return _law(
         lambda a: 1.0 - grid_td_cdf(np.sqrt(a / math.pi) / rate, spacing, rate),
         mean=math.pi / 6.0 * spacing * spacing,
@@ -145,9 +139,8 @@ def exact_burned_area_law(area: float, n: int) -> AnalyticLaw:
     every n, every spread model and every number of ignition points, as long
     as the burned area is measured inside the region.
     """
-    _check_positive("area", area)
-    if n < 1:
-        raise ParameterError(f"sensor count must be >= 1, got {n}")
+    check_positive("area", area)
+    check_count("sensor count", n, 1, _MAX_SENSORS)
     return _law(
         lambda x: (1.0 - np.minimum(x / area, 1.0)) ** n,
         mean=area / (n + 1),
@@ -160,7 +153,7 @@ def exact_burned_area_law(area: float, n: int) -> AnalyticLaw:
 
 def limit_burned_area_law(char_distance: float) -> AnalyticLaw:
     """Exponential burned-area limit law: mean D^2, variance D^4."""
-    _check_positive("characteristic distance", char_distance)
+    check_positive("characteristic distance", char_distance)
     d2 = char_distance * char_distance
     return _law(
         lambda x: np.exp(-x / d2),
@@ -179,7 +172,7 @@ def random_td_law(model: SpreadModel, char_distance: float) -> AnalyticLaw:
     time by the model's ``time_scale`` k: the mean picks up k, the second
     moment and variance k^2.
     """
-    _check_positive("characteristic distance", char_distance)
+    check_positive("characteristic distance", char_distance)
     k = model.time_scale
     ratio = char_distance / model.rate
     return _law(
@@ -235,8 +228,8 @@ def plan(
     moment formulas (circular spread only); random targets invert the
     exponential-limit moments.
     """
-    _check_positive("area", area)
-    _check_positive("target", target_value)
+    check_positive("area", area)
+    check_positive("target", target_value)
     assumptions = []
     if placement_kind == "grid":
         if not isinstance(model, CircularModel):

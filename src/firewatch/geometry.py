@@ -15,13 +15,12 @@ the region's edges, each classified by its midpoint.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_finite, check_positive
 
 __all__ = [
     "Point",
@@ -40,8 +39,8 @@ class Point:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ParameterError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+        check_finite("point x", self.x)
+        check_finite("point y", self.y)
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,8 @@ class RectRegion:
     height: float
 
     def __post_init__(self):
-        # An int side can be finite yet too large for a float.
-        top = sys.float_info.max
-        if not (0 < self.width <= top and 0 < self.height <= top):
-            raise ParameterError(
-                f"region sides must be positive and finite, got {self.width} x {self.height}"
-            )
+        check_positive("region width", self.width)
+        check_positive("region height", self.height)
 
     @property
     def area(self) -> float:

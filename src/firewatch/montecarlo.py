@@ -52,7 +52,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .analytic import AnalyticLaw, limit_burned_area_law, scenario_laws
-from .errors import DomainError, EstimatorError, ParameterError
+from .errors import DomainError, EstimatorError, ParameterError, check_count
 from .geometry import Point, RectRegion, burned_union_area
 from .philox import philox4x64
 from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
@@ -143,14 +143,8 @@ class ScenarioConfig:
     clip_to_region: Optional[bool] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > _MAX_TRIAL_INDEX:
-            raise ParameterError(f"trials must be <= {_MAX_TRIAL_INDEX}")
-        if not 1 <= self.ignition_count <= _MAX_IGNITIONS:
-            raise ParameterError(
-                f"ignition count must lie in [1, {_MAX_IGNITIONS}], got {self.ignition_count}"
-            )
+        check_count("trials", self.trials, 1, _MAX_TRIAL_INDEX)
+        check_count("ignition count", self.ignition_count, 1, _MAX_IGNITIONS)
         _check_master_seed(self.master_seed)
         is_random = isinstance(self.placement, RandomPlacement)
         if self.resample_layout_each_trial is None:
@@ -163,9 +157,9 @@ class ScenarioConfig:
 
 def sweep_seed(master_seed: int, key: int) -> int:
     """The master seed of the run ``key`` of a sweep under ``master_seed``:
-    splitmix64 of their xor, in [0, 2^63), so that the runs of a sweep are
-    decorrelated but reproducible."""
-    return _splitmix64(master_seed ^ key) >> 1
+    splitmix64 of their xor as Python ints (numpy's would wrap), in [0, 2^63),
+    so that the runs of a sweep are decorrelated but reproducible."""
+    return _splitmix64(int(master_seed) ^ int(key)) >> 1
 
 
 def _splitmix64(z: int) -> int:
@@ -494,8 +488,7 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> Outcomes:
     since the pool starts all its processes at once. The output is
     bit-identical for any value.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    check_count("workers", workers, 1)
     workers = min(workers, len(os.sched_getaffinity(0)))
     trials = config.trials
     sensors = _sensors(config)

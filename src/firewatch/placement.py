@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_positive
 from .geometry import RectRegion
 
 __all__ = [
@@ -41,10 +40,7 @@ class SensorLayout:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ParameterError(f"positions must have shape (n, 2) with n >= 1, got {pos.shape}")
-        if not self.characteristic_distance > 0:
-            raise ParameterError(
-                f"characteristic distance must be positive, got {self.characteristic_distance}"
-            )
+        check_positive("characteristic distance", self.characteristic_distance)
         object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
@@ -57,6 +53,9 @@ class GridPlacement:
 
     spacing: float
 
+    def __post_init__(self):
+        check_positive("spacing", self.spacing)
+
 
 @dataclass(frozen=True)
 class RandomPlacement:
@@ -65,29 +64,18 @@ class RandomPlacement:
     count: int
 
     def __post_init__(self):
-        count = self.count
-        if (
-            isinstance(count, bool)
-            or not isinstance(count, numbers.Integral)
-            or not 1 <= count <= _MAX_SENSORS
-        ):
-            raise ParameterError(
-                f"sensor count must be an integer in [1, 2^53], got {self.count!r}"
-            )
+        check_count("sensor count", self.count, 1, _MAX_SENSORS)
 
 
 def _check_master_seed(seed) -> None:
     # Philox keys are 64-bit words: a wider seed would alias a smaller one.
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ParameterError(f"master seed must be an integer in [0, 2^64), got {seed}")
+    check_count("master seed", seed, 0, _MASK64)
 
 
 def characteristic_distance(area: float, n: int) -> float:
     """Density parameter sqrt(area / n) summarizing sensor spacing."""
-    if not area > 0:
-        raise ParameterError(f"area must be positive, got {area}")
-    if n < 1:
-        raise ParameterError(f"sensor count must be >= 1, got {n}")
+    check_positive("area", area)
+    check_count("sensor count", n, 1, _MAX_SENSORS)
     return math.sqrt(area / n)
 
 
@@ -110,8 +98,7 @@ def grid_layout(region: RectRegion, spacing: float) -> SensorLayout:
     Region sides must be integer multiples of ``spacing``; the resulting
     layout has (width/spacing + 1) * (height/spacing + 1) sensors.
     """
-    if not spacing > 0:
-        raise ParameterError(f"spacing must be positive, got {spacing}")
+    check_positive("spacing", spacing)
     nx = _lattice_count(region.width, spacing) + 1
     ny = _lattice_count(region.height, spacing) + 1
     xs = np.arange(nx) * spacing
@@ -126,16 +113,12 @@ def uniform_layout(region: RectRegion, n: int, seed: int) -> SensorLayout:
 
     The seed must lie in [0, 2^64), like a master seed.
     """
-    if n < 1:
-        raise ParameterError(f"sensor count must be >= 1, got {n}")
+    distance = characteristic_distance(region.area, n)
     _check_master_seed(seed)
     key = np.array([seed, _LAYOUT_STREAM_TAG], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     positions = rng.random((n, 2)) * np.array([region.width, region.height])
-    return SensorLayout(
-        positions=positions,
-        characteristic_distance=characteristic_distance(region.area, n),
-    )
+    return SensorLayout(positions=positions, characteristic_distance=distance)
 
 
 def build_layout(placement, region: RectRegion, seed: int = 0) -> SensorLayout:

@@ -13,14 +13,13 @@ base class derives both frames.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite, check_positive
 from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
@@ -29,14 +28,6 @@ __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 # Measured fire ellipses stay near lb <= 10. A far narrower front spans the
 # region before it meets a sensor: the search walks ~sqrt(lb) rings, then all.
 _MAX_LB_RATIO = 1e3
-# An int can be finite yet too large for a float, and math.isfinite raises on
-# it: model parameters are bounded by the largest float instead.
-_MAX_FLOAT = sys.float_info.max
-
-
-def _check_rate(rate) -> None:
-    if not 0 < rate <= _MAX_FLOAT:
-        raise ParameterError(f"spread rate must be positive and finite, got {rate}")
 
 
 def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[float, float, float]:
@@ -96,7 +87,7 @@ class CircularModel(_AffineFront):
     shape = (1.0, 1.0, 0.0, 1.0, 0.0)
 
     def __post_init__(self):
-        _check_rate(self.rate)
+        check_positive("spread rate", self.rate)
 
     @property
     def time_scale(self) -> float:
@@ -144,15 +135,13 @@ class EllipticalModel(_AffineFront):
     heading: float = 0.0
 
     def __post_init__(self):
-        _check_rate(self.rate)
-        if not 1 <= self.hb_ratio <= _MAX_FLOAT:
-            raise ParameterError(f"head-to-back ratio must be finite and >= 1, got {self.hb_ratio}")
+        check_positive("spread rate", self.rate)
+        check_finite("head-to-back ratio", self.hb_ratio, low=1)
         if not 1 <= self.lb_ratio <= _MAX_LB_RATIO:
             raise ParameterError(
                 f"length-to-breadth ratio must lie in [1, {_MAX_LB_RATIO:g}], got {self.lb_ratio}"
             )
-        if not abs(self.heading) <= _MAX_FLOAT:
-            raise ParameterError(f"heading must be finite, got {self.heading}")
+        check_finite("heading", self.heading)
 
     @cached_property
     def shape(self):

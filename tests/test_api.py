@@ -1,5 +1,6 @@
-"""The public surface of the package, and the names the benchmark's tracer
-wraps by name (perfbench/tracer.py).
+"""The public surface of the package, the names the benchmark's tracer wraps
+by name (perfbench/tracer.py), and the numbers its constructors and law
+factories reject.
 
 A rename or move that breaks ``python -m pytest perfbench`` fails here first.
 """
@@ -7,6 +8,7 @@ A rename or move that breaks ``python -m pytest perfbench`` fails here first.
 import dataclasses
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,53 @@ def test_cli_is_a_thin_parser():
         "_check_master_seed",
     ):
         assert not hasattr(firewatch.cli, name), name
+
+
+def _config(**fields):
+    values = dict(
+        region=firewatch.RectRegion(10.0, 10.0),
+        placement=firewatch.RandomPlacement(5),
+        model=firewatch.CircularModel(1.0),
+        trials=2,
+        master_seed=0,
+    )
+    return firewatch.ScenarioConfig(**{**values, **fields})
+
+
+_BIG = 10**400  # an int too large for a float
+_REGION = firewatch.RectRegion(10.0, 10.0)
+_BAD_INPUTS = {
+    "grid spacing too large": lambda: firewatch.run_trials(
+        _config(placement=firewatch.GridPlacement(_BIG))
+    ),
+    "point too large": lambda: firewatch.Point(_BIG, 0.0),
+    "grid law spacing too large": lambda: firewatch.grid_td_law(_BIG, 1.0),
+    "limit law distance too large": lambda: firewatch.limit_burned_area_law(_BIG),
+    "exact law area too large": lambda: firewatch.exact_burned_area_law(_BIG, 3),
+    "random law distance too large": lambda: firewatch.random_td_law(
+        firewatch.CircularModel(1.0), _BIG
+    ),
+    "char distance area too large": lambda: firewatch.characteristic_distance(_BIG, 3),
+    "plan area too large": lambda: firewatch.analytic.plan(
+        _BIG, firewatch.CircularModel(1.0), "random", "area", 1.0
+    ),
+    "grid layout spacing too large": lambda: firewatch.grid_layout(_REGION, _BIG),
+    "trials not an integer": lambda: _config(trials=2.5),
+    "ignitions not an integer": lambda: _config(ignition_count=1.5),
+    "layout count not an integer": lambda: firewatch.uniform_layout(_REGION, 2.5, 0),
+    "grid spacing negative": lambda: firewatch.GridPlacement(-1.0),
+    "grid spacing nan": lambda: firewatch.GridPlacement(math.nan),
+    "exact law count not an integer": lambda: firewatch.exact_burned_area_law(100.0, 2.5),
+    "exact law count above 2^53": lambda: firewatch.exact_burned_area_law(1.0, 2**53 + 1),
+    "grid law ignitions not an integer": lambda: firewatch.grid_td_law(1.0, 1.0, 1.5),
+    "workers not an integer": lambda: firewatch.run_trials(_config(), workers=1.5),
+    "trials a bool": lambda: _config(trials=True),
+    "master seed a bool": lambda: _config(master_seed=True),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_constructors_and_law_factories_reject_bad_numbers(call):
+    # Not an OverflowError or TypeError from deeper down, nor a silent answer.
+    with pytest.raises(firewatch.ParameterError):
+        call()
