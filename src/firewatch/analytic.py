@@ -141,8 +141,15 @@ def exact_burned_area_law(area: float, n: int) -> AnalyticLaw:
     """
     check_positive("area", area)
     check_count("sensor count", n, 1, _MAX_SENSORS)
+
+    def survival(x):
+        # Rounding 1 - x/area first would cost a relative error of about
+        # n ulps; log1p keeps it near one. log1p(-1) is -inf, at x = area.
+        with np.errstate(divide="ignore"):
+            return np.exp(n * np.log1p(-np.minimum(x / area, 1.0)))
+
     return _law(
-        lambda x: (1.0 - np.minimum(x / area, 1.0)) ** n,
+        survival,
         mean=area / (n + 1),
         second_moment=2.0 * area * area / ((n + 1) * (n + 2)),
         variance=n * area * area / ((n + 1) ** 2 * (n + 2)),

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -238,6 +240,21 @@ def test_exact_law_closed_form_moments():
     assert law.mean == pytest.approx(area / (n + 1), rel=1e-14)
     assert law.second_moment == pytest.approx(2 * area**2 / ((n + 1) * (n + 2)), rel=1e-14)
     assert law.support_upper == area
+
+
+@pytest.mark.parametrize("n", [7, 10**4, 10**12, 10**15, 2**53])
+def test_exact_law_survival_matches_50_digits(n):
+    # (1 - x/A)^n to 50 digits at the floats x and A given. Rounding 1 - x/A
+    # to a float first would cost a relative error of about n * 2^-53.
+    area = 100.0
+    law = exact_burned_area_law(area, n)
+    xs = np.array([c * area / n for c in (1e-3, 0.5, 1.0, 5.0)] + [area / 3.0])
+    with mpmath.workdps(50):
+        want = [float((1 - mpmath.mpf(x) / mpmath.mpf(area)) ** n) for x in xs]
+    np.testing.assert_allclose(law.survival(xs), want, rtol=1e-13, atol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.survival(area) == 0.0 and law.survival(0.0) == 1.0
 
 
 def test_limit_law_variance_is_d4():

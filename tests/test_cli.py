@@ -737,8 +737,8 @@ x,cdf,survival
         """\
 x,cdf,survival
 0.0,0.0,1.0
-5.0,0.3016627039062503,0.6983372960937497
-99.0,0.99999999999999,1.0000000000000062e-14
+5.0,0.30166270390625005,0.69833729609375
+99.0,0.99999999999999,1.0000000000000058e-14
 100.0,1.0,0.0
 150.0,1.0,0.0
 """,
@@ -772,8 +772,8 @@ x,cdf,survival
         "compare --sensor-counts 10,40 --char-distance 1.5 --trials 200 --seed 5",
         """\
 n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_td,analytic_var_td,analytic_mean_ad,analytic_var_ad,ks_td,ks_ad_exact,ks_ad_limit
-10,1.5,0.8700193417833486,0.03607184688890849,0.26023562759537144,2.2378110362991332,0.14780604379918266,4.369325316713181,0.75,0.153697243913529,2.25,5.0625,0.13740445534713996,0.06432151983030676,0.04237712851140768
-40,1.5,0.8157748484028302,0.03386481285568619,0.22936510995012976,2.2480880045718465,0.16869925023730276,5.69188740612562,0.75,0.153697243913529,2.25,5.0625,0.056448439880805945,0.04176831364700925,0.04256998591407102
+10,1.5,0.8700193417833486,0.03607184688890849,0.26023562759537144,2.2378110362991332,0.14780604379918266,4.369325316713181,0.75,0.153697243913529,2.25,5.0625,0.13740445534713996,0.06432151983030687,0.04237712851140768
+40,1.5,0.8157748484028302,0.03386481285568619,0.22936510995012976,2.2480880045718465,0.16869925023730276,5.69188740612562,0.75,0.153697243913529,2.25,5.0625,0.056448439880805945,0.04176831364700892,0.04256998591407102
 """,
     ),
     (
@@ -795,7 +795,7 @@ n_sensors,char_distance,mean_td,se_td,var_td,mean_ad,se_ad,var_ad,analytic_mean_
   "se_ad": 0.1487904911433359,
   "var_ad": 4.427722050935023,
   "ks_td": 0.05763977797898562,
-  "ks_ad": 0.04421516731333747
+  "ks_ad": 0.04421516731333869
 }
 """,
     ),
