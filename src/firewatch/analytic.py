@@ -237,6 +237,8 @@ def plan(
     """
     check_positive("area", area)
     check_positive("target", target_value)
+    if target_kind not in ("area", "time"):
+        raise ParameterError(f"unknown target kind {target_kind!r}")
     assumptions = []
     if placement_kind == "grid":
         if not isinstance(model, CircularModel):

@@ -1,5 +1,5 @@
 """The public surface of the package, the names the benchmark's tracer wraps
-by name (perfbench/tracer.py), and the numbers its constructors and law
+by name (perfbench/tracer.py), and the input its constructors and law
 factories reject.
 
 A rename or move that breaks ``python -m pytest perfbench`` fails here first.
@@ -137,6 +137,9 @@ _BAD_INPUTS = {
     "plan area too large": lambda: firewatch.analytic.plan(
         _BIG, firewatch.CircularModel(1.0), "random", "area", 1.0
     ),
+    "plan target kind unknown": lambda: firewatch.analytic.plan(
+        100.0, firewatch.CircularModel(1.0), "random", "bogus", 1.0
+    ),
     "grid layout spacing too large": lambda: firewatch.grid_layout(_REGION, _BIG),
     "trials not an integer": lambda: _config(trials=2.5),
     "ignitions not an integer": lambda: _config(ignition_count=1.5),
@@ -153,7 +156,7 @@ _BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
-def test_constructors_and_law_factories_reject_bad_numbers(call):
+def test_constructors_and_law_factories_reject_bad_input(call):
     # Not an OverflowError or TypeError from deeper down, nor a silent answer.
     with pytest.raises(firewatch.ParameterError):
         call()
