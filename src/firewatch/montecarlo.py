@@ -572,6 +572,8 @@ def ks_distance(sample: np.ndarray, law: AnalyticLaw) -> float:
         raise EstimatorError("sample is empty")
     if np.any(np.diff(s) < 0):
         raise EstimatorError("sample must be sorted ascending")
+    if np.isnan(s).any():
+        raise EstimatorError("sample holds a NaN")
     n = s.size
     cdf = 1.0 - np.asarray(law.survival(s), dtype=float)
     i = np.arange(1, n + 1)

@@ -953,6 +953,10 @@ class TestKsDistance:
             ks_distance(np.array([2.0, 1.0]), law)
         with pytest.raises(EstimatorError):
             ks_distance(np.array([]), law)
+        # A NaN compares false either way, so it passes the sorted check.
+        for sample in ([0.1, np.nan], [np.nan], [np.nan, 0.1]):
+            with pytest.raises(EstimatorError):
+                ks_distance(np.array(sample), law)
 
     def test_grid_law_against_engine(self):
         cfg = ScenarioConfig(
