@@ -39,6 +39,7 @@ from firewatch.montecarlo import (
     run_trials,
     summarize,
     summary_to_json,
+    sweep_seed,
 )
 from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
@@ -120,6 +121,14 @@ class TestConfig:
                 master_seed=0,
                 resample_layout_each_trial=True,
             )
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5)])
+    def test_numpy_integer_seed_runs_as_the_python_int(self, seed):
+        want = run_trials(small_random_config(trials=20))
+        got = run_trials(small_random_config(trials=20, master_seed=seed))
+        assert got.t_d.tobytes() == want.t_d.tobytes() and got.a_d.tobytes() == want.a_d.tobytes()
+        # numpy's own arithmetic would wrap (uint64) or raise (int64) in splitmix64.
+        assert sweep_seed(seed, np.int64(40)) == sweep_seed(5, 40)
 
     def test_bad_grid_spacing_surfaces_as_parameter_error(self):
         cfg = ScenarioConfig(
