@@ -467,8 +467,9 @@ class TestRegionScaling:
 class TestGoldenOutcomes:
     """sha256 of ``t_d.tobytes() + a_d.tobytes()`` at seed 7, at workers 1
     and 2: the three benchmark workloads, several ignitions in dense, sparse
-    and long narrow regions, clipped grids and a fixed random layout. A
-    refactor of the geometry or the spread models must keep every byte."""
+    and long narrow regions, clipped grids, a fixed random layout and lone
+    clipped fronts in a region scaled by 2^-300. A refactor of the geometry
+    or the spread models must keep every byte."""
 
     CASES = {
         "random-dense": (
@@ -513,6 +514,12 @@ class TestGoldenOutcomes:
             RectRegion(10, 10), GridPlacement(1.0), CircularModel(1.0), 5000,
             {"clip_to_region": True},
             "5b33a27536909d26f46d502ffba291341d3583fae1a5d299ea919e3028aa1757",
+        ),
+        # About three fronts in four are lone and cross the strip's long edges.
+        "elliptical-k3-lone-clipped-tiny": (
+            RectRegion(80 * 2.0**-300, 2.0**-300), RandomPlacement(40),
+            EllipticalModel(1.0, 2.0, 2.0, heading=0.7), 2000, {"ignition_count": 3},
+            "a257beb91daef36b3fd6904872d436a525bb3d35085ddd13c50ff4c8c3eb9d7e",
         ),
     }
 
