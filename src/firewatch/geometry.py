@@ -59,36 +59,66 @@ class RectRegion:
         return self.width * self.height
 
 
-def _sector_area(ux: float, uy: float, vx: float, vy: float, r2: float) -> float:
-    # Signed circular sector between rays O->u and O->v.
-    theta = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-    return 0.5 * r2 * theta
-
-
-def _tri_disk_area(ax: float, ay: float, bx: float, by: float, r: float) -> float:
-    # Signed area of disk(origin, r) intersected with triangle(origin, A, B).
+def _tri_disk_areas(ax, ay, bx, by, r2):
+    # Signed areas of disk(origin, r) intersected with triangle(origin, A, B),
+    # elementwise over arrays of one shape, with r2 = r * r. Every step is the
+    # Python float formula's: + - * / and sqrt round alike in numpy, max and
+    # min keep Python's choice of operand, and math.atan2 is mapped over the
+    # arrays (np.arctan2 differs from it in the last bit).
     cross = ax * by - ay * bx
-    if cross == 0.0:
-        return 0.0
-    r2 = r * r
     dx = bx - ax
     dy = by - ay
     dd = dx * dx + dy * dy
     adotd = ax * dx + ay * dy
     disc = dd * r2 - cross * cross
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        lo = max((-adotd - sq) / dd, 0.0)
-        hi = min((-adotd + sq) / dd, 1.0)
-        if lo < hi:
-            px, py = ax + lo * dx, ay + lo * dy
-            qx, qy = ax + hi * dx, ay + hi * dy
-            return (
-                _sector_area(ax, ay, px, py, r2)
-                + 0.5 * (px * qy - py * qx)
-                + _sector_area(qx, qy, bx, by, r2)
-            )
-    return _sector_area(ax, ay, bx, by, r2)
+    sq = np.sqrt(disc)
+    lo = (-adotd - sq) / dd
+    lo = np.where(0.0 > lo, 0.0, lo)
+    hi = (-adotd + sq) / dd
+    hi = np.where(1.0 < hi, 1.0, hi)
+    # Where the edge's chord through the disk cuts the triangle, its area is
+    # the sector from A to the chord's first end P, the triangle of the chord
+    # PQ and the sector from Q to B; elsewhere it is the sector from A to B,
+    # the first sector with P = B.
+    cut = (disc > 0.0) & (lo < hi)
+    px, py = np.where(cut, ax + lo * dx, bx), np.where(cut, ay + lo * dy, by)
+    qx, qy = ax + hi * dx, ay + hi * dy
+    sines = np.concatenate([(ax * py - ay * px).ravel(), (qx * by - qy * bx)[cut]])
+    cosines = np.concatenate([(ax * px + ay * py).ravel(), (qx * bx + qy * by)[cut]])
+    theta = np.fromiter(map(math.atan2, sines.tolist(), cosines.tolist()), float, sines.size)
+    sector = 0.5 * np.concatenate([r2.ravel(), r2[cut]]) * theta
+    area = sector[: ax.size].reshape(ax.shape)
+    area[cut] = (area[cut] + (0.5 * (px * qy - py * qx))[cut]) + sector[ax.size :]
+    return np.where(cross == 0.0, 0.0, area)
+
+
+def _disk_polygon_areas(xs, ys, radius):
+    """Exact areas of disks about the origin intersected with convex polygons.
+
+    ``xs`` and ``ys`` hold each polygon's corners counterclockwise along the
+    last axis, relative to its disk's centre, and ``radius`` is one radius or
+    one per polygon. Each area is the sum, over the edges in order, of the
+    signed overlap of the disk with the triangle spanned by the centre and
+    the edge, floored at 0: the bits of that sum in Python floats.
+    """
+    xs, ys, r = (np.asarray(v, dtype=float) for v in (xs, ys, radius))
+    n = xs.shape[-1]
+    following = (np.arange(n) + 1) % max(n, 1)
+    # Steps past the floats give inf or NaN, as in Python floats, and those
+    # of the branches not taken are discarded.
+    with np.errstate(all="ignore"):
+        r2 = np.empty(xs.shape)
+        r2[...] = (r * r)[..., None]
+        parts = _tri_disk_areas(xs, ys, xs[..., following], ys[..., following], r2)
+    total = np.zeros(xs.shape[:-1])
+    for j in range(n):
+        total = total + parts[..., j]
+    return np.where(0.0 > total, 0.0, total)
+
+
+def _float_or_array(area):
+    """One area as a Python float, several as their array."""
+    return float(area) if np.ndim(area) == 0 else area
 
 
 def disk_polygon_area(vertices, radius: float) -> float:
@@ -98,37 +128,32 @@ def disk_polygon_area(vertices, radius: float) -> float:
     the disk's center. The area is the sum, over the edges, of the signed
     overlap of the disk with the triangle spanned by the center and the edge.
     """
-    n = len(vertices)
-    total = 0.0
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        total += _tri_disk_area(ax, ay, bx, by, radius)
-    return max(total, 0.0)
+    corners = np.array(vertices, dtype=float).reshape(-1, 2)
+    return float(_disk_polygon_areas(corners[:, 0], corners[:, 1], radius))
 
 
 def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
-    """Exact area of disk(center, radius) intersected with ``region``."""
-    if radius < 0:
+    """Exact area of disk(center, radius) intersected with ``region``.
+
+    ``center.x``, ``center.y`` and ``radius`` may be arrays of one shape; the
+    areas are then an array, each with the bits of the call for one disk.
+    """
+    cx, cy, r = (np.asarray(v, dtype=float) for v in (center.x, center.y, radius))
+    if (r < 0).any():
         raise DomainError(f"radius must be nonnegative, got {radius}")
-    if radius == 0.0:
-        return 0.0
-    cx, cy = center.x, center.y
-    corners = (
-        (0.0 - cx, 0.0 - cy),
-        (region.width - cx, 0.0 - cy),
-        (region.width - cx, region.height - cy),
-        (0.0 - cx, region.height - cy),
-    )
+    w, h = region.width, region.height
+    xs = np.array([0.0, w, w, 0.0]) - cx[..., None]
+    ys = np.array([0.0, 0.0, h, h]) - cy[..., None]
     # Measured in units of 2^e, the farthest corner offset's power of two,
-    # the products of four lengths in _tri_disk_area stay normal whatever
+    # the products of four lengths in _tri_disk_areas stay normal whatever
     # the region's scale. Scaling by a power of two is exact; e is clamped
     # so that 2^e and 2^-e are floats.
-    e = math.frexp(max(abs(v) for corner in corners for v in corner))[1]
-    e = min(max(e, -1023), 1023)
-    unit, inv = math.ldexp(1.0, e), math.ldexp(1.0, -e)
-    area = disk_polygon_area([(x * inv, y * inv) for x, y in corners], radius * inv)
-    return area * unit * unit
+    e = np.frexp(np.maximum(abs(xs).max(axis=-1), abs(ys).max(axis=-1)))[1]
+    e = np.minimum(np.maximum(e, -1023), 1023)
+    unit, inv = np.ldexp(1.0, e), np.ldexp(1.0, -e)
+    area = _disk_polygon_areas(xs * inv[..., None], ys * inv[..., None], r * inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _float_or_array(np.where(r == 0.0, 0.0, area * unit * unit))
 
 
 def _group_fronts(fronts):

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, check_finite, check_positive
-from .geometry import Point, RectRegion, disk_polygon_area, disk_rect_area
+from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 
@@ -42,6 +42,15 @@ def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[f
     b = a / lb_ratio
     c = 0.5 * rate * (1.0 - 1.0 / hb_ratio)
     return a, b, c
+
+
+def _hypot(x, y):
+    """math.hypot, elementwise over two arrays of one shape: np.hypot differs
+    from it in the last bit."""
+    if np.ndim(x) == 0:
+        return math.hypot(x, y)
+    hypots = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(hypots, float, x.size).reshape(x.shape)
 
 
 class _AffineFront:
@@ -68,9 +77,12 @@ class _AffineFront:
         return ignition.x + c * r * cos_h, ignition.y + c * r * sin_h, a * r, b * r, cos_h, sin_h
 
     def bounding_box(self, ignition: Point, t):
+        """The front's box ``(x0, y0, x1, y1)``. The ignition's ``x`` and
+        ``y`` and ``t`` may be arrays that broadcast; each box then has the
+        bits of the call for one front."""
         cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
-        ex = math.hypot(at * cos_h, bt * sin_h)
-        ey = math.hypot(at * sin_h, bt * cos_h)
+        ex = _hypot(at * cos_h, bt * sin_h)
+        ey = _hypot(at * sin_h, bt * cos_h)
         return (cx - ex, cy - ey, cx + ex, cy + ey)
 
     def frame_centre(self, x, y, t):
@@ -195,16 +207,17 @@ class EllipticalModel(_AffineFront):
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         # The frame at scale r = rate * t takes the front to the unit disk and
         # the region to a parallelogram, still counterclockwise, of area / (a b r^2).
-        if t <= 0.0:
-            return 0.0
+        # As disk_rect_area, it takes arrays of ignitions and times of one shape.
+        x, y, t = (np.asarray(v, dtype=float) for v in (ignition.x, ignition.y, t))
         r = self.rate * t
         a, b = self.shape[:2]
         w, h = region.width, region.height
-        corners = [
-            self._to_frame(x - ignition.x, y - ignition.y, r, r)
-            for x, y in ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
-        ]
-        return (a * r) * (b * r) * disk_polygon_area(corners, 1.0)
+        dx = np.array([0.0, w, w, 0.0]) - x[..., None]
+        dy = np.array([0.0, 0.0, h, h]) - y[..., None]
+        with np.errstate(all="ignore"):  # past the floats, or at t = 0
+            xs, ys = self._to_frame(dx, dy, r[..., None], r[..., None])
+            area = (a * r) * (b * r) * _disk_polygon_areas(xs, ys, 1.0)
+        return _float_or_array(np.where(t <= 0.0, 0.0, area))
 
 
 SpreadModel = Union[CircularModel, EllipticalModel]

@@ -5,10 +5,13 @@ implementation under test: bisection on the front-membership predicate,
 the front's quadratic in 60-digit decimal arithmetic for reach times,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
 and for a union of fronts of one model clipped to a rectangle,
-the textbook two-circle lens formula, a dense per-trial sensor draw for
-the engine's lazy cell-by-cell sampler, and a trial-by-trial run of a
-fixed layout for the engine's batched one. ``time_to`` is no oracle: it is
-a model's own ``reach_times`` at one point, for the tests that check it.
+the textbook two-circle lens formula, the clip's formula one Python
+float at a time for the engine's array clip, one ``burned_union_area``
+call per trial for the engine's array pass over burned areas, a dense
+per-trial sensor draw for the engine's lazy cell-by-cell sampler, and a
+trial-by-trial run of a fixed layout for the engine's batched one.
+``time_to`` is no oracle: it is a model's own ``reach_times`` at one
+point, for the tests that check it.
 """
 
 import math
@@ -21,7 +24,7 @@ from scipy import integrate, optimize
 from firewatch.geometry import Point, burned_union_area
 from firewatch.montecarlo import detection_time
 from firewatch.placement import build_layout
-from firewatch.propagation import ellipse_axis_rates
+from firewatch.propagation import CircularModel, ellipse_axis_rates
 
 
 def time_to(model, ign, tgt) -> float:
@@ -265,6 +268,91 @@ def quad_union_rect(fronts, width, height):
         )
         area += val
     return area
+
+
+def _sector_area(ux, uy, vx, vy, r2):
+    theta = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+    return 0.5 * r2 * theta
+
+
+def _tri_disk_area(ax, ay, bx, by, r):
+    # Signed area of disk(origin, r) intersected with triangle(origin, A, B).
+    cross = ax * by - ay * bx
+    if cross == 0.0:
+        return 0.0
+    r2 = r * r
+    dx = bx - ax
+    dy = by - ay
+    dd = dx * dx + dy * dy
+    adotd = ax * dx + ay * dy
+    disc = dd * r2 - cross * cross
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        lo = max((-adotd - sq) / dd, 0.0)
+        hi = min((-adotd + sq) / dd, 1.0)
+        if lo < hi:
+            px, py = ax + lo * dx, ay + lo * dy
+            qx, qy = ax + hi * dx, ay + hi * dy
+            return (
+                _sector_area(ax, ay, px, py, r2)
+                + 0.5 * (px * qy - py * qx)
+                + _sector_area(qx, qy, bx, by, r2)
+            )
+    return _sector_area(ax, ay, bx, by, r2)
+
+
+def scalar_disk_polygon_area(vertices, radius):
+    """Area of disk(origin, radius) intersected with a convex polygon, its
+    corners counterclockwise: the sum over the edges of the disk's signed
+    overlap with the triangle of the origin and the edge, one Python float
+    at a time. The engine's array clip must give these bits."""
+    total = 0.0
+    for i in range(len(vertices)):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % len(vertices)]
+        total += _tri_disk_area(ax, ay, bx, by, radius)
+    return max(total, 0.0)
+
+
+def scalar_clipped_area(model, ign, t, region):
+    """A front's area clipped to ``region`` by ``scalar_disk_polygon_area``,
+    in the frame the model's ``clipped_area_exact`` uses: a circle measured
+    in units of its farthest corner offset's power of two, an ellipse in the
+    model's ``_to_frame`` at reach ``rate * t``."""
+    w, h = region.width, region.height
+    plane = ((0.0, 0.0), (w, 0.0), (w, h), (0.0, h))
+    if isinstance(model, CircularModel):
+        radius = model.rate * t
+        if radius == 0.0:
+            return 0.0
+        corners = [(x - ign.x, y - ign.y) for x, y in plane]
+        e = math.frexp(max(abs(v) for corner in corners for v in corner))[1]
+        e = min(max(e, -1023), 1023)
+        unit, inv = math.ldexp(1.0, e), math.ldexp(1.0, -e)
+        area = scalar_disk_polygon_area([(x * inv, y * inv) for x, y in corners], radius * inv)
+        return area * unit * unit
+    if t <= 0.0:
+        return 0.0
+    r = model.rate * t
+    a, b = model.shape[:2]
+    corners = [model._to_frame(x - ign.x, y - ign.y, r, r) for x, y in plane]
+    return (a * r) * (b * r) * scalar_disk_polygon_area(corners, 1.0)
+
+
+def per_trial_burned_areas(config, t_d, xs, ys):
+    """Burned areas of trials with detection times ``t_d`` and ignitions the
+    rows of ``(xs, ys)``, one ``burned_union_area`` call per trial: F(t) for
+    one unclipped front or a time that is not finite, else the clipped
+    union of the trial's fronts."""
+    model, region = config.model, config.region
+    areas = model.area(t_d)
+    if config.ignition_count == 1 and not config.clip_to_region:
+        return areas
+    for i in np.flatnonzero(np.isfinite(t_d)).tolist():
+        t = float(t_d[i])
+        fronts = [(Point(x, y), model, t) for x, y in zip(xs[i].tolist(), ys[i].tolist())]
+        areas[i] = burned_union_area(fronts, region)
+    return areas
 
 
 def lens_union_area(r, d):

@@ -17,6 +17,7 @@ from firewatch.geometry import (
     disk_polygon_area,
     disk_rect_area,
 )
+from firewatch.montecarlo import _Ignitions
 from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import (
@@ -26,6 +27,7 @@ from helpers import (
     quad_disk_rect,
     quad_ellipse_rect,
     quad_union_rect,
+    scalar_clipped_area,
     time_to,
 )
 
@@ -330,6 +332,43 @@ class TestEllipseClip:
         want = [ell.clipped_area_exact(ign, t, REGION) for ign, _, t in fronts]
         assert want[1] < ell.area(0.5)
         assert got == pytest.approx(sum(want), rel=1e-15)
+
+
+class TestArrayClip:
+    """The clip measures many fronts as one array, with the bits of the
+    clip's formula one Python float at a time, and so does a call for one
+    front: disks and ellipses on edges and corners and clear of them, at
+    radius 0, at heading 0.7, in regions scaled by 2^-300 and 2^300."""
+
+    MODELS = (
+        CircularModel(1.3),
+        EllipticalModel(1.0, 2.0, 2.0, 0.7),
+        EllipticalModel(0.7, 3.0, 1.5, 0.7),
+    )
+    # Where an ignition lies, as a share of a side: on an edge or a corner
+    # when both shares are 0 or 1, else anywhere in or near the region.
+    share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.3, 1.3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        exponent=st.sampled_from([0, -300, 300]),
+        side=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),
+        fronts=st.lists(
+            st.tuples(share, share, st.one_of(st.just(0.0), st.floats(1e-6, 30.0))),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_matches_the_scalar_formula_bit_for_bit(self, model, exponent, side, fronts):
+        s = 2.0**exponent
+        region = RectRegion(side[0] * s, side[1] * s)
+        xs, ys, ts = (np.array(v) for v in zip(*fronts))
+        xs, ys, ts = xs * region.width, ys * region.height, ts * s
+        got = model.clipped_area_exact(_Ignitions(xs, ys), ts, region)
+        for x, y, t, area in zip(xs.tolist(), ys.tolist(), ts.tolist(), got.tolist()):
+            want = scalar_clipped_area(model, Point(x, y), t, region)
+            assert area.hex() == want.hex()
+            assert model.clipped_area_exact(Point(x, y), t, region).hex() == want.hex()
 
 
 class TestUnionArea:
