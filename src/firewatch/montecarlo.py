@@ -34,6 +34,14 @@ uniform over its undrawn area, whichever cells were chosen from what was
 drawn, and whatever the other trials of the block drew; so each trial sees
 the binomial point process of N i.i.d. uniform sensors drawn in another
 order, and ``(1 - x/A)^N`` holds exactly.
+
+Burned areas are array work over the block too. All fronts of a trial share
+its detection time t, and in the model's frame each is the disk of radius t
+about its frame centre, so two meet iff those centres are at most 2t apart.
+Only a trial with a pair that meets, or that comes within 1e-12 of touching,
+calls ``burned_union_area``. The other fronts are lone: F(t) inside the
+region, the array exact clip across its edge, nothing past it, each with the
+bits that ``burned_union_area`` gives, and added in front order.
 """
 
 from __future__ import annotations
@@ -415,24 +423,65 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
 
 def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray:
     """Burned areas of the trials with detection times ``t_d`` and ignitions
-    the rows of ``(xs, ys)``."""
-    model, region = config.model, config.region
-    # A lone front clear of the region's edges burns F(t) = model.area(t).
-    free = np.full(t_d.size, config.ignition_count == 1)
-    if config.ignition_count == 1 and config.clip_to_region:
-        # Clear by 1e-9 of the region's sides, a margin that covers rounding
-        # against burned_union_area's own bounding box, which then gives F(t).
-        mx, my = 1e-9 * region.width, 1e-9 * region.height
-        free = _box_inside(
-            model, xs[:, 0], ys[:, 0], t_d, mx, my, region.width - mx, region.height - my
-        )
+    the rows of ``(xs, ys)``: F(t) for one unclipped front, else the bits of
+    ``burned_union_area`` of the trial's fronts.
+
+    All fronts of a trial share its time t, and the model's frame maps each
+    to the disk of radius t about its ``frame_centre``, so two meet iff their
+    centres are at most 2t apart. Only a trial with a pair that is not apart
+    by a margin calls ``burned_union_area``: np.hypot may differ from the
+    math.hypot it uses in the last bit. The other trials' fronts are lone, and are
+    measured as arrays (``_lone_areas``).
+    """
+    model, region, k = config.model, config.region, config.ignition_count
     areas = model.area(t_d)
+    if k == 1 and not config.clip_to_region:
+        return areas
     # A time that is not finite has area inf (or NaN), which run_trials rejects.
-    rest = np.flatnonzero(~free & np.isfinite(t_d))
-    ignitions = np.stack([xs[rest], ys[rest]], axis=2).tolist()
-    for i, t, ign in zip(rest.tolist(), t_d[rest].tolist(), ignitions):
+    finite = np.isfinite(t_d)
+    lone = finite.copy()
+    if k > 1:
+        cx, cy = model.frame_centre(xs, ys, t_d[:, None])
+        # Apart by 1e-12 of 2t, and by some ulps where t is subnormal.
+        reach = (2.0 * t_d * (1.0 + 1e-12) + 1e-320)[:, None]
+        for i in range(k - 1):
+            d = np.hypot(cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :])
+            lone &= (d > reach).all(axis=1)
+    areas[lone] = _lone_areas(model, region, areas[lone], t_d[lone], xs[lone], ys[lone])
+    union = np.flatnonzero(finite & ~lone)
+    ignitions = np.stack([xs[union], ys[union]], axis=2).tolist()
+    for i, t, ign in zip(union.tolist(), t_d[union].tolist(), ignitions):
         areas[i] = burned_union_area([(Point(x, y), model, t) for x, y in ign], region)
     return areas
+
+
+def _lone_areas(model: SpreadModel, region: RectRegion, free, t, xs, ys) -> np.ndarray:
+    """Burned areas of trials whose fronts, from the rows of ``(xs, ys)`` at
+    the trial's time t, meet no other: each front measured as
+    ``burned_union_area`` measures a lone front, and added in front order.
+    ``free`` holds each trial's F(t)."""
+    w, h = region.width, region.height
+    k = xs.shape[1]
+    px, py, pt = xs.ravel(), ys.ravel(), np.repeat(t, k)
+    area = np.repeat(free, k)
+    # A front inside the region by 1e-9 of its sides burns F(t): the margin
+    # covers the rounding of _box_inside against the front's bounding_box.
+    mx, my = 1e-9 * w, 1e-9 * h
+    edge = np.flatnonzero(~_box_inside(model, px, py, pt, mx, my, w - mx, h - my))
+    # The rest take burned_union_area's branch, from the same box: none if
+    # it misses the region, F(t) if inside it, else the exact clip.
+    x0, y0, x1, y1 = model.bounding_box(_Ignitions(px[edge], py[edge]), pt[edge])
+    miss = (np.maximum(x0, 0.0) >= np.minimum(x1, w)) | (np.maximum(y0, 0.0) >= np.minimum(y1, h))
+    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
+    area[edge[miss]] = 0.0
+    clip = edge[~miss & ~inside]
+    if clip.size:
+        area[clip] = model.clipped_area_exact(_Ignitions(px[clip], py[clip]), pt[clip], region)
+    area = area.reshape(-1, k)
+    total = np.zeros(t.size)
+    for j in range(k):
+        total = total + area[:, j]
+    return total
 
 
 def _sensors(config: ScenarioConfig) -> _Cells:

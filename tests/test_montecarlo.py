@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 import firewatch.montecarlo
+from firewatch import geometry
 from firewatch.analytic import (
     exact_burned_area_law,
     grid_td_law,
@@ -28,6 +29,7 @@ from firewatch.montecarlo import (
     _CellSampler,
     _FixedSensors,
     _beyond_reach,
+    _burned_areas,
     _front_inside,
     _philox_words,
     _simulate_range,
@@ -45,7 +47,7 @@ from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
 from firewatch.propagation import CircularModel, EllipticalModel, ellipse_axis_rates
 
-from helpers import dense_detection_times, per_trial_outcomes
+from helpers import dense_detection_times, per_trial_burned_areas, per_trial_outcomes
 
 
 def same(a: Outcomes, b: Outcomes) -> bool:
@@ -532,6 +534,94 @@ class TestGoldenOutcomes:
             **extra,
         ), workers=workers)
         assert hashlib.sha256(got.t_d.tobytes() + got.a_d.tobytes()).hexdigest() == want
+
+
+class TestBurnedAreaPass:
+    """The burned areas of a block of trials, measured as arrays, against one
+    ``burned_union_area`` call per trial, bit for bit. The blocks hold random
+    trials, pairs of fronts whose frame centres lie 2t apart to within a few
+    ulps, and fronts whose boxes lie within 2e-9 of the region's sides."""
+
+    REGION = RectRegion(10.0, 10.0)
+
+    @staticmethod
+    def centre_gap(model, p, q, t):
+        # The scalar rule's distance of two fronts' frame centres, less 2t.
+        (xp, yp), (xq, yq) = model.frame_centre(*p, t), model.frame_centre(*q, t)
+        return math.hypot(xp - xq, yp - yq) - 2.0 * t
+
+    def block(self, model, k, seed):
+        """Ignitions (trials, k) and times of random, near-tangent and
+        edge-hugging trials."""
+        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+        w, h = self.REGION.width, self.REGION.height
+        t = 0.05 + 1.5 * rng.random(240)
+        xs, ys = rng.random((240, k)) * w, rng.random((240, k)) * h
+        a, b, _, cos_h, sin_h = model.shape
+        for i in range(40, 120 if k > 1 else 40):
+            # Fronts 0 and 1 at frame distance 2t: the plane offset of the
+            # frame offset 2t (cos phi, sin phi), then t moved to within a few
+            # ulps of half the scalar distance.
+            phi = 2 * math.pi * rng.random()
+            u = 2 * t[i] * math.cos(phi) * a * model.rate
+            v = 2 * t[i] * math.sin(phi) * b * model.rate
+            p = (2.0 + 6.0 * rng.random(), 2.0 + 6.0 * rng.random())
+            q = (p[0] + u * cos_h - v * sin_h, p[1] + u * sin_h + v * cos_h)
+            xs[i, :2], ys[i, :2] = (p[0], q[0]), (p[1], q[1])
+            ti = float(t[i])
+            for _ in range(3):
+                ti += 0.5 * self.centre_gap(model, p, q, ti)
+            t[i] = ti
+            for _ in range(i % 5):
+                t[i] = np.nextafter(t[i], math.inf if i % 2 else 0.0)
+        for i in range(120, 200):
+            # A front whose box reaches to within 2e-9 of a side, on either
+            # side of the 1e-9 margin, then trials of a front's box edge exact.
+            x0, y0, x1, y1 = model.bounding_box(Point(0.0, 0.0), float(t[i]))
+            gap = (i % 9 - 4) * 5e-10 * w
+            j = i % k
+            if i % 2:
+                xs[i, j] = -x0 + gap
+            else:
+                ys[i, j] = h - y1 - gap
+        t[200:205] = [math.inf, math.nan, 0.0, 5e-324, 40.0]
+        return t, xs, ys
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("model", [CircularModel(1.0), EllipticalModel(1.0, 2.0, 2.0, 0.7)],
+                             ids=["circular", "elliptical"])
+    def test_matches_one_union_per_trial(self, model, k, monkeypatch):
+        config = ScenarioConfig(self.REGION, RandomPlacement(100), model, 240, 0, ignition_count=k)
+        t, xs, ys = self.block(model, k, 11)
+        called = []
+
+        def counted(fronts, region):
+            called.append((fronts[0][0].x, fronts[0][0].y))
+            return geometry.burned_union_area(fronts, region)
+
+        monkeypatch.setattr(firewatch.montecarlo, "burned_union_area", counted)
+        with np.errstate(all="ignore"):
+            got = _burned_areas(config, t, xs, ys)
+            want = per_trial_burned_areas(config, t, xs, ys)
+        assert got.tobytes() == want.tobytes()
+
+        # Every trial with fronts that meet is a union; besides those, only
+        # trials with a pair within 1e-12 of 2t apart are.
+        meet, near = set(), set()
+        for i in np.flatnonzero(np.isfinite(t)).tolist():
+            ti = float(t[i])
+            for p, q in itertools.combinations(zip(xs[i].tolist(), ys[i].tolist()), 2):
+                gap = self.centre_gap(model, p, q, ti)
+                if not gap > 0.0:
+                    meet.add(i)
+                elif gap <= 2e-12 * ti + 1e-320:
+                    near.add(i)
+        unions = {(float(xs[i, 0]), float(ys[i, 0])): i for i in range(t.size)}
+        got_unions = {unions[c] for c in called}
+        assert len(called) == len(got_unions)
+        assert meet <= got_unions <= meet | near
+        if k > 1:
+            assert len(meet & set(range(40, 120))) > 10 and len(near) > 10
 
 
 class TestLazySampler:
