@@ -635,6 +635,7 @@ def ks_critical(n: int, alpha: float = 0.01) -> float:
     """Asymptotic two-sided KS critical value at significance ``alpha``."""
     if n < 1:
         raise EstimatorError(f"sample size must be >= 1, got {n}")
+    check_count("sample size", n, 1, 2**53)
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
@@ -741,8 +742,7 @@ def compare_random_sweep(
     but reproducible.
     """
     _check_master_seed(master_seed)
-    if ecdf_points < 0:
-        raise ParameterError(f"ECDF points must be >= 0, got {ecdf_points}")
+    check_count("ECDF points", ecdf_points, 0)
     limit_law = limit_burned_area_law(char_distance)
     rows, ecdf_rows = [], []
     # Each count is checked before the first entry runs and before it sizes a region.

@@ -34,6 +34,7 @@ from firewatch.montecarlo import (
     _philox_words,
     _simulate_range,
     _trial_uniforms,
+    compare_random_sweep,
     detection_time,
     ks_critical,
     ks_distance,
@@ -1087,6 +1088,21 @@ class TestKsCritical:
             ks_critical(0)
         with pytest.raises(ParameterError):
             ks_critical(100, alpha=1.5)
+
+    @pytest.mark.parametrize("n", [2.5, True, 10**400], ids=["2.5", "True", "10**400"])
+    def test_sample_size_is_an_integer_below_2_53(self, n):
+        with pytest.raises(ParameterError, match="sample size"):
+            ks_critical(n)
+
+
+class TestCompareRandomSweep:
+    @pytest.mark.parametrize("points", [2.5, True, -1])
+    def test_ecdf_points_checked_before_any_trial(self, points, monkeypatch):
+        ran = []
+        monkeypatch.setattr(firewatch.montecarlo, "run_trials", lambda *a, **k: ran.append(a))
+        with pytest.raises(ParameterError, match="ECDF points"):
+            compare_random_sweep([10], 1.0, CircularModel(1.0), 3, 0, ecdf_points=points)
+        assert ran == []
 
 
 class TestWireFormats:
