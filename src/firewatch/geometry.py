@@ -1,10 +1,11 @@
 """Planar primitives for fire-front geometry.
 
 Provides the protected rectangle, the exact area of a disk intersected
-with a convex polygon (which gives the clipped area of one circular or
-elliptical front), and the exact area of the union of fronts of one model,
-clipped to the region. No spread model's shape is known here: fronts are
-seen only through the model's methods.
+with a convex polygon (which gives the clipped area of a circular or
+elliptical front), measured for many disks at once as array work, and the
+exact area of the union of fronts of one model, clipped to the region. No
+spread model's shape is known here: fronts are seen only through the
+model's methods.
 
 Fronts that meet no other are measured alone. A group of fronts that meet
 is measured by Green's theorem in the model's frame, where every front is

@@ -443,10 +443,10 @@ def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray
     if k > 1:
         cx, cy = model.frame_centre(xs, ys, t_d[:, None])
         # Apart by 1e-12 of 2t, and by some ulps where t is subnormal.
-        reach = (2.0 * t_d * (1.0 + 1e-12) + 1e-320)[:, None]
+        apart = (2.0 * t_d * (1.0 + 1e-12) + 1e-320)[:, None]
         for i in range(k - 1):
             d = np.hypot(cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :])
-            lone &= (d > reach).all(axis=1)
+            lone &= (d > apart).all(axis=1)
     areas[lone] = _lone_areas(model, region, areas[lone], t_d[lone], xs[lone], ys[lone])
     union = np.flatnonzero(finite & ~lone)
     ignitions = np.stack([xs[union], ys[union]], axis=2).tolist()
