@@ -430,8 +430,8 @@ def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray
     to the disk of radius t about its ``frame_centre``, so two meet iff their
     centres are at most 2t apart. Only a trial with a pair that is not apart
     by a margin calls ``burned_union_area``: np.hypot may differ from the
-    math.hypot it uses in the last bit. The other trials' fronts are lone, and are
-    measured as arrays (``_lone_areas``).
+    math.hypot it uses in the last bit. The other trials' fronts are lone,
+    and are measured as arrays (``_lone_areas``).
     """
     model, region, k = config.model, config.region, config.ignition_count
     areas = model.area(t_d)
