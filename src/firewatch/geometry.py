@@ -149,7 +149,7 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     # the products of four lengths in _tri_disk_areas stay normal whatever
     # the region's scale. Scaling by a power of two is exact; e is clamped
     # so that 2^e and 2^-e are floats.
-    e = np.frexp(np.maximum(abs(xs).max(axis=-1), abs(ys).max(axis=-1)))[1]
+    e = np.frexp(abs(np.concatenate([xs, ys], axis=-1)).max(axis=-1))[1]
     e = np.minimum(np.maximum(e, -1023), 1023)
     unit, inv = np.ldexp(1.0, e), np.ldexp(1.0, -e)
     area = _disk_polygon_areas(xs * inv[..., None], ys * inv[..., None], r * inv)
