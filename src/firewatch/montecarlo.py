@@ -448,10 +448,10 @@ def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray
             d = np.hypot(cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :])
             lone &= (d > apart).all(axis=1)
     areas[lone] = _lone_areas(model, region, areas[lone], t_d[lone], xs[lone], ys[lone])
-    union = np.flatnonzero(finite & ~lone)
-    ignitions = np.stack([xs[union], ys[union]], axis=2).tolist()
-    for i, t, ign in zip(union.tolist(), t_d[union].tolist(), ignitions):
-        areas[i] = burned_union_area([(Point(x, y), model, t) for x, y in ign], region)
+    for i in np.flatnonzero(finite & ~lone).tolist():
+        t = float(t_d[i])
+        fronts = [(Point(x, y), model, t) for x, y in zip(xs[i].tolist(), ys[i].tolist())]
+        areas[i] = burned_union_area(fronts, region)
     return areas
 
 
