@@ -119,7 +119,7 @@ def _disk_polygon_areas(xs, ys, radius):
 
 def _float_or_array(area):
     """One area as a Python float, several as their array."""
-    return float(area) if np.ndim(area) == 0 else area
+    return float(area) if area.ndim == 0 else area
 
 
 def disk_polygon_area(vertices, radius: float) -> float:

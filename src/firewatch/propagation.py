@@ -47,7 +47,7 @@ def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[f
 def _hypot(x, y):
     """math.hypot, elementwise over two arrays of one shape: np.hypot differs
     from it in the last bit."""
-    if np.ndim(x) == 0:
+    if not isinstance(x, np.ndarray):
         return math.hypot(x, y)
     hypots = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
     return np.fromiter(hypots, float, x.size).reshape(x.shape)

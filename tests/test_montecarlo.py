@@ -541,7 +541,8 @@ class TestBurnedAreaPass:
     """The burned areas of a block of trials, measured as arrays, against one
     ``burned_union_area`` call per trial, bit for bit. The blocks hold random
     trials, pairs of fronts whose frame centres lie 2t apart to within a few
-    ulps, and fronts whose boxes lie within 2e-9 of the region's sides."""
+    ulps, fronts whose boxes lie within 2e-9 of the region's sides, and
+    times that are not finite, zero, subnormal or past the region."""
 
     REGION = RectRegion(10.0, 10.0)
 
@@ -576,8 +577,8 @@ class TestBurnedAreaPass:
             for _ in range(i % 5):
                 t[i] = np.nextafter(t[i], math.inf if i % 2 else 0.0)
         for i in range(120, 200):
-            # A front whose box reaches to within 2e-9 of a side, on either
-            # side of the 1e-9 margin, then trials of a front's box edge exact.
+            # A front whose box edge lies from -2e-9 to 2e-9 of the side from
+            # it, in steps of 5e-10: on the side, and in and past the margin.
             x0, y0, x1, y1 = model.bounding_box(Point(0.0, 0.0), float(t[i]))
             gap = (i % 9 - 4) * 5e-10 * w
             j = i % k
@@ -600,6 +601,7 @@ class TestBurnedAreaPass:
             called.append((fronts[0][0].x, fronts[0][0].y))
             return geometry.burned_union_area(fronts, region)
 
+        # A tracer that wraps the engine's burned_union_area sees every union.
         monkeypatch.setattr(firewatch.montecarlo, "burned_union_area", counted)
         with np.errstate(all="ignore"):
             got = _burned_areas(config, t, xs, ys)
