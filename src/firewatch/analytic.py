@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_count, check_positive
+from .errors import DomainError, ParameterError, as_floats, check_count, check_positive
 from .placement import _MAX_SENSORS, GridPlacement, characteristic_distance
 from .propagation import CircularModel, SpreadModel
 
@@ -58,7 +58,7 @@ def _law(survival, **fields) -> AnalyticLaw:
     clipped at 0, and a scalar argument gives a float."""
 
     def clamped(x):
-        s = survival(np.clip(np.asarray(x, dtype=float), 0.0, None))
+        s = survival(np.clip(as_floats("law argument", x), 0.0, None))
         return float(s) if np.ndim(x) == 0 else s
 
     return AnalyticLaw(survival=clamped, **fields)
@@ -75,7 +75,7 @@ def grid_td_cdf(x, spacing: float, rate: float):
     """
     check_positive("spacing", spacing)
     check_positive("rate", rate)
-    xa = np.asarray(x, dtype=float)
+    xa = as_floats("detection time", x)
     if np.any(xa < 0):
         raise DomainError("detection time must be nonnegative")
     c = 2.0 * rate / spacing

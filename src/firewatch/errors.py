@@ -8,6 +8,8 @@ with 2, numeric domain problems with 3.
 import numbers
 import sys
 
+import numpy as np
+
 # Finite means at most the largest float in magnitude: not NaN, and not an
 # int too large for a float, on which math.isfinite raises OverflowError.
 _MAX_FLOAT = sys.float_info.max
@@ -45,3 +47,12 @@ def check_count(name: str, value, low: int, high=float("inf")) -> None:
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integer and low <= value <= high):
         raise ParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def as_floats(name: str, value) -> np.ndarray:
+    """``value`` as a float array; DomainError where it holds an int too large
+    for a float, on which numpy raises OverflowError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{name} must be at most the largest float") from None

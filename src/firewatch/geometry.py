@@ -3,25 +3,28 @@
 Provides the protected rectangle, the exact area of a disk intersected
 with a convex polygon (which gives the clipped area of a circular or
 elliptical front), measured for many disks at once as array work, and the
-exact area of the union of fronts of one model, clipped to the region. No
-spread model's shape is known here: fronts are seen only through the
-model's methods.
+exact area of the union of fronts of one model, clipped to the region, for
+one union or for many given as arrays. No spread model's shape is known
+here: fronts are seen only through the model's methods.
 
-Fronts that meet no other are measured alone. A group of fronts that meet
-is measured by Green's theorem in the model's frame, where every front is
-a disk: the boundary of the clipped union is cut into arcs and pieces of
-the region's edges, each classified by its midpoint.
+In the model's frame every front is a disk, so which fronts meet is a test
+on the distances of their centres, and the groups of fronts that meet are
+the connected components of the pairs that pass it. Fronts that meet no
+other are measured alone, all in one array pass. A group is measured by
+Green's theorem in the frame: the boundary of the clipped union is cut
+into arcs and pieces of the region's edges, each classified by its
+midpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_finite, check_positive
+from .errors import DomainError, ParameterError, as_floats, check_finite, check_positive
 
 __all__ = [
     "Point",
@@ -58,6 +61,24 @@ class RectRegion:
     @property
     def area(self) -> float:
         return self.width * self.height
+
+
+class _Ignitions(NamedTuple):
+    """Ignitions as arrays: passed to a spread model or to
+    ``burned_union_area`` in place of a ``Point``, they broadcast against the
+    other arrays of the call."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _hypot(x, y):
+    """math.hypot, elementwise over two arrays of one shape: np.hypot differs
+    from it in the last bit."""
+    if not isinstance(x, np.ndarray):
+        return math.hypot(x, y)
+    hypots = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(hypots, float, x.size).reshape(x.shape)
 
 
 def _tri_disk_areas(ax, ay, bx, by, r2):
@@ -139,7 +160,8 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     ``center.x``, ``center.y`` and ``radius`` may be arrays of one shape; the
     areas are then an array, each with the bits of the call for one disk.
     """
-    cx, cy, r = (np.asarray(v, dtype=float) for v in (center.x, center.y, radius))
+    cx, cy = np.asarray(center.x, dtype=float), np.asarray(center.y, dtype=float)
+    r = as_floats("radius", radius)
     if (r < 0).any():
         raise DomainError(f"radius must be nonnegative, got {radius}")
     w, h = region.width, region.height
@@ -155,41 +177,6 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     area = _disk_polygon_areas(xs * inv[..., None], ys * inv[..., None], r * inv)
     with np.errstate(over="ignore", invalid="ignore"):
         return _float_or_array(np.where(r == 0.0, 0.0, area * unit * unit))
-
-
-def _group_fronts(fronts):
-    """Groups of indices of ``fronts``, all of one model, joined by the pairs
-    that meet.
-
-    The model's affine frame maps each front at time t to the disk of radius
-    t about the front's ``frame_centre``, so two fronts meet iff their
-    centres are at most t1 + t2 apart. Fronts whose ignitions lie in the
-    region and that meet also have clipped bounding boxes that touch: each
-    box holds the clamp of any common point into the region.
-    """
-    # Union-find over pairs; front counts are small.
-    centres = [model.frame_centre(ignition.x, ignition.y, t) for ignition, model, t in fronts]
-    parent = list(range(len(fronts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def meet(i, j):
-        (xi, yi), (xj, yj) = centres[i], centres[j]
-        # A NaN distance keeps the pair together.
-        return not math.hypot(xi - xj, yi - yj) > fronts[i][2] + fronts[j][2]
-
-    for i in range(len(fronts)):
-        for j in range(i + 1, len(fronts)):
-            if meet(i, j):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(fronts)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
 
 
 def _union_area(fronts, region: RectRegion) -> float:
@@ -314,45 +301,117 @@ def _union_area(fronts, region: RectRegion) -> float:
     return max(total, 0.0) * (model.area(s) / math.pi)
 
 
+def _box_inside(model, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
+    """Whether the bounding box of each front from ``(xs, ys)`` at time ``t``
+    lies in the rectangle [x0, x1] x [y0, y1]; infinite sides hold any box."""
+    # The box at t = 1 around an ignition at the origin; fronts grow
+    # affinely, so at time t it is t times this box.
+    bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
+    return (
+        (xs + t * bx0 >= x0) & (ys + t * by0 >= y0) & (xs + t * bx1 <= x1) & (ys + t * by1 <= y1)
+    )
+
+
+def _lone_areas(model, region: RectRegion, xs, ys, t) -> np.ndarray:
+    """Areas of the fronts from ``(xs, ys)`` at ``t``, 1-D arrays of one
+    length, each measured alone: ``area(t)`` if its bounding box lies in the
+    region, 0 if the box misses the region, else its exact clip."""
+    w, h = region.width, region.height
+    area = model.area(t)
+    # A front inside the region by 1e-9 of its sides burns area(t): the margin
+    # covers the rounding of _box_inside against the front's bounding_box,
+    # which decides the rest.
+    mx, my = 1e-9 * w, 1e-9 * h
+    edge = np.flatnonzero(~_box_inside(model, xs, ys, t, mx, my, w - mx, h - my))
+    x0, y0, x1, y1 = model.bounding_box(_Ignitions(xs[edge], ys[edge]), t[edge])
+    miss = (np.maximum(x0, 0.0) >= np.minimum(x1, w)) | (np.maximum(y0, 0.0) >= np.minimum(y1, h))
+    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
+    area[edge[miss]] = 0.0
+    clip = edge[~miss & ~inside]
+    if clip.size:
+        area[clip] = model.clipped_area_exact(_Ignitions(xs[clip], ys[clip]), t[clip], region)
+    return area
+
+
+def _groups(model, xs, ys, t) -> list[np.ndarray]:
+    """The groups of fronts that meet among the fronts of each row of the
+    (rows, k) arrays ``(xs, ys, t)``, k > 1: each as the flat indices of its
+    fronts in order, in the order of their first fronts. In the model's
+    frame each front at time t is the disk of radius t about its
+    ``frame_centre``, so two fronts meet iff those are at most t1 + t2 apart.
+    """
+    k = t.shape[1]
+    live = t > 0.0  # fronts at t = 0 burn nothing and join no group
+    cx, cy = model.frame_centre(xs, ys, t)
+    pairs = []  # the flat indices of the fronts of each pair that meets
+    for i in range(k - 1):
+        reach = t[:, i, None] + t[:, i + 1 :]
+        dx, dy = cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :]
+        # math.hypot's distance is at least each gap; a NaN one keeps the pair.
+        meet = live[:, i, None] & live[:, i + 1 :] & ~((abs(dx) > reach) | (abs(dy) > reach))
+        meet[meet] = ~(_hypot(dx[meet], dy[meet]) > reach[meet])
+        row, j = np.nonzero(meet)
+        pairs.append((row * k + i, row * k + i + 1 + j))
+    a, b = (np.concatenate(v) for v in zip(*pairs))
+    if not a.size:
+        return []
+    # Each front's label falls across the pairs that meet to the least index
+    # of its group.
+    label = np.arange(t.size)
+    while True:
+        old = label.copy()
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+        if (label == old).all():
+            break
+    members = np.unique(np.concatenate([a, b]))
+    members = members[np.argsort(label[members], kind="stable")]
+    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
+
+
 def burned_union_area(
     fronts: Iterable[tuple[Point, object, float]],
     region: RectRegion,
-) -> float:
+) -> float | np.ndarray:
     """Exact area of the union of burned sets, clipped to ``region``.
 
     ``fronts`` is a sequence of ``(ignition, model, t)`` triples, all of one
     spread model (else ``ParameterError``). The model gives each front's
     ``area(t)``, ``covers`` and ``clipped_area_exact``, and the frame that
     both spread models inherit: ``bounding_box``, ``frame`` and
-    ``frame_centre(x, y, t)``. Fronts at t = 0 burn nothing and are dropped;
-    the rest are grouped by the pairs that meet. A front that meets no other
-    is measured alone: ``area(t)`` inside the region, ``clipped_area_exact``
-    across its edge, and 0 if its bounding box misses the region. A group of
-    fronts that meet is measured by Green's theorem in the model's frame
-    (``_union_area``).
+    ``frame_centre(x, y, t)``. Fronts at t = 0 burn nothing; the rest are
+    grouped by the pairs that meet. A front that meets no other is measured
+    alone (``_lone_areas``), a group by Green's theorem in the model's frame
+    (``_union_area``), and the areas are added in the order of each group's
+    first front.
+
+    Each ignition's ``x`` and ``y`` and each ``t`` may be arrays that
+    broadcast: the result is then the array of the areas of the unions
+    taken elementwise, each with the bits of the call for its element.
     """
     fronts = list(fronts)
     if not fronts:
         return 0.0
-    model = fronts[0][1]
+    model, k = fronts[0][1], len(fronts)
     if any(m != model for _, m, _ in fronts[1:]):
         raise ParameterError("fronts of one union must share one spread model")
-    for _, _, t in fronts:
-        if not t >= 0:
-            raise DomainError(f"front time must be a nonnegative number, got {t}")
-    # Kept, a front at t = 0 could join a group and change its last bits.
-    fronts = [f for f in fronts if f[2] > 0.0]
-
-    total = 0.0
-    w, h = region.width, region.height
-    for group in _group_fronts(fronts):
-        if len(group) > 1:
-            total += _union_area([fronts[i] for i in group], region)
-            continue
-        ignition, _, t = fronts[group[0]]
-        x0, y0, x1, y1 = model.bounding_box(ignition, t)
-        if max(x0, 0.0) >= min(x1, w) or max(y0, 0.0) >= min(y1, h):
-            continue  # the front's box misses the region
-        inside = x0 >= 0.0 and y0 >= 0.0 and x1 <= w and y1 <= h
-        total += model.area(t) if inside else model.clipped_area_exact(ignition, t, region)
-    return total
+    shape = np.broadcast_shapes(*(np.shape(v) for p, _, t in fronts for v in (p.x, p.y, t)))
+    xs, ys, t = (np.empty(shape + (k,)) for _ in range(3))
+    for j, (ignition, _, tj) in enumerate(fronts):
+        xs[..., j], ys[..., j], t[..., j] = ignition.x, ignition.y, as_floats("front time", tj)
+    xs, ys, t = (v.reshape(-1, k) for v in (xs, ys, t))
+    bad = ~(t >= 0.0)
+    if bad.any():
+        raise DomainError(f"front time must be a nonnegative number, got {t[bad][0]}")
+    # Fronts of infinite age take steps past the floats.
+    with np.errstate(all="ignore"):
+        area = _lone_areas(model, region, xs.ravel(), ys.ravel(), t.ravel())
+        for group in _groups(model, xs, ys, t) if k > 1 else []:
+            union = zip(xs.flat[group].tolist(), ys.flat[group].tolist(), t.flat[group].tolist())
+            area[group] = 0.0
+            area[group[0]] = _union_area([(Point(x, y), model, tj) for x, y, tj in union], region)
+    area = area.reshape(-1, k)
+    total = np.zeros(len(area))
+    for j in range(k):
+        total = total + area[:, j]
+    return _float_or_array(total.reshape(shape))

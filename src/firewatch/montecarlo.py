@@ -35,13 +35,9 @@ drawn, and whatever the other trials of the block drew; so each trial sees
 the binomial point process of N i.i.d. uniform sensors drawn in another
 order, and ``(1 - x/A)^N`` holds exactly.
 
-Burned areas are array work over the block too. All fronts of a trial share
-its detection time t, and in the model's frame each is the disk of radius t
-about its frame centre, so two meet iff those centres are at most 2t apart.
-Only a trial with a pair that meets, or that comes within 1e-12 of touching,
-calls ``burned_union_area``. The other fronts are lone: F(t) inside the
-region, the array exact clip across its edge, nothing past it, each with the
-bits that ``burned_union_area`` gives, and added in front order.
+Burned areas are array work over the block too: F(t) for one unclipped
+front, else one ``burned_union_area`` call whose fronts are the block's
+ignitions as arrays, at each trial's time.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy.random  # noqa: F401
 
 from .analytic import AnalyticLaw, limit_burned_area_law, scenario_laws
 from .errors import DomainError, EstimatorError, ParameterError, check_count
-from .geometry import Point, RectRegion, burned_union_area
+from .geometry import Point, RectRegion, _box_inside, _Ignitions, burned_union_area
 from .philox import philox4x64
 from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
 from .propagation import SpreadModel
@@ -191,14 +187,6 @@ def _trial_uniforms(master_seed: int, lo: int, hi: int, count: int) -> np.ndarra
     """Row ``i - lo`` holds ``Generator(Philox(key=[master_seed, i])).random(count)``:
     the top 53 bits of each word, scaled to [0, 1)."""
     return (_philox_words(master_seed, lo, hi, count) >> np.uint64(11)) * 2.0**-53
-
-
-class _Ignitions(NamedTuple):
-    """One ignition of each trial in a block, as column arrays: passed to a
-    spread model in place of a ``Point``, it broadcasts against the sensors."""
-
-    x: np.ndarray
-    y: np.ndarray
 
 
 class _Cells:
@@ -362,17 +350,6 @@ def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=a.size)
 
 
-def _box_inside(model: SpreadModel, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
-    """Whether the bounding box of each front from ``(xs, ys)`` at time ``t``
-    lies in the rectangle [x0, x1] x [y0, y1]; infinite sides hold any box."""
-    # The box at t = 1 around an ignition at the origin; fronts grow
-    # affinely, so at time t it is t times this box.
-    bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
-    return (
-        (xs + t * bx0 >= x0) & (ys + t * by0 >= y0) & (xs + t * bx1 <= x1) & (ys + t * by1 <= y1)
-    )
-
-
 def _front_inside(cells: _Cells, xs, ys, t, cx, cy, r: int) -> np.ndarray:
     """Whether each front from ``(xs, ys)`` at time ``t``, clipped to the
     region, lies in the square of cells of radius r around its cell
@@ -423,65 +400,20 @@ def detection_time(model: SpreadModel, positions, ignitions: np.ndarray) -> floa
 
 def _burned_areas(config: ScenarioConfig, t_d: np.ndarray, xs, ys) -> np.ndarray:
     """Burned areas of the trials with detection times ``t_d`` and ignitions
-    the rows of ``(xs, ys)``: F(t) for one unclipped front, else the bits of
-    ``burned_union_area`` of the trial's fronts.
-
-    All fronts of a trial share its time t, and the model's frame maps each
-    to the disk of radius t about its ``frame_centre``, so two meet iff their
-    centres are at most 2t apart. Only a trial with a pair that is not apart
-    by a margin calls ``burned_union_area``: np.hypot may differ from the
-    math.hypot it uses in the last bit. The other trials' fronts are lone,
-    and are measured as arrays (``_lone_areas``).
-    """
-    model, region, k = config.model, config.region, config.ignition_count
-    areas = model.area(t_d)
+    the rows of ``(xs, ys)``: F(t) for one unclipped front, else the
+    ``burned_union_area`` of the trial's fronts at its time, one call for
+    the block."""
+    model, k = config.model, config.ignition_count
     if k == 1 and not config.clip_to_region:
-        return areas
-    # A time that is not finite has area inf (or NaN), which run_trials rejects.
-    finite = np.isfinite(t_d)
-    lone = finite.copy()
-    if k > 1:
-        cx, cy = model.frame_centre(xs, ys, t_d[:, None])
-        # Apart by 1e-12 of 2t, and by some ulps where t is subnormal.
-        apart = (2.0 * t_d * (1.0 + 1e-12) + 1e-320)[:, None]
-        for i in range(k - 1):
-            d = np.hypot(cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :])
-            lone &= (d > apart).all(axis=1)
-    areas[lone] = _lone_areas(model, region, areas[lone], t_d[lone], xs[lone], ys[lone])
-    for i in np.flatnonzero(finite & ~lone).tolist():
-        t = float(t_d[i])
-        fronts = [(Point(x, y), model, t) for x, y in zip(xs[i].tolist(), ys[i].tolist())]
-        areas[i] = burned_union_area(fronts, region)
+        return model.area(t_d)
+    # F(t) of a time that is not finite is that time, inf or NaN, which
+    # run_trials rejects.
+    areas = t_d.copy()
+    rows = np.isfinite(t_d)
+    if rows.any():
+        fronts = [(_Ignitions(xs[rows, j], ys[rows, j]), model, t_d[rows]) for j in range(k)]
+        areas[rows] = burned_union_area(fronts, config.region)
     return areas
-
-
-def _lone_areas(model: SpreadModel, region: RectRegion, free, t, xs, ys) -> np.ndarray:
-    """Burned areas of trials whose fronts, from the rows of ``(xs, ys)`` at
-    the trial's time t, meet no other: each front measured as
-    ``burned_union_area`` measures a lone front, and added in front order.
-    ``free`` holds each trial's F(t)."""
-    w, h = region.width, region.height
-    k = xs.shape[1]
-    px, py, pt = xs.ravel(), ys.ravel(), np.repeat(t, k)
-    area = np.repeat(free, k)
-    # A front inside the region by 1e-9 of its sides burns F(t): the margin
-    # covers the rounding of _box_inside against the front's bounding_box.
-    mx, my = 1e-9 * w, 1e-9 * h
-    edge = np.flatnonzero(~_box_inside(model, px, py, pt, mx, my, w - mx, h - my))
-    # The rest take burned_union_area's branch, from the same box: none if
-    # it misses the region, F(t) if inside it, else the exact clip.
-    x0, y0, x1, y1 = model.bounding_box(_Ignitions(px[edge], py[edge]), pt[edge])
-    miss = (np.maximum(x0, 0.0) >= np.minimum(x1, w)) | (np.maximum(y0, 0.0) >= np.minimum(y1, h))
-    inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
-    area[edge[miss]] = 0.0
-    clip = edge[~miss & ~inside]
-    if clip.size:
-        area[clip] = model.clipped_area_exact(_Ignitions(px[clip], py[clip]), pt[clip], region)
-    area = area.reshape(-1, k)
-    total = np.zeros(t.size)
-    for j in range(k):
-        total = total + area[:, j]
-    return total
 
 
 def _sensors(config: ScenarioConfig) -> _Cells:

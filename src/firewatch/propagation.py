@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, check_finite, check_positive
-from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, disk_rect_area
+from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, _hypot, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 
@@ -42,15 +42,6 @@ def ellipse_axis_rates(rate: float, hb_ratio: float, lb_ratio: float) -> tuple[f
     b = a / lb_ratio
     c = 0.5 * rate * (1.0 - 1.0 / hb_ratio)
     return a, b, c
-
-
-def _hypot(x, y):
-    """math.hypot, elementwise over two arrays of one shape: np.hypot differs
-    from it in the last bit."""
-    if not isinstance(x, np.ndarray):
-        return math.hypot(x, y)
-    hypots = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(hypots, float, x.size).reshape(x.shape)
 
 
 class _AffineFront:
@@ -186,12 +177,13 @@ class EllipticalModel(_AffineFront):
         squared; r is divided by ``rate`` last."""
         a, _, c, _, _ = self.shape
         k2 = 1.0 / (self.hb_ratio * a * a)
-        u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, 0.0, 1.0)
-        rho = np.hypot(u, v)
-        # The branch not taken may divide by 0, and a time past the largest
-        # float is inf. w is NaN at the ignition (0/0) and where u and rho
-        # overflow: taken as 1 there, it gives rho's time, 0 or inf.
+        # The branch not taken may divide by 0, and a distance or time past
+        # the largest float is inf. w is NaN at the ignition (0/0) and where
+        # u and rho overflow: taken as 1 there, it gives rho's time, 0 or inf.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx, dy = np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y
+            u, v = self._to_frame(dx, dy, 0.0, 1.0)
+            rho = np.hypot(u, v)
             ew = (c / a) * np.fmin(u / rho, 1.0)
             g = np.sqrt(ew * ew + k2)
             r = np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)

@@ -6,8 +6,8 @@ the front's quadratic in 60-digit decimal arithmetic for reach times,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
 and for a union of fronts of one model clipped to a rectangle,
 the textbook two-circle lens formula, the clip's formula one Python
-float at a time for the engine's array clip, one ``burned_union_area``
-call per trial for the engine's array pass over burned areas, a dense
+float at a time for the array clip, the union-find grouping and the lone
+fronts one at a time for ``burned_union_area`` on arrays, a dense
 per-trial sensor draw for the engine's lazy cell-by-cell sampler, and a
 trial-by-trial run of a fixed layout for the engine's batched one.
 ``time_to`` is no oracle: it is a model's own ``reach_times`` at one
@@ -21,7 +21,8 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 from scipy import integrate, optimize
 
-from firewatch.geometry import Point, burned_union_area
+from firewatch import geometry
+from firewatch.geometry import Point
 from firewatch.montecarlo import detection_time
 from firewatch.placement import build_layout
 from firewatch.propagation import CircularModel, ellipse_axis_rates
@@ -339,10 +340,59 @@ def scalar_clipped_area(model, ign, t, region):
     return (a * r) * (b * r) * scalar_disk_polygon_area(corners, 1.0)
 
 
+def _group_fronts(fronts):
+    """Groups of indices of ``fronts``, all of one model, joined by the pairs
+    whose frame centres are at most t1 + t2 apart: a union-find over pairs,
+    in the order of each group's first front."""
+    centres = [model.frame_centre(ignition.x, ignition.y, t) for ignition, model, t in fronts]
+    parent = list(range(len(fronts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(fronts)):
+        for j in range(i + 1, len(fronts)):
+            (xi, yi), (xj, yj) = centres[i], centres[j]
+            # A NaN distance keeps the pair together.
+            if not math.hypot(xi - xj, yi - yj) > fronts[i][2] + fronts[j][2]:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(fronts)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def scalar_burned_union_area(fronts, region):
+    """Area of the union of ``fronts``, ``(Point, model, t)`` triples of one
+    model, clipped to ``region``, one front at a time in Python floats: the
+    fronts at t > 0 grouped by a union-find over the pairs that meet, each
+    group of several measured by ``geometry._union_area``, each lone front by
+    its bounding box, ``area(t)`` and ``scalar_clipped_area``, and the
+    groups added in the order of their first fronts. ``burned_union_area``
+    must give these bits, and call ``_union_area`` on the same groups."""
+    fronts = [f for f in fronts if f[2] > 0.0]
+    total = 0.0
+    w, h = region.width, region.height
+    for group in _group_fronts(fronts):
+        if len(group) > 1:
+            total += geometry._union_area([fronts[i] for i in group], region)
+            continue
+        ignition, model, t = fronts[group[0]]
+        x0, y0, x1, y1 = model.bounding_box(ignition, t)
+        if max(x0, 0.0) >= min(x1, w) or max(y0, 0.0) >= min(y1, h):
+            continue  # the front's box misses the region
+        inside = x0 >= 0.0 and y0 >= 0.0 and x1 <= w and y1 <= h
+        total += model.area(t) if inside else scalar_clipped_area(model, ignition, t, region)
+    return total
+
+
 def per_trial_burned_areas(config, t_d, xs, ys):
     """Burned areas of trials with detection times ``t_d`` and ignitions the
-    rows of ``(xs, ys)``, one ``burned_union_area`` call per trial: F(t) for
-    one unclipped front or a time that is not finite, else the clipped
+    rows of ``(xs, ys)``, one ``scalar_burned_union_area`` per trial: F(t)
+    for one unclipped front or a time that is not finite, else the clipped
     union of the trial's fronts."""
     model, region = config.model, config.region
     areas = model.area(t_d)
@@ -351,7 +401,7 @@ def per_trial_burned_areas(config, t_d, xs, ys):
     for i in np.flatnonzero(np.isfinite(t_d)).tolist():
         t = float(t_d[i])
         fronts = [(Point(x, y), model, t) for x, y in zip(xs[i].tolist(), ys[i].tolist())]
-        areas[i] = burned_union_area(fronts, region)
+        areas[i] = scalar_burned_union_area(fronts, region)
     return areas
 
 
@@ -398,7 +448,7 @@ def per_trial_outcomes(config, lo, hi):
             a_d = model.area(t_d)
         else:
             fronts = [(Point(float(x), float(y)), model, t_d) for x, y in ignitions]
-            a_d = burned_union_area(fronts, region)
+            a_d = scalar_burned_union_area(fronts, region)
         t_out[i - lo] = t_d
         a_out[i - lo] = a_d
     return t_out, a_out

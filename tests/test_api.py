@@ -160,3 +160,24 @@ def test_constructors_and_law_factories_reject_bad_input(call):
     # Not an OverflowError or TypeError from deeper down, nor a silent answer.
     with pytest.raises(firewatch.ParameterError):
         call()
+
+
+_TOO_LARGE_ARGUMENTS = {
+    "disk radius": lambda: firewatch.disk_rect_area(
+        firewatch.Point(1.0, 1.0), _BIG, firewatch.RectRegion(2.0, 2.0)
+    ),
+    "grid CDF time": lambda: firewatch.grid_td_cdf(_BIG, 1.0, 1.0),
+    "exact law survival argument": lambda: firewatch.exact_burned_area_law(1.0, 3).survival(_BIG),
+    "union front time": lambda: firewatch.burned_union_area(
+        [(firewatch.Point(5, 5), firewatch.CircularModel(1.0), _BIG)], _REGION
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _TOO_LARGE_ARGUMENTS.values(), ids=_TOO_LARGE_ARGUMENTS.keys())
+def test_arguments_too_large_for_a_float_are_out_of_domain(call):
+    # An int past the largest float ends in a one-line DomainError, not in
+    # numpy's or Python's OverflowError.
+    with pytest.raises(firewatch.DomainError, match="at most the largest float") as raised:
+        call()
+    assert "\n" not in str(raised.value)

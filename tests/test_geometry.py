@@ -17,7 +17,7 @@ from firewatch.geometry import (
     disk_polygon_area,
     disk_rect_area,
 )
-from firewatch.montecarlo import _Ignitions
+from firewatch.geometry import _Ignitions
 from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     quad_disk_rect,
     quad_ellipse_rect,
     quad_union_rect,
+    scalar_burned_union_area,
     scalar_clipped_area,
     time_to,
 )
@@ -369,6 +370,135 @@ class TestArrayClip:
             want = scalar_clipped_area(model, Point(x, y), t, region)
             assert area.hex() == want.hex()
             assert model.clipped_area_exact(Point(x, y), t, region).hex() == want.hex()
+
+
+def _placed(model, prev, t, gap, angle):
+    """The ignition of a front at ``t`` whose frame centre lies ``gap`` from
+    that of the front ``prev`` = (x, y, t), towards ``angle``: the inverse of
+    ``frame_centre``, (x, y) -> ((u + c rate t) / (a rate), v / (b rate)),
+    with (u, v) the point turned by -heading."""
+    a, b, c, cos_h, sin_h = model.shape
+    fx, fy = model.frame_centre(*prev)
+    u = (fx + gap * math.cos(angle)) * a * model.rate - c * model.rate * t
+    v = (fy + gap * math.sin(angle)) * b * model.rate
+    return u * cos_h - v * sin_h, u * sin_h + v * cos_h
+
+
+@st.composite
+def _blocks(draw, models):
+    """A model and (rows, k) ignitions and times: each front after a row's
+    first lies anywhere, on the front before it, meeting it (so that runs of
+    fronts that meet form chains along the row's angle, where A meets B and
+    B meets C but A misses C), or at the frame distance where the two touch."""
+    model = draw(st.sampled_from(models))
+    k = draw(st.integers(1, 4))
+    time = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.05, 4.0))
+    how = st.sampled_from(["anywhere", "repeat", "meet", "tangent"])
+    share = st.floats(-0.2, 1.2)
+    front = st.tuples(how, time, share, share, st.floats(0.55, 0.95))
+    rows = draw(st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi), st.lists(front, min_size=k, max_size=k)),
+        min_size=1, max_size=6,
+    ))
+    block = np.empty((3, len(rows), k))
+    for i, (angle, row) in enumerate(rows):
+        for j, (kind, t, u, v, f) in enumerate(row):
+            x, y, prev_t = block[:, i, j - 1].tolist()
+            # Fronts at t = 0 or inf are placed as if at t = 1.
+            prev_t = prev_t if 0.0 < prev_t < math.inf else 1.0
+            place_t = t if 0.0 < t < math.inf else 1.0
+            if j == 0 or kind == "anywhere":
+                x, y = u * REGION.width, v * REGION.height
+            elif kind == "repeat":
+                t = block[2, i, j - 1]
+            else:
+                gap = (prev_t + place_t) * (f if kind == "meet" else 1.0)
+                x, y = _placed(model, (x, y, prev_t), place_t, gap, angle)
+            block[:, i, j] = x, y, t
+    return model, block
+
+
+class TestArrayUnion:
+    """burned_union_area on arrays of fronts, a time per front, against the
+    scalar routine of tests/helpers.py row by row, bit for bit and group for
+    group: fronts at t = 0 and at t = inf, repeated fronts, chains of fronts
+    that meet and pairs that nearly touch."""
+
+    MODELS = (
+        CircularModel(1.3),
+        EllipticalModel(1.0, 2.0, 2.0, 0.7),
+        EllipticalModel(0.7, 3.0, 1.5, 2.0),
+    )
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        union, groups = geometry._union_area, []
+
+        def record(fronts, region):
+            groups.append([(p.x, p.y, t) for p, _, t in fronts])
+            return union(fronts, region)
+
+        monkeypatch.setattr(geometry, "_union_area", record)
+        return groups
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_blocks(MODELS), bad=st.tuples(st.floats(0, 1), st.sampled_from([-1.0, math.nan])))
+    def test_matches_the_scalar_routine_row_by_row(self, case, bad):
+        model, (xs, ys, ts) = case
+        rows, k = ts.shape
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            groups = self._recorded(monkeypatch)
+            got = burned_union_area(
+                [(_Ignitions(xs[:, j], ys[:, j]), model, ts[:, j]) for j in range(k)], REGION
+            )
+            assert got.shape == (rows,)
+            array_groups, want_groups = groups[:], []
+            for i in range(rows):
+                fronts = [(Point(x, y), model, t) for x, y, t in
+                          zip(xs[i].tolist(), ys[i].tolist(), ts[i].tolist())]
+                groups.clear()
+                want = scalar_burned_union_area(fronts, REGION)
+                want_groups += groups
+                assert float(got[i]).hex() == want.hex(), (i, fronts)
+                assert burned_union_area(fronts, REGION).hex() == want.hex()
+        assert array_groups == want_groups
+
+        # One bad time anywhere, or a second model, fails the whole call.
+        i, j = divmod(int(bad[0] * (rows * k - 1)), k)
+        wrong = ts.copy()
+        wrong[i, j] = bad[1]
+        with pytest.raises(DomainError):
+            burned_union_area([(_Ignitions(xs[:, j], ys[:, j]), model, wrong[:, j])
+                               for j in range(k)], REGION)
+        if k > 1:
+            other = self.MODELS[(self.MODELS.index(model) + 1) % len(self.MODELS)]
+            with pytest.raises(ParameterError, match="one spread model"):
+                burned_union_area([(_Ignitions(xs[:, j], ys[:, j]), other if j else model,
+                                    ts[:, j]) for j in range(k)], REGION)
+
+    def test_a_chain_is_one_group(self, monkeypatch):
+        # A meets B and B meets C, 1.8 apart at t = 1, but A is 3.6 from C:
+        # the three are one union. The second row's fronts meet no other.
+        groups = self._recorded(monkeypatch)
+        circ = CircularModel(1.0)
+        xs = np.array([[3.0, 4.8, 6.6], [1.0, 4.0, 7.0]])
+        fronts = [(_Ignitions(xs[:, j], np.full(2, 5.0)), circ, np.ones(2)) for j in range(3)]
+        got = burned_union_area(fronts, REGION)
+        assert groups == [[(3.0, 5.0, 1.0), (4.8, 5.0, 1.0), (6.6, 5.0, 1.0)]]
+        assert got[0] < 3 * circ.area(1.0)
+        assert got[1] == (circ.area(1.0) + circ.area(1.0)) + circ.area(1.0)
+
+    def test_scalars_give_a_float_and_arrays_broadcast(self):
+        circ = CircularModel(1.0)
+        one = burned_union_area([(Point(0.5, 5.0), circ, 1.0)], REGION)
+        assert type(one) is float
+        times = np.array([[1.0], [2.0]])
+        got = burned_union_area([(_Ignitions(np.array([0.5, 5.0, 9.8]), 5.0), circ, times)], REGION)
+        assert got.shape == (2, 3)
+        for (i, j), area in np.ndenumerate(got):
+            want = burned_union_area([(Point([0.5, 5.0, 9.8][j], 5.0), circ, float(times[i, 0]))],
+                                     REGION)
+            assert area.hex() == want.hex()
 
 
 class TestUnionArea:

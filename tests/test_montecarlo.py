@@ -538,8 +538,9 @@ class TestGoldenOutcomes:
 
 
 class TestBurnedAreaPass:
-    """The burned areas of a block of trials, measured as arrays, against one
-    ``burned_union_area`` call per trial, bit for bit. The blocks hold random
+    """The burned areas of a block of trials, measured as arrays, against the
+    scalar routine of tests/helpers.py one trial at a time, bit for bit and
+    group for group. The blocks hold random
     trials, pairs of fronts whose frame centres lie 2t apart to within a few
     ulps, fronts whose boxes lie within 2e-9 of the region's sides, and
     times that are not finite, zero, subnormal or past the region."""
@@ -595,21 +596,23 @@ class TestBurnedAreaPass:
     def test_matches_one_union_per_trial(self, model, k, monkeypatch):
         config = ScenarioConfig(self.REGION, RandomPlacement(100), model, 240, 0, ignition_count=k)
         t, xs, ys = self.block(model, k, 11)
-        called = []
+        union, groups = geometry._union_area, []
 
-        def counted(fronts, region):
-            called.append((fronts[0][0].x, fronts[0][0].y))
-            return geometry.burned_union_area(fronts, region)
+        def recorded(fronts, region):
+            groups.append([(p.x, p.y, ti) for p, _, ti in fronts])
+            return union(fronts, region)
 
-        # A tracer that wraps the engine's burned_union_area sees every union.
-        monkeypatch.setattr(firewatch.montecarlo, "burned_union_area", counted)
+        monkeypatch.setattr(geometry, "_union_area", recorded)
         with np.errstate(all="ignore"):
             got = _burned_areas(config, t, xs, ys)
+            engine_groups, groups[:] = groups[:], []
             want = per_trial_burned_areas(config, t, xs, ys)
         assert got.tobytes() == want.tobytes()
+        # The same groups, in the same order, as the per-trial union-find.
+        assert engine_groups == groups
 
-        # Every trial with fronts that meet is a union; besides those, only
-        # trials with a pair within 1e-12 of 2t apart are.
+        # The trials with a group are exactly those with fronts that meet;
+        # besides those, the block holds pairs that miss by 2e-12 or less.
         meet, near = set(), set()
         for i in np.flatnonzero(np.isfinite(t)).tolist():
             ti = float(t[i])
@@ -619,10 +622,10 @@ class TestBurnedAreaPass:
                     meet.add(i)
                 elif gap <= 2e-12 * ti + 1e-320:
                     near.add(i)
-        unions = {(float(xs[i, 0]), float(ys[i, 0])): i for i in range(t.size)}
-        got_unions = {unions[c] for c in called}
-        assert len(called) == len(got_unions)
-        assert meet <= got_unions <= meet | near
+        trial_of = {
+            front: i for i in range(t.size) for front in zip(xs[i].tolist(), ys[i].tolist())
+        }
+        assert {trial_of[g[0][:2]] for g in engine_groups} == meet
         if k > 1:
             assert len(meet & set(range(40, 120))) > 10 and len(near) > 10
 

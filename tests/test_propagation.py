@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +189,13 @@ class TestFloatPower:
             want = np.array([model.area(v) for v in t.tolist()])
             assert got.tobytes() == want.tobytes()
             assert all(type(model.area(v)) is float for v in t[:5].tolist())
+
+
+def test_reach_time_past_the_floats_is_inf_without_a_warning():
+    # The head reaches 1.5e308 at t = 1.5e308, but the point's frame offset
+    # 1.5e308 / a (a = 0.75) overflows, so the time is inf; numpy's overflow
+    # warning on Python floats must not reach the caller.
+    model = EllipticalModel(1.0, 2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.reach_times(Point(0, 0), 1.5e308, 0.0) == math.inf
