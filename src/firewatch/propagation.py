@@ -181,8 +181,7 @@ class EllipticalModel(_AffineFront):
         # the largest float is inf. w is NaN at the ignition (0/0) and where
         # u and rho overflow: taken as 1 there, it gives rho's time, 0 or inf.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dx, dy = np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y
-            u, v = self._to_frame(dx, dy, 0.0, 1.0)
+            u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, 0.0, 1.0)
             rho = np.hypot(u, v)
             ew = (c / a) * np.fmin(u / rho, 1.0)
             g = np.sqrt(ew * ew + k2)

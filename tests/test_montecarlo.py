@@ -540,10 +540,10 @@ class TestGoldenOutcomes:
 class TestBurnedAreaPass:
     """The burned areas of a block of trials, measured as arrays, against the
     scalar routine of tests/helpers.py one trial at a time, bit for bit and
-    group for group. The blocks hold random
-    trials, pairs of fronts whose frame centres lie 2t apart to within a few
-    ulps, fronts whose boxes lie within 2e-9 of the region's sides, and
-    times that are not finite, zero, subnormal or past the region."""
+    group for group. The blocks hold random trials, pairs of fronts whose
+    frame centres lie 2t apart to within a few ulps, fronts whose boxes lie
+    within 2e-9 of the region's sides, and times that are not finite, zero,
+    subnormal or past the region."""
 
     REGION = RectRegion(10.0, 10.0)
 
