@@ -364,7 +364,7 @@ def _groups(model, xs, ys, t) -> list[np.ndarray]:
         np.minimum.at(label, b, label[a])
         if (label == old).all():
             break
-    # np.unique would import numpy.ma, 1.5 MB of resident memory.
+    # np.unique would import numpy.ma, about 1 MB of resident memory.
     members = np.flatnonzero(np.bincount(np.concatenate([a, b])))
     members = members[np.argsort(label[members], kind="stable")]
     return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
