@@ -388,7 +388,8 @@ def burned_union_area(
 
     Each ignition's ``x`` and ``y`` and each ``t`` may be arrays that
     broadcast: the result is then the array of the areas of the unions
-    taken elementwise, each with the bits of the call for its element.
+    taken elementwise, each with the bits of the call for its element. As
+    for a ``Point``, a coordinate that is not finite is a ``ParameterError``.
     """
     fronts = list(fronts)
     if not fronts:
@@ -401,6 +402,8 @@ def burned_union_area(
     for j, (ignition, _, tj) in enumerate(fronts):
         xs[..., j], ys[..., j], t[..., j] = ignition.x, ignition.y, as_floats("front time", tj)
     xs, ys, t = (v.reshape(-1, k) for v in (xs, ys, t))
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ParameterError("ignition x and y must be finite")
     bad = ~(t >= 0.0)
     if bad.any():
         raise DomainError(f"front time must be a nonnegative number, got {t[bad][0]}")

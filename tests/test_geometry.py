@@ -470,6 +470,13 @@ class TestArrayUnion:
         with pytest.raises(DomainError):
             burned_union_area([(_Ignitions(xs[:, j], ys[:, j]), model, wrong[:, j])
                                for j in range(k)], REGION)
+        # So does one ignition coordinate that is not finite, whether or not
+        # its front would meet another.
+        wrong = ys.copy()
+        wrong[i, j] = math.nan
+        with pytest.raises(ParameterError, match="must be finite"):
+            burned_union_area([(_Ignitions(xs[:, j], wrong[:, j]), model, ts[:, j])
+                               for j in range(k)], REGION)
         if k > 1:
             other = self.MODELS[(self.MODELS.index(model) + 1) % len(self.MODELS)]
             with pytest.raises(ParameterError, match="one spread model"):
