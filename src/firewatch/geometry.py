@@ -72,13 +72,24 @@ class _Ignitions(NamedTuple):
     y: np.ndarray
 
 
+def _map(f, *arrays) -> np.ndarray:
+    """``f``, a function of floats from ``math``, elementwise over 1-D
+    arrays of one length: numpy's own functions differ from ``math``'s in
+    the last bit."""
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, arrays[0].size)
+
+
 def _hypot(x, y):
-    """math.hypot, elementwise over two arrays of one shape: np.hypot differs
-    from it in the last bit."""
+    """math.hypot, elementwise over two arrays of one shape."""
     if not isinstance(x, np.ndarray):
         return math.hypot(x, y)
-    hypots = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(hypots, float, x.size).reshape(x.shape)
+    return _map(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
+
+
+def _within(counts) -> np.ndarray:
+    """For runs of ``counts`` elements laid end to end, the position of each
+    element in its run."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _tri_disk_areas(ax, ay, bx, by, r2):
@@ -107,7 +118,7 @@ def _tri_disk_areas(ax, ay, bx, by, r2):
     qx, qy = ax + hi * dx, ay + hi * dy
     sines = np.concatenate([(ax * py - ay * px).ravel(), (qx * by - qy * bx)[cut]])
     cosines = np.concatenate([(ax * px + ay * py).ravel(), (qx * bx + qy * by)[cut]])
-    theta = np.fromiter(map(math.atan2, sines.tolist(), cosines.tolist()), float, sines.size)
+    theta = _map(math.atan2, sines, cosines)
     sector = 0.5 * np.concatenate([r2.ravel(), r2[cut]]) * theta
     area = sector[: ax.size].reshape(ax.shape)
     area[cut] = (area[cut] + (0.5 * (px * qy - py * qx))[cut]) + sector[ax.size :]
@@ -179,126 +190,195 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
         return _float_or_array(np.where(r == 0.0, 0.0, area * unit * unit))
 
 
-def _union_area(fronts, region: RectRegion) -> float:
-    """Exact area of the union of ``fronts``, all of one model, clipped to
-    ``region``.
+def _clamp(z):
+    """``max(-1.0, min(1.0, z))`` elementwise, with Python's choice of
+    operand: NaN gives 1.0."""
+    z = np.where(z < 1.0, z, 1.0)
+    return np.where(z > -1.0, z, -1.0)
 
-    The model's frame maps each front at time t to the disk of radius t about
-    its ``frame_centre``, and the region to a parallelogram. The frame is
-    taken about the first front, with its ignition subtracted in the plane,
-    and scaled by 1/s, s the latest time: the disks then have radii at most
-    1 near the origin, wherever the fronts lie and whatever the rate.
-    Green's theorem sums ``(x dy - y dx) / 2`` over the boundary of the
-    clipped union: the arcs of each circle that lie inside the region and
-    outside every other front, and the pieces of the region's edges that
-    some front covers. The pieces are cut at every crossing and classified
-    by their midpoints in the plane, against the region's bounds and each
-    front's own ``covers``. The sum, times ``model.area(s) / pi``, is the area.
+
+def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
+    """Exact areas of the unions of groups of fronts of one model, each
+    clipped to ``region``.
+
+    ``x``, ``y`` and ``t`` are 1-D arrays of the fronts of every group, one
+    group after another, all at t > 0, and ``starts`` holds the index of
+    each group's first front. The model's frame maps each front at time t
+    to the disk of radius t about its ``frame_centre``, and the region to a
+    parallelogram. A group's frame is taken about its first front, with its
+    ignition subtracted in the plane, and scaled by 1/s, s the group's
+    latest time: the disks then have radii at most 1 near the origin,
+    wherever the fronts lie and whatever the rate. Green's theorem sums
+    ``(x dy - y dx) / 2`` over the boundary of each clipped union: the arcs
+    of each circle that lie inside the region and outside every other front
+    of its group, and the pieces of the region's edges that some front of
+    the group covers. The pieces are cut at every crossing and classified
+    by their midpoints in the plane, against the region's bounds and, in
+    one ``covers`` call, each front of their group. A group's kept terms
+    are summed by ``math.fsum``; times ``model.area(s) / pi``, that is its
+    area.
+
+    Every step is that of the formula for one group in Python floats: + -
+    * /, sqrt and % round alike in numpy, the clamps keep Python's choice
+    of operand, and the functions of ``math`` are mapped over the arrays.
     """
-    fronts = [f for f in fronts if f[2] > 0.0]  # a front at t = 0 burns nothing
-    if not fronts:
-        return 0.0
-    model = fronts[0][1]
-    s = max(t for _, _, t in fronts)
-    if s == math.inf:
-        return region.area  # a front of infinite age covers the region
+    size = np.concatenate((starts[1:], [t.size])) - starts
+    s = np.maximum.reduceat(t, starts)
+    area = np.full(starts.size, region.area, dtype=float)  # a front of infinite age covers it
+    finite = s < math.inf
+    if not finite.any():
+        return area
+    if not finite.all():
+        keep = np.repeat(finite, size)
+        x, y, t, s, size = x[keep], y[keep], t[keep], s[finite], size[finite]
+        starts = np.cumsum(size) - size
+    n, groups = t.size, starts.size
+    group = np.repeat(np.arange(groups), size)
     # The frame's map is linear plus a drift in t, so the frame centre of
-    # (x, y) at t less that of the first front is the frame centre of (x, y)
-    # less the first ignition, at t, less that of the origin at the first t.
-    origin = fronts[0][0]
-    ox, oy = model.frame_centre(0.0, 0.0, fronts[0][2])
+    # (x, y) at t less that of the group's first front is the frame centre
+    # of (x, y) less the first ignition, at t, less that of the origin at
+    # the first t.
+    x0, y0 = x[starts], y[starts]
+    ox, oy = model.frame_centre(np.zeros(groups), np.zeros(groups), t[starts])
 
-    def to_frame(x, y, t):
-        fx, fy = model.frame_centre(x - origin.x, y - origin.y, t)
-        return (fx - ox) / s, (fy - oy) / s
+    def to_frame(px, py, pt, g):
+        fx, fy = model.frame_centre(px - x0[g], py - y0[g], pt)
+        return (fx - ox[g]) / s[g], (fy - oy[g]) / s[g]
 
-    circles, owners = [], []
-    for ignition, _, t in fronts:
-        circle = (*to_frame(ignition.x, ignition.y, t), t / s)
-        if circle not in circles:  # a front that repeats another adds nothing
-            circles.append(circle)
-            owners.append((ignition, t))
+    cx, cy = to_frame(x, y, t, group)
+    r = t / s[group]
 
-    cuts = [[] for _ in circles]  # the angles at which each circle is cut
-    for i, (xi, yi, ri) in enumerate(circles):
-        for j in range(i + 1, len(circles)):
-            xj, yj, rj = circles[j]
-            d = math.hypot(xj - xi, yj - yi)
-            if abs(ri - rj) <= d <= ri + rj:  # the circles cross or touch
-                phi = math.atan2(yj - yi, xj - xi)
-                ai = math.acos(max(-1.0, min(1.0, (d * d + ri * ri - rj * rj) / (2.0 * d * ri))))
-                aj = math.acos(max(-1.0, min(1.0, (d * d + rj * rj - ri * ri) / (2.0 * d * rj))))
-                cuts[i] += (phi - ai, phi + ai)
-                cuts[j] += (phi + math.pi - aj, phi + math.pi + aj)
+    # Every pair i < j of fronts of one group. A front that repeats an
+    # earlier one adds nothing.
+    later = (starts + size)[group] - np.arange(n) - 1
+    i = np.repeat(np.arange(n), later)
+    j = i + 1 + _within(later)
+    repeat = np.zeros(n, bool)
+    repeat[j[(cx[i] == cx[j]) & (cy[i] == cy[j]) & (r[i] == r[j])]] = True
+    circles = (~repeat).nonzero()[0]
+    pair = ~repeat[i] & ~repeat[j]
+    i, j = i[pair], j[pair]
+    # The pairs of circles that cross or touch.
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    d = _hypot(dx, dy)
+    ri, rj = r[i], r[j]
+    cross = (abs(ri - rj) <= d) & (d <= ri + rj)
+    i, j, dx, dy, d, ri, rj = (v[cross] for v in (i, j, dx, dy, d, ri, rj))
 
-    # Pieces of the boundary as (Green's term, midpoint x and y in the plane,
-    # index of the circle of an arc or -1 for an edge).
-    pieces = []
+    # Each edge, counterclockwise, as its start corner, its unit direction
+    # and its length in the plane; per (group, edge), the frame length of a
+    # unit of plane length along the edge. An edge with no length in the
+    # frame is skipped.
     w, h = region.width, region.height
-    # Each edge, counterclockwise, as its start corner, its unit direction and
-    # its length in the plane.
-    edges = (((0.0, 0.0), (1.0, 0.0), w), ((w, 0.0), (0.0, 1.0), h),
-             ((w, h), (-1.0, 0.0), w), ((0.0, h), (0.0, -1.0), h))
-    for (sx, sy), (ex, ey), length in edges:
-        lx, ly = model.frame_centre(ex * length, ey * length, 0.0)
-        lam = math.hypot(lx, ly)
-        scale = lam / s / length  # frame length of a unit of plane length along the edge
-        if not scale > 0.0:
-            continue  # the edge has no length in the frame
-        ux, uy = lx / lam, ly / lam
-        # Points of the edge's line are measured by their length s' along
-        # (ux, uy) from the foot of the frame origin's perpendicular, which
-        # lies near the fronts that reach the edge: hn n + s' (ux, uy), with
-        # n = (-uy, ux). The anchor is the foot of the first ignition on the
-        # edge in the plane, at plane length t0 from the start corner.
-        fx = origin.x if ex else sx
-        fy = origin.y if ey else sy
-        t0 = (fx - sx) * ex + (fy - sy) * ey
-        qx, qy = to_frame(fx, fy, 0.0)
-        q = qx * ux + qy * uy
-        hn = qy * ux - qx * uy
-        params = [q - t0 * scale, q + (length - t0) * scale]
-        for i, (cx, cy, r) in enumerate(circles):
-            # The circle meets the line at s' = its centre's s' -+ ``half``,
-            # -off n -+ half (ux, uy) from its centre.
-            off = cy * ux - cx * uy - hn
-            disc = r * r - off * off
-            if disc >= 0.0:
-                half = math.sqrt(disc)
-                foot = cx * ux + cy * uy
-                for sign in (-1.0, 1.0):
-                    cuts[i].append(math.atan2(sign * half * uy - off * ux, sign * half * ux + off * uy))
-                    if params[0] < foot + sign * half < params[1]:
-                        params.append(foot + sign * half)
-        params.sort()
-        for u, v in zip(params, params[1:]):
-            if u < v:
-                m = t0 + (0.5 * (u + v) - q) / scale  # plane length from the start
-                pieces.append((0.5 * hn * (u - v), sx + m * ex, sy + m * ey, -1))
+    sx, sy = np.array([0.0, w, w, 0.0]), np.array([0.0, 0.0, h, h])
+    ex, ey = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+    length = np.array([w, h, w, h])
+    lx, ly = model.frame_centre(ex * length, ey * length, 0.0)
+    lam = _hypot(lx, ly)
+    ux, uy = lx / lam, ly / lam
+    scale = lam / s[:, None] / length
+    # Points of the edge's line are measured by their length s' along
+    # (ux, uy) from the foot of the frame origin's perpendicular, which
+    # lies near the fronts that reach the edge: hn n + s' (ux, uy), with
+    # n = (-uy, ux). The anchor is the foot of the group's first ignition
+    # on the edge in the plane, at plane length t0 from the start corner.
+    fx = np.where(ex != 0.0, x0[:, None], sx)
+    fy = np.where(ey != 0.0, y0[:, None], sy)
+    t0 = (fx - sx) * ex + (fy - sy) * ey
+    qx, qy = to_frame(fx, fy, 0.0, (slice(None), None))
+    q = qx * ux + qy * uy
+    hn = qy * ux - qx * uy
+    lo, hi = q - t0 * scale, q + (length - t0) * scale
+    # A circle meets an edge's line at s' = its centre's s' -+ ``half``,
+    # -off n -+ half (ux, uy) from its centre: the two ends of a chord.
+    off = cy[circles, None] * ux - cx[circles, None] * uy - hn[group[circles]]
+    disc = r[circles, None] * r[circles, None] - off * off
+    row, e = ((scale[group[circles]] > 0.0) & (disc >= 0.0)).nonzero()
+    half = np.sqrt(disc[row, e])
+    foot = cx[circles[row]] * ux[e] + cy[circles[row]] * uy[e]
+    along = np.concatenate((-half, half))
+    c, e, off, foot = (np.concatenate((v, v)) for v in (circles[row], e, off[row, e], foot))
+    g = group[c]
+    p = foot + along
+    on = (lo[g, e] < p) & (p < hi[g, e])
 
+    # The cuts on each circle: by each circle it crosses or touches, and at
+    # the ends of its chords.
+    dd, ri2, rj2 = d * d, ri * ri, rj * rj
+    acos = _map(math.acos, _clamp(np.concatenate(((dd + ri2 - rj2) / (2.0 * d * ri),
+                                                  (dd + rj2 - ri2) / (2.0 * d * rj)))))
+    ai, aj = acos[: d.size], acos[d.size :]
+    atan = _map(math.atan2, np.concatenate((dy, along * uy[e] - off * ux[e])),
+                np.concatenate((dx, along * ux[e] + off * uy[e])))
+    phi = atan[: d.size]
+    cut_of = np.concatenate((i, i, j, j, c))
+    cuts = np.concatenate((phi - ai, phi + ai, (phi + math.pi) - aj, (phi + math.pi) + aj,
+                           atan[d.size :]))
+
+    # The pieces of the edges between their sorted cuts, as their Green's
+    # terms, midpoints in the plane, groups and owners (-1: an edge).
+    edges = (scale > 0.0).ravel().nonzero()[0]  # as flat (group, edge) indices
+    key = np.concatenate((edges, edges, (g * 4 + e)[on]))
+    val = np.concatenate((lo.ravel()[edges], hi.ravel()[edges], p[on]))
+    order = np.lexsort((val, key))
+    key, val = key[order], val[order]
+    piece = (key[:-1] == key[1:]) & (val[:-1] < val[1:])
+    u, v, ge = val[:-1][piece], val[1:][piece], key[:-1][piece]
+    e = ge % 4
+    m = t0.ravel()[ge] + (0.5 * (u + v) - q.ravel()[ge]) / scale.ravel()[ge]
+    terms = [0.5 * hn.ravel()[ge] * (u - v)]
+    px, py = [sx[e] + m * ex[e]], [sy[e] + m * ey[e]]
+    owner = [np.full(ge.size, -1)]
+    piece_group = [ge // 4]
+
+    # The arcs of each circle between its sorted cuts, and round to the
+    # first; a circle without a cut is one arc from angle 0.
     tau = 2.0 * math.pi
-    for i, ((cx, cy, r), (ignition, t)) in enumerate(zip(circles, owners)):
-        fx, fy, fa, fb, cos_h, sin_h = model.frame(ignition, t)
-        angles = sorted(a % tau for a in cuts[i]) or [0.0]
-        for u, v in zip(angles, angles[1:] + [angles[0] + tau]):
-            if u < v:
-                sines, cosines = math.sin(v) - math.sin(u), math.cos(v) - math.cos(u)
-                term = 0.5 * r * (r * (v - u) + cx * sines - cy * cosines)
-                m = 0.5 * (u + v)
-                ex, ey = fa * math.cos(m), fb * math.sin(m)
-                pieces.append((term, fx + ex * cos_h - ey * sin_h, fy + ex * sin_h + ey * cos_h, i))
+    bare = circles[np.bincount(cut_of, minlength=n)[circles] == 0]
+    cut_of = np.concatenate((cut_of, bare))
+    angle = np.concatenate((cuts % tau, np.zeros(bare.size)))
+    order = np.lexsort((angle, cut_of))
+    cut_of, angle = cut_of[order], angle[order]
+    first = np.concatenate(([True], cut_of[1:] != cut_of[:-1])).nonzero()[0]
+    ends = np.concatenate((angle, angle[first] + tau))
+    sines, cosines = _map(math.sin, ends), _map(math.cos, ends)
+    nxt = np.arange(1, angle.size + 1)
+    nxt[first[1:] - 1] = angle.size + np.arange(first.size - 1)
+    nxt[-1] = ends.size - 1
+    arc = (angle < ends[nxt]).nonzero()[0]
+    o, u, v, nxt = cut_of[arc], angle[arc], ends[nxt[arc]], nxt[arc]
+    ro = r[o]
+    sin_d, cos_d = sines[nxt] - sines[arc], cosines[nxt] - cosines[arc]
+    terms.append(0.5 * ro * (ro * (v - u) + cx[o] * sin_d - cy[o] * cos_d))
+    m = 0.5 * (u + v)
+    fx, fy, fa, fb, cos_h, sin_h = model.frame(_Ignitions(x[o], y[o]), t[o])
+    ax, ay = fa * _map(math.cos, m), fb * _map(math.sin, m)
+    px.append(fx + ax * cos_h - ay * sin_h)
+    py.append(fy + ax * sin_h + ay * cos_h)
+    owner.append(o)
+    piece_group.append(group[o])
+    terms, px, py, owner, piece_group = (
+        np.concatenate(v) for v in (terms, px, py, owner, piece_group)
+    )
 
-    px = np.array([p[1] for p in pieces])
-    py = np.array([p[2] for p in pieces])
-    owner = np.array([p[3] for p in pieces])
-    covered = np.array([model.covers(ignition, t, px, py) for ignition, t in owners])
-    arc = owner >= 0
+    # Each piece is tested against every front of its group but repeats, in
+    # one call.
+    per_group = np.bincount(group[circles], minlength=groups)
+    tests = per_group[piece_group]
+    tested = np.repeat(np.arange(terms.size), tests)
+    front = circles[np.repeat((np.cumsum(per_group) - per_group)[piece_group], tests) + _within(tests)]
+    covered = model.covers(_Ignitions(x[front], y[front]), t[front], px[tested], py[tested])
     # An arc's own circle does not count against it, whatever rounding says.
-    others = covered.sum(axis=0) - (covered[np.maximum(owner, 0), np.arange(owner.size)] & arc)
+    others = np.bincount(tested[covered & (front != owner[tested])], minlength=terms.size)
     inside = (px >= 0.0) & (px <= w) & (py >= 0.0) & (py <= h)
-    keep = np.where(arc, inside & (others == 0), others > 0)
-    total = math.fsum(p[0] for p, k in zip(pieces, keep.tolist()) if k)
-    return max(total, 0.0) * (model.area(s) / math.pi)
+    keep = np.where(owner >= 0, inside & (others == 0), others > 0)
+    kept_group = piece_group[keep]
+    order = np.argsort(kept_group, kind="stable")
+    kept = terms[keep][order].tolist()
+    bounds = np.searchsorted(kept_group[order], np.arange(groups + 1)).tolist()
+    total = np.array([math.fsum(kept[a:b]) for a, b in zip(bounds, bounds[1:])])
+    area[finite] = np.where(0.0 > total, 0.0, total) * (model.area(s) / math.pi)
+    return area
 
 
 def _box_inside(model, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
@@ -333,11 +413,13 @@ def _lone_areas(model, region: RectRegion, xs, ys, t) -> np.ndarray:
     return area
 
 
-def _groups(model, xs, ys, t) -> list[np.ndarray]:
+def _groups(model, xs, ys, t) -> tuple[np.ndarray, np.ndarray]:
     """The groups of fronts that meet among the fronts of each row of the
-    (rows, k) arrays ``(xs, ys, t)``, k > 1: each as the flat indices of its
-    fronts in order, in the order of their first fronts. In the model's
-    frame each front at time t is the disk of radius t about its
+    (rows, k) arrays ``(xs, ys, t)``, k > 1, as ``(members, starts)``:
+    ``members`` holds the flat indices of each group's fronts in order, the
+    groups one after another in the order of their first fronts, and
+    ``starts`` the index in ``members`` of each group's first front. In the
+    model's frame each front at time t is the disk of radius t about its
     ``frame_centre``, so two fronts meet iff those are at most t1 + t2 apart.
     """
     k = t.shape[1]
@@ -354,7 +436,7 @@ def _groups(model, xs, ys, t) -> list[np.ndarray]:
         pairs.append((row * k + i, row * k + i + 1 + j))
     a, b = (np.concatenate(v) for v in zip(*pairs))
     if not a.size:
-        return []
+        return a, a
     # Each front's label falls across the pairs that meet to the least index
     # of its group.
     label = np.arange(t.size)
@@ -367,7 +449,7 @@ def _groups(model, xs, ys, t) -> list[np.ndarray]:
     # np.unique would import numpy.ma, about 1 MB of resident memory.
     members = np.flatnonzero(np.bincount(np.concatenate([a, b])))
     members = members[np.argsort(label[members], kind="stable")]
-    return np.split(members, np.flatnonzero(np.diff(label[members])) + 1)
+    return members, np.flatnonzero(np.diff(label[members], prepend=-1))
 
 
 def burned_union_area(
@@ -410,10 +492,12 @@ def burned_union_area(
     # Fronts of infinite age take steps past the floats.
     with np.errstate(all="ignore"):
         area = _lone_areas(model, region, xs.ravel(), ys.ravel(), t.ravel())
-        for group in _groups(model, xs, ys, t) if k > 1 else []:
-            union = zip(xs.flat[group].tolist(), ys.flat[group].tolist(), t.flat[group].tolist())
-            area[group] = 0.0
-            area[group[0]] = _union_area([(Point(x, y), model, tj) for x, y, tj in union], region)
+        members, starts = _groups(model, xs, ys, t) if k > 1 else (np.empty(0, int),) * 2
+        if members.size:
+            union = _union_areas(model, region, xs.flat[members], ys.flat[members],
+                                 t.flat[members], starts)
+            area[members] = 0.0
+            area[members[starts]] = union
     area = area.reshape(-1, k)
     total = np.zeros(len(area))
     for j in range(k):

@@ -19,10 +19,16 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError, check_finite, check_positive
+from .errors import ParameterError, as_floats, check_finite, check_positive
 from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, _hypot, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
+
+
+def _times(t):
+    """Front times as floats, one as a Python float: ``DomainError`` for an
+    int too large for a float."""
+    return _float_or_array(as_floats("front time", t))
 
 
 # Measured fire ellipses stay near lb <= 10. A far narrower front spans the
@@ -99,6 +105,7 @@ class CircularModel(_AffineFront):
         return 1.0
 
     def area(self, t):
+        t = _times(t)
         if isinstance(t, np.ndarray):
             # np.float_power gives the bytes of a Python float's ** (np.square
             # and x * x differ in the last bit).
@@ -113,13 +120,13 @@ class CircularModel(_AffineFront):
         return np.hypot(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y) / self.rate
 
     def covers(self, ignition: Point, t, xs, ys):
-        r = self.rate * t
+        r = self.rate * _times(t)
         dx = np.asarray(xs) - ignition.x
         dy = np.asarray(ys) - ignition.y
         return dx * dx + dy * dy <= r * r
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
-        return disk_rect_area(ignition, self.rate * t, region)
+        return disk_rect_area(ignition, self.rate * _times(t), region)
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,7 @@ class EllipticalModel(_AffineFront):
         # The distance rate * t, as in the reach times: rate-scaled axes
         # would underflow or overflow at rates far from 1.
         a, b = self.shape[:2]
-        rt = self.rate * t
+        rt = self.rate * _times(t)
         return math.pi * a * b * rt * rt
 
     def reach_times(self, ignition: Point, xs, ys):
@@ -177,29 +184,45 @@ class EllipticalModel(_AffineFront):
         squared; r is divided by ``rate`` last."""
         a, _, c, _, _ = self.shape
         k2 = 1.0 / (self.hb_ratio * a * a)
-        # The branch not taken may divide by 0, and a distance or time past
-        # the largest float is inf. w is NaN at the ignition (0/0) and where
-        # u and rho overflow: taken as 1 there, it gives rho's time, 0 or inf.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, 0.0, 1.0)
+
+        def reach(dx, dy):
+            u, v = self._to_frame(dx, dy, 0.0, 1.0)
             rho = np.hypot(u, v)
             ew = (c / a) * np.fmin(u / rho, 1.0)
             g = np.sqrt(ew * ew + k2)
-            r = np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)
-            return r / self.rate
+            return np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)
+
+        # The branch not taken may divide by 0, and a time past the largest
+        # float is inf. w is NaN at the ignition (0/0) and where u and rho
+        # are inf: taken as 1 there, it gives rho's time, 0 or inf.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xs, ys = np.asarray(xs), np.asarray(ys)
+            r = reach(xs - ignition.x, ys - ignition.y)
+            times = r / self.rate
+            far = np.isinf(r)
+            if far.any():
+                # A distance past the largest float in the frame is measured
+                # again in units of 2^14: scaling by a power of two is exact,
+                # and only these elements take it.
+                unit = 2.0**14
+                r = reach(xs / unit - ignition.x / unit, ys / unit - ignition.y / unit)
+                times = np.where(far, r / self.rate * unit, times)
+            return times
 
     def covers(self, ignition: Point, t, xs, ys):
-        if t <= 0.0:
-            return np.zeros(np.broadcast(np.asarray(xs), np.asarray(ys)).shape, dtype=bool)
+        # A front at t <= 0 covers no point; the frame at r = 0 divides by 0.
+        t = as_floats("front time", t)
         r = self.rate * t
-        u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, r, r)
-        return u * u + v * v <= 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, r, r)
+            return (u * u + v * v <= 1.0) & (t > 0.0)
 
     def clipped_area_exact(self, ignition: Point, t, region: RectRegion):
         # The frame at scale r = rate * t takes the front to the unit disk and
         # the region to a parallelogram, still counterclockwise, of area / (a b r^2).
         # As disk_rect_area, it takes arrays of ignitions and times of one shape.
-        x, y, t = (np.asarray(v, dtype=float) for v in (ignition.x, ignition.y, t))
+        x, y, t = np.asarray(ignition.x, dtype=float), np.asarray(ignition.y, dtype=float), as_floats(
+            "front time", t)
         r = self.rate * t
         a, b = self.shape[:2]
         w, h = region.width, region.height

@@ -6,7 +6,8 @@ the front's quadratic in 60-digit decimal arithmetic for reach times,
 chord-length quadrature for circle/rectangle and ellipse/rectangle overlap
 and for a union of fronts of one model clipped to a rectangle,
 the textbook two-circle lens formula, the clip's formula one Python
-float at a time for the array clip, the union-find grouping and the lone
+float at a time for the array clip, the union formula one group at a time
+for the array union pass, the union-find grouping and the lone
 fronts one at a time for ``burned_union_area`` on arrays, a dense
 per-trial sensor draw for the engine's lazy cell-by-cell sampler, and a
 trial-by-trial run of a fixed layout for the engine's batched one.
@@ -15,6 +16,7 @@ point, for the tests that check it.
 """
 
 import math
+import sys
 import warnings
 from decimal import Context, Decimal, localcontext
 
@@ -340,6 +342,167 @@ def scalar_clipped_area(model, ign, t, region):
     return (a * r) * (b * r) * scalar_disk_polygon_area(corners, 1.0)
 
 
+def scalar_union_area(fronts, region):
+    """Exact area of the union of ``fronts``, ``(Point, model, t)`` triples
+    of one model, clipped to ``region``, one group in Python floats: the
+    formula that ``geometry._union_areas`` runs for many groups on arrays,
+    and must give the bits of.
+
+    The model's frame maps each front at time t to the disk of radius t about
+    its ``frame_centre``, and the region to a parallelogram. The frame is
+    taken about the first front, with its ignition subtracted in the plane,
+    and scaled by 1/s, s the latest time: the disks then have radii at most
+    1 near the origin, wherever the fronts lie and whatever the rate.
+    Green's theorem sums ``(x dy - y dx) / 2`` over the boundary of the
+    clipped union: the arcs of each circle that lie inside the region and
+    outside every other front, and the pieces of the region's edges that
+    some front covers. The pieces are cut at every crossing and classified
+    by their midpoints in the plane, against the region's bounds and each
+    front's own ``covers``. The sum, times ``model.area(s) / pi``, is the area.
+    """
+    fronts = [f for f in fronts if f[2] > 0.0]  # a front at t = 0 burns nothing
+    if not fronts:
+        return 0.0
+    model = fronts[0][1]
+    s = max(t for _, _, t in fronts)
+    if s == math.inf:
+        return region.area  # a front of infinite age covers the region
+    # The frame's map is linear plus a drift in t, so the frame centre of
+    # (x, y) at t less that of the first front is the frame centre of (x, y)
+    # less the first ignition, at t, less that of the origin at the first t.
+    origin = fronts[0][0]
+    ox, oy = model.frame_centre(0.0, 0.0, fronts[0][2])
+
+    def to_frame(x, y, t):
+        fx, fy = model.frame_centre(x - origin.x, y - origin.y, t)
+        return (fx - ox) / s, (fy - oy) / s
+
+    circles, owners = [], []
+    for ignition, _, t in fronts:
+        circle = (*to_frame(ignition.x, ignition.y, t), t / s)
+        if circle not in circles:  # a front that repeats another adds nothing
+            circles.append(circle)
+            owners.append((ignition, t))
+
+    cuts = [[] for _ in circles]  # the angles at which each circle is cut
+    for i, (xi, yi, ri) in enumerate(circles):
+        for j in range(i + 1, len(circles)):
+            xj, yj, rj = circles[j]
+            d = math.hypot(xj - xi, yj - yi)
+            if abs(ri - rj) <= d <= ri + rj:  # the circles cross or touch
+                phi = math.atan2(yj - yi, xj - xi)
+                ai = math.acos(max(-1.0, min(1.0, (d * d + ri * ri - rj * rj) / (2.0 * d * ri))))
+                aj = math.acos(max(-1.0, min(1.0, (d * d + rj * rj - ri * ri) / (2.0 * d * rj))))
+                cuts[i] += (phi - ai, phi + ai)
+                cuts[j] += (phi + math.pi - aj, phi + math.pi + aj)
+
+    # Pieces of the boundary as (Green's term, midpoint x and y in the plane,
+    # index of the circle of an arc or -1 for an edge).
+    pieces = []
+    w, h = region.width, region.height
+    # Each edge, counterclockwise, as its start corner, its unit direction and
+    # its length in the plane.
+    edges = (((0.0, 0.0), (1.0, 0.0), w), ((w, 0.0), (0.0, 1.0), h),
+             ((w, h), (-1.0, 0.0), w), ((0.0, h), (0.0, -1.0), h))
+    for (sx, sy), (ex, ey), length in edges:
+        lx, ly = model.frame_centre(ex * length, ey * length, 0.0)
+        lam = math.hypot(lx, ly)
+        scale = lam / s / length  # frame length of a unit of plane length along the edge
+        if not scale > 0.0:
+            continue  # the edge has no length in the frame
+        ux, uy = lx / lam, ly / lam
+        # Points of the edge's line are measured by their length s' along
+        # (ux, uy) from the foot of the frame origin's perpendicular, which
+        # lies near the fronts that reach the edge: hn n + s' (ux, uy), with
+        # n = (-uy, ux). The anchor is the foot of the first ignition on the
+        # edge in the plane, at plane length t0 from the start corner.
+        fx = origin.x if ex else sx
+        fy = origin.y if ey else sy
+        t0 = (fx - sx) * ex + (fy - sy) * ey
+        qx, qy = to_frame(fx, fy, 0.0)
+        q = qx * ux + qy * uy
+        hn = qy * ux - qx * uy
+        params = [q - t0 * scale, q + (length - t0) * scale]
+        for i, (cx, cy, r) in enumerate(circles):
+            # The circle meets the line at s' = its centre's s' -+ ``half``,
+            # -off n -+ half (ux, uy) from its centre.
+            off = cy * ux - cx * uy - hn
+            disc = r * r - off * off
+            if disc >= 0.0:
+                half = math.sqrt(disc)
+                foot = cx * ux + cy * uy
+                for sign in (-1.0, 1.0):
+                    cuts[i].append(math.atan2(sign * half * uy - off * ux, sign * half * ux + off * uy))
+                    if params[0] < foot + sign * half < params[1]:
+                        params.append(foot + sign * half)
+        params.sort()
+        for u, v in zip(params, params[1:]):
+            if u < v:
+                m = t0 + (0.5 * (u + v) - q) / scale  # plane length from the start
+                pieces.append((0.5 * hn * (u - v), sx + m * ex, sy + m * ey, -1))
+
+    tau = 2.0 * math.pi
+    for i, ((cx, cy, r), (ignition, t)) in enumerate(zip(circles, owners)):
+        fx, fy, fa, fb, cos_h, sin_h = model.frame(ignition, t)
+        angles = sorted(a % tau for a in cuts[i]) or [0.0]
+        for u, v in zip(angles, angles[1:] + [angles[0] + tau]):
+            if u < v:
+                sines, cosines = math.sin(v) - math.sin(u), math.cos(v) - math.cos(u)
+                term = 0.5 * r * (r * (v - u) + cx * sines - cy * cosines)
+                m = 0.5 * (u + v)
+                ex, ey = fa * math.cos(m), fb * math.sin(m)
+                pieces.append((term, fx + ex * cos_h - ey * sin_h, fy + ex * sin_h + ey * cos_h, i))
+
+    px = np.array([p[1] for p in pieces])
+    py = np.array([p[2] for p in pieces])
+    owner = np.array([p[3] for p in pieces])
+    covered = np.array([model.covers(ignition, t, px, py) for ignition, t in owners])
+    arc = owner >= 0
+    # An arc's own circle does not count against it, whatever rounding says.
+    others = covered.sum(axis=0) - (covered[np.maximum(owner, 0), np.arange(owner.size)] & arc)
+    inside = (px >= 0.0) & (px <= w) & (py >= 0.0) & (py <= h)
+    keep = np.where(arc, inside & (others == 0), others > 0)
+    total = math.fsum(p[0] for p, k in zip(pieces, keep.tolist()) if k)
+    return max(total, 0.0) * (model.area(s) / math.pi)
+
+
+def union_groups(x, y, t, starts):
+    """The groups of fronts of one ``geometry._union_areas`` call, each as
+    the list of its fronts' ``(x, y, t)``."""
+    bounds = [*starts.tolist(), t.size]
+    x, y, t = x.tolist(), y.tolist(), t.tolist()
+    return [list(zip(x[a:b], y[a:b], t[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def array_union_area(fronts, region):
+    """``geometry._union_areas`` of one group, ``fronts`` given as
+    ``(Point, model, t)`` triples of one model at t > 0, with numpy's
+    warnings off, as ``burned_union_area`` calls it."""
+    x, y, t = (np.array(v, dtype=float) for v in zip(*((p.x, p.y, t) for p, _, t in fronts)))
+    with np.errstate(all="ignore"):
+        return float(geometry._union_areas(fronts[0][1], region, x, y, t, np.zeros(1, int))[0])
+
+
+def record_unions(monkeypatch):
+    """Log each group of fronts measured by ``geometry._union_areas`` or by
+    ``scalar_union_area``, as the list of its fronts' ``(x, y, t)``, in the
+    order measured; every call still measures its groups."""
+    groups = []
+    arrays, scalar = geometry._union_areas, scalar_union_area
+
+    def recorded_arrays(model, region, x, y, t, starts):
+        groups.extend(union_groups(x, y, t, starts))
+        return arrays(model, region, x, y, t, starts)
+
+    def recorded_scalar(fronts, region):
+        groups.append([(p.x, p.y, t) for p, _, t in fronts])
+        return scalar(fronts, region)
+
+    monkeypatch.setattr(geometry, "_union_areas", recorded_arrays)
+    monkeypatch.setattr(sys.modules[__name__], "scalar_union_area", recorded_scalar)
+    return groups
+
+
 def _group_fronts(fronts):
     """Groups of indices of ``fronts``, all of one model, joined by the pairs
     whose frame centres are at most t1 + t2 apart: a union-find over pairs,
@@ -369,16 +532,16 @@ def scalar_burned_union_area(fronts, region):
     """Area of the union of ``fronts``, ``(Point, model, t)`` triples of one
     model, clipped to ``region``, one front at a time in Python floats: the
     fronts at t > 0 grouped by a union-find over the pairs that meet, each
-    group of several measured by ``geometry._union_area``, each lone front by
+    group of several measured by ``scalar_union_area``, each lone front by
     its bounding box, ``area(t)`` and ``scalar_clipped_area``, and the
     groups added in the order of their first fronts. ``burned_union_area``
-    must give these bits, and call ``_union_area`` on the same groups."""
+    must give these bits, and measure the same groups."""
     fronts = [f for f in fronts if f[2] > 0.0]
     total = 0.0
     w, h = region.width, region.height
     for group in _group_fronts(fronts):
         if len(group) > 1:
-            total += geometry._union_area([fronts[i] for i in group], region)
+            total += scalar_union_area([fronts[i] for i in group], region)
             continue
         ignition, model, t = fronts[group[0]]
         x0, y0, x1, y1 = model.bounding_box(ignition, t)

@@ -11,9 +11,11 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import firewatch
+from firewatch import geometry
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -83,6 +85,40 @@ def test_each_model_has_what_burned_union_area_reads(cls):
     # hasattr: the frame methods are inherited from one base class.
     for name in ("area", "bounding_box", "frame", "frame_centre", "covers", "clipped_area_exact"):
         assert hasattr(getattr(firewatch, cls), name), f"{cls}.{name}"
+
+
+_UNION_CALLS = {
+    # Two fronts that meet, beside a lone one: one group.
+    "a group": ([(1.0, 5.0), (2.0, 5.5), (8.0, 8.0)], 1),
+    "one front": ([(5.0, 5.0)], 0),
+    "fronts apart": ([(2.0, 2.0), (8.0, 8.0)], 0),
+}
+
+
+@pytest.mark.parametrize("cls", tracer.MODEL_CLASSES)
+@pytest.mark.parametrize("ignitions,calls", _UNION_CALLS.values(), ids=_UNION_CALLS.keys())
+def test_a_union_call_calls_covers_once_if_it_has_a_group(cls, ignitions, calls, monkeypatch):
+    # The tracer classes a burned_union_area call by the covers call in it:
+    # every group of the call is classified in one covers call, and a call
+    # without a group makes none.
+    model = getattr(firewatch, cls)(1.0)
+    covers, seen = vars(type(model))["covers"], []
+
+    def counted(self, *args):
+        seen.append(args)
+        return covers(self, *args)
+
+    monkeypatch.setattr(type(model), "covers", counted)
+    fronts = [(firewatch.Point(x, y), model, 1.0) for x, y in ignitions]
+    firewatch.burned_union_area(fronts, _REGION)
+    assert len(seen) == calls
+    # So does a call for a block: a row per set of fronts, each with its time.
+    seen.clear()
+    xs, ys = zip(*ignitions)
+    block = [(geometry._Ignitions(np.full(4, x), np.full(4, y)), model, np.full(4, 1.0))
+             for x, y in zip(xs, ys)]
+    firewatch.burned_union_area(block, _REGION)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("cls", tracer.MODEL_CLASSES)
@@ -170,6 +206,20 @@ _TOO_LARGE_ARGUMENTS = {
     "exact law survival argument": lambda: firewatch.exact_burned_area_law(1.0, 3).survival(_BIG),
     "union front time": lambda: firewatch.burned_union_area(
         [(firewatch.Point(5, 5), firewatch.CircularModel(1.0), _BIG)], _REGION
+    ),
+    "circular area time": lambda: firewatch.CircularModel(1.0).area(_BIG),
+    "elliptical area time": lambda: firewatch.EllipticalModel(1.0, 2.0).area(_BIG),
+    "circular clip time": lambda: firewatch.CircularModel(1.0).clipped_area_exact(
+        firewatch.Point(1, 1), _BIG, _REGION
+    ),
+    "elliptical clip time": lambda: firewatch.EllipticalModel(1.0, 2.0).clipped_area_exact(
+        firewatch.Point(1, 1), _BIG, _REGION
+    ),
+    "circular covers time": lambda: firewatch.CircularModel(1.0).covers(
+        firewatch.Point(1, 1), _BIG, 2.0, 2.0
+    ),
+    "elliptical covers time": lambda: firewatch.EllipticalModel(1.0, 2.0).covers(
+        firewatch.Point(1, 1), _BIG, 2.0, 2.0
     ),
 }
 

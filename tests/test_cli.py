@@ -15,6 +15,8 @@ from firewatch.propagation import CircularModel, EllipticalModel
 from firewatch.errors import ParameterError
 from firewatch.montecarlo import ks_critical
 
+from helpers import union_groups
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -368,14 +370,14 @@ class TestSimulateCommand:
     def test_fronts_that_meet_in_a_region_of_subnormal_width(self, capsys, monkeypatch):
         # The union routine's frame gives the region's bottom and top edges
         # no length; the run still measures every group of fronts that meet.
-        union = firewatch.geometry._union_area
+        union = firewatch.geometry._union_areas
         groups = []
 
-        def counted(fronts, region):
-            groups.append(len(fronts))
-            return union(fronts, region)
+        def counted(model, region, x, y, t, starts):
+            groups.extend(len(group) for group in union_groups(x, y, t, starts))
+            return union(model, region, x, y, t, starts)
 
-        monkeypatch.setattr(firewatch.geometry, "_union_area", counted)
+        monkeypatch.setattr(firewatch.geometry, "_union_areas", counted)
         code, out, err = run_cli(
             capsys, "simulate", "--region", "1e-320x10", "--sensors", "1", "--ignitions", "3",
             "--trials", "50", "--seed", "3",

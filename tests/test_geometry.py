@@ -18,18 +18,24 @@ from firewatch.geometry import (
     disk_rect_area,
 )
 from firewatch.geometry import _Ignitions
+from firewatch.montecarlo import ScenarioConfig, run_trials
+from firewatch.placement import RandomPlacement
 from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import (
+    array_union_area,
     bisect_reach_time,
     exact_reach_times,
     lens_union_area,
     quad_disk_rect,
     quad_ellipse_rect,
     quad_union_rect,
+    record_unions,
     scalar_burned_union_area,
     scalar_clipped_area,
+    scalar_union_area,
     time_to,
+    union_groups,
 )
 
 REGION = RectRegion(10.0, 10.0)
@@ -326,7 +332,7 @@ class TestEllipseClip:
         def fail(*args):
             raise AssertionError("a lone front reached the union routine")
 
-        monkeypatch.setattr(geometry, "_union_area", fail)
+        monkeypatch.setattr(geometry, "_union_areas", fail)
         ell = EllipticalModel(rate=1.0, hb_ratio=2.0, lb_ratio=2.0, heading=2.1)
         fronts = [(Point(0.3, 5.0), ell, 1.4), (Point(9.9, 9.0), ell, 0.5)]
         got = burned_union_area(fronts, REGION)
@@ -430,24 +436,13 @@ class TestArrayUnion:
         EllipticalModel(0.7, 3.0, 1.5, 2.0),
     )
 
-    @staticmethod
-    def _recorded(monkeypatch):
-        union, groups = geometry._union_area, []
-
-        def record(fronts, region):
-            groups.append([(p.x, p.y, t) for p, _, t in fronts])
-            return union(fronts, region)
-
-        monkeypatch.setattr(geometry, "_union_area", record)
-        return groups
-
     @settings(max_examples=150, deadline=None)
     @given(case=_blocks(MODELS), bad=st.tuples(st.floats(0, 1), st.sampled_from([-1.0, math.nan])))
     def test_matches_the_scalar_routine_row_by_row(self, case, bad):
         model, (xs, ys, ts) = case
         rows, k = ts.shape
         with pytest.MonkeyPatch.context() as monkeypatch:
-            groups = self._recorded(monkeypatch)
+            groups = record_unions(monkeypatch)
             got = burned_union_area(
                 [(_Ignitions(xs[:, j], ys[:, j]), model, ts[:, j]) for j in range(k)], REGION
             )
@@ -486,7 +481,7 @@ class TestArrayUnion:
     def test_a_chain_is_one_group(self, monkeypatch):
         # A meets B and B meets C, 1.8 apart at t = 1, but A is 3.6 from C:
         # the three are one union. The second row's fronts meet no other.
-        groups = self._recorded(monkeypatch)
+        groups = record_unions(monkeypatch)
         circ = CircularModel(1.0)
         xs = np.array([[3.0, 4.8, 6.6], [1.0, 4.0, 7.0]])
         fronts = [(_Ignitions(xs[:, j], np.full(2, 5.0)), circ, np.ones(2)) for j in range(3)]
@@ -506,6 +501,89 @@ class TestArrayUnion:
             want = burned_union_area([(Point([0.5, 5.0, 9.8][j], 5.0), circ, float(times[i, 0]))],
                                      REGION)
             assert area.hex() == want.hex()
+
+
+@st.composite
+def _union_groups(draw, models):
+    """A model, a region and groups of 2-5 fronts, one time per front: each
+    front after a group's first lies anywhere, repeats the front before it,
+    meets it (in chains along the group's angle, where A meets B and B meets
+    C but A misses C) or touches it. Ignitions lie on the region's edges and
+    corners as well as in and near it; a region may have a subnormal width."""
+    model = draw(st.sampled_from(models))
+    region = draw(st.sampled_from([REGION, RectRegion(3.0, 7.5), RectRegion(1e-320, 10.0)]))
+    time = st.one_of(st.just(math.inf), st.floats(0.05, 4.0))
+    share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.2, 1.2))
+    how = st.sampled_from(["anywhere", "repeat", "meet", "tangent"])
+    front = st.tuples(how, time, share, share, st.floats(0.55, 0.95))
+    groups = draw(st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi), st.lists(front, min_size=2, max_size=5)),
+        min_size=1, max_size=4,
+    ))
+    out = []
+    for angle, fronts in groups:
+        group = []
+        for kind, t, u, v, f in fronts:
+            if group and kind == "repeat":
+                group.append(group[-1])
+                continue
+            if not group or kind == "anywhere":
+                x, y = u * region.width, v * region.height
+            else:
+                (px, py), _, prev_t = group[-1]
+                # Fronts at t = inf are placed as if at t = 1.
+                prev_t = prev_t if prev_t < math.inf else 1.0
+                place_t = t if t < math.inf else 1.0
+                gap = (prev_t + place_t) * (f if kind == "meet" else 1.0)
+                x, y = _placed(model, (px, py, prev_t), place_t, gap, angle)
+            group.append(((x, y), model, t))
+        out.append([(Point(*p), m, t) for p, m, t in group])
+    return region, out
+
+
+class TestArrayUnionPass:
+    """The array pass measures every group of a call at once, with the bits
+    of the scalar formula for each group, and classifies all their pieces
+    in one ``covers`` call."""
+
+    MODELS = (
+        CircularModel(1.3),
+        EllipticalModel(1.0, 2.0, 2.0, 0.7),
+        EllipticalModel(0.7, 3.0, 1.5, 2.0),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_union_groups(MODELS))
+    def test_every_group_has_the_bits_of_the_scalar_formula(self, case):
+        region, groups = case
+        fronts = [f for group in groups for f in group]
+        x, y, t = (np.array(v) for v in zip(*((p.x, p.y, t) for p, _, t in fronts)))
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        with np.errstate(all="ignore"):
+            got = geometry._union_areas(fronts[0][1], region, x, y, t, starts)
+        assert [a.hex() for a in got.tolist()] == [
+            scalar_union_area(group, region).hex() for group in groups
+        ]
+
+    @pytest.mark.parametrize("seed", [7, 101])
+    def test_every_group_of_an_ellipse3_sparse_run(self, seed, monkeypatch):
+        # Every group the engine measures in 8192 trials of N = 100 in
+        # 10x10, elliptical hb = lb = 2, 3 ignitions.
+        union, measured = geometry._union_areas, []
+
+        def recorded(model, region, x, y, t, starts):
+            areas = union(model, region, x, y, t, starts)
+            for group, area in zip(union_groups(x, y, t, starts), areas.tolist()):
+                measured.append(([(Point(x, y), model, t) for x, y, t in group], region, area))
+            return areas
+
+        monkeypatch.setattr(geometry, "_union_areas", recorded)
+        model = EllipticalModel(1.0, 2.0, 2.0, 0.0)
+        run_trials(ScenarioConfig(REGION, RandomPlacement(100), model, 8192, seed,
+                                  ignition_count=3))
+        assert len(measured) > 200
+        for fronts, region, area in measured:
+            assert area.hex() == scalar_union_area(fronts, region).hex(), fronts
 
 
 class TestUnionArea:
@@ -536,7 +614,7 @@ class TestUnionArea:
                 (Point(*(centre + (rng.random(2) - 0.5) * 2 * model.rate * t0)), model, t)
                 for t in times
             ]
-            got = geometry._union_area(fronts, RectRegion(w, h))
+            got = array_union_area(fronts, RectRegion(w, h))
             want = quad_union_rect(fronts, w, h)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (i, fronts, w, h)
 
@@ -551,7 +629,7 @@ class TestUnionArea:
             angle = 2 * math.pi * rng.random()
             p = Point(20.0, 20.0)
             q = Point(20.0 + d * math.cos(angle), 20.0 + d * math.sin(angle))
-            got = geometry._union_area([(p, model, t), (q, model, t)], region)
+            got = array_union_area([(p, model, t), (q, model, t)], region)
             want = lens_union_area(rate * t, math.hypot(q.x - p.x, q.y - p.y))
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -560,7 +638,7 @@ class TestUnionArea:
         for i in range(100):
             model = self._model(rng, i)
             ign, t = Point(*(rng.random(2) * 12 - 1)), 0.1 + 4 * rng.random()
-            got = geometry._union_area([(ign, model, t)], REGION)
+            got = array_union_area([(ign, model, t)], REGION)
             if isinstance(model, CircularModel):
                 r = model.rate * t
                 corners = [(x - ign.x, y - ign.y) for x, y in ((0, 0), (10, 0), (10, 10), (0, 10))]
@@ -594,10 +672,15 @@ class TestUnionArea:
              "point fronts", "two times at a corner"],
     )
     def test_degenerate_groups(self, fronts, want):
-        got = geometry._union_area(fronts, REGION)
+        got = burned_union_area(fronts, REGION)
         assert got == pytest.approx(quad_union_rect(fronts, 10.0, 10.0), rel=1e-12, abs=1e-14)
         if want is not None:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        # The fronts at t > 0 as one group: the array pass gives the bits of
+        # the scalar formula, which drops fronts at t = 0 itself.
+        live = [f for f in fronts if f[2] > 0.0]
+        if live:
+            assert array_union_area(live, REGION).hex() == scalar_union_area(fronts, REGION).hex()
 
     @pytest.mark.parametrize("offset", [2.0**20, 2.0**30, 2.0**40])
     def test_lens_far_from_the_origin(self, offset):
@@ -631,10 +714,10 @@ class TestUnionArea:
                 for along, near_along in ((0.5 * offset, 4.0), (offset - 2.0, 8.0)):
                     side_len = offset
                     far = [(placed(along + x, y, side), model, 1.0) for x, y in pair]
-                    got = geometry._union_area(far, RectRegion(offset, offset))
+                    got = array_union_area(far, RectRegion(offset, offset))
                     side_len = 10.0
                     near = [(placed(near_along + x, y, side), model, 1.0) for x, y in pair]
-                    want = geometry._union_area(near, REGION)
+                    want = array_union_area(near, REGION)
                     assert want < 2 * model.area(1.0)  # the edge cuts the lens
                     assert got == pytest.approx(want, rel=1e-14), (side, along)
 
@@ -646,8 +729,8 @@ class TestUnionArea:
         region = RectRegion(2e-10, 2e-10)
         for model in (CircularModel(rate), EllipticalModel(rate, 2.0, 2.0, 0.7)):
             unit = type(model)(1.0, *astuple(model)[1:])
-            got = geometry._union_area([(Point(*p), model, 1e-10 / rate) for p in pair], region)
-            want = geometry._union_area([(Point(*p), unit, 1e-10) for p in pair], region)
+            got = array_union_area([(Point(*p), model, 1e-10 / rate) for p in pair], region)
+            want = array_union_area([(Point(*p), unit, 1e-10) for p in pair], region)
             assert want < 2 * unit.area(1e-10)  # the region's edges cut the lens
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -668,17 +751,18 @@ class TestFrontsThatMeet:
         def fail(*args):
             raise AssertionError("fronts that do not meet reached the union routine")
 
-        monkeypatch.setattr(geometry, "_union_area", fail)
+        monkeypatch.setattr(geometry, "_union_areas", fail)
 
     @staticmethod
     def _record_union(monkeypatch):
         calls = []
 
-        def record(fronts, region):
-            calls.append(fronts)
-            return 0.0
+        def record(model, region, x, y, t, starts):
+            for group in union_groups(x, y, t, starts):
+                calls.append([(Point(x, y), model, t) for x, y, t in group])
+            return np.zeros(starts.size)
 
-        monkeypatch.setattr(geometry, "_union_area", record)
+        monkeypatch.setattr(geometry, "_union_areas", record)
         return calls
 
     @staticmethod

@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 import firewatch.montecarlo
-from firewatch import geometry
 from firewatch.analytic import (
     exact_burned_area_law,
     grid_td_law,
@@ -48,7 +47,12 @@ from firewatch.philox import philox4x64
 from firewatch.placement import GridPlacement, RandomPlacement, build_layout
 from firewatch.propagation import CircularModel, EllipticalModel, ellipse_axis_rates
 
-from helpers import dense_detection_times, per_trial_burned_areas, per_trial_outcomes
+from helpers import (
+    dense_detection_times,
+    per_trial_burned_areas,
+    per_trial_outcomes,
+    record_unions,
+)
 
 
 def same(a: Outcomes, b: Outcomes) -> bool:
@@ -596,13 +600,7 @@ class TestBurnedAreaPass:
     def test_matches_one_union_per_trial(self, model, k, monkeypatch):
         config = ScenarioConfig(self.REGION, RandomPlacement(100), model, 240, 0, ignition_count=k)
         t, xs, ys = self.block(model, k, 11)
-        union, groups = geometry._union_area, []
-
-        def recorded(fronts, region):
-            groups.append([(p.x, p.y, ti) for p, _, ti in fronts])
-            return union(fronts, region)
-
-        monkeypatch.setattr(geometry, "_union_area", recorded)
+        groups = record_unions(monkeypatch)
         with np.errstate(all="ignore"):
             got = _burned_areas(config, t, xs, ys)
             engine_groups, groups[:] = groups[:], []

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from firewatch.errors import ParameterError
 from firewatch.geometry import Point
 from firewatch.propagation import CircularModel, EllipticalModel
 
-from helpers import bisect_reach_time, front_member, time_to
+from helpers import bisect_reach_time, exact_reach_times, front_member, time_to
 
 
 def test_circular_area_unit_values():
@@ -192,10 +194,43 @@ class TestFloatPower:
 
 
 def test_reach_time_past_the_floats_is_inf_without_a_warning():
-    # The head reaches 1.5e308 at t = 1.5e308, but the point's frame offset
-    # 1.5e308 / a (a = 0.75) overflows, so the time is inf; numpy's overflow
-    # warning on Python floats must not reach the caller.
+    # The back recedes at rate / hb = 0.5, so it reaches -1.5e308 at
+    # t = 3e308: the time is inf, and numpy's overflow warning on Python
+    # floats must not reach the caller.
     model = EllipticalModel(1.0, 2.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert model.reach_times(Point(0, 0), 1.5e308, 0.0) == math.inf
+        assert model.reach_times(Point(0, 0), -1.5e308, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("hb,lb,heading", [(2.0, 1.0, 0.0), (2.0, 1.7, 0.7), (1e17, 1e3, 2.0)])
+def test_reach_time_whose_frame_offset_overflows_is_finite(hb, lb, heading):
+    # Towards the head a time near the largest float is finite, though the
+    # point's frame offset (its distance over a < 1) or its plane offset
+    # from the ignition overflows. Those elements are measured again in
+    # units of 2^14; every other element keeps the bits of a call without
+    # them. Times past the largest float are inf.
+    model = EllipticalModel(1.0, hb, lb, heading)
+    d = np.array([1.5e308, 1.7e308, 1.79e308, 3.0, 1e-300, 1e300, -1.5e308, 0.0])
+    dx, dy = d * math.cos(heading), d * math.sin(heading)
+    far = np.abs(d) > 1e308
+    want = exact_reach_times(model, dx, dy)
+    largest = Decimal(sys.float_info.max)
+    # At rate 2 the head covers 2e308 in 1e308: a plane offset past the
+    # floats, whose time is twice that of the offset 1e308.
+    fast = EllipticalModel(2.0, hb, lb, heading)
+    cos_h, sin_h = math.cos(heading), math.sin(heading)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.reach_times(Point(0, 0), dx, dy)
+        near = model.reach_times(Point(0, 0), dx[~far], dy[~far])
+        wide = fast.reach_times(Point(-1e308 * cos_h, -1e308 * sin_h), 1e308 * cos_h, 1e308 * sin_h)
+        half = fast.reach_times(Point(-5e307 * cos_h, -5e307 * sin_h), 5e307 * cos_h, 5e307 * sin_h)
+    assert near.tobytes() == got[~far].tobytes()
+    assert math.isfinite(got[0]) and math.isfinite(got[1])
+    assert math.isfinite(wide) and wide == 2.0 * half
+    for g, w in zip(got.tolist(), want):
+        if w > largest:
+            assert g == math.inf
+        else:
+            assert abs(Decimal(g) - w) <= Decimal("1e-15") * w, (g, w)
