@@ -362,11 +362,11 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     )
 
     # Each piece is tested against every front of its group but repeats, in
-    # one call.
+    # one call: slot k of a piece is the k-th circle of its group.
     per_group = np.bincount(group[circles], minlength=groups)
-    tests = per_group[piece_group]
-    tested = np.repeat(np.arange(terms.size), tests)
-    front = circles[np.repeat((np.cumsum(per_group) - per_group)[piece_group], tests) + _within(tests)]
+    slots = np.arange(per_group.max())
+    tested, slot = (slots < per_group[piece_group][:, None]).nonzero()
+    front = circles[(np.cumsum(per_group) - per_group)[piece_group[tested]] + slot]
     covered = model.covers(_Ignitions(x[front], y[front]), t[front], px[tested], py[tested])
     # An arc's own circle does not count against it, whatever rounding says.
     others = np.bincount(tested[covered & (front != owner[tested])], minlength=terms.size)

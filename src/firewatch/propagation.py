@@ -184,29 +184,28 @@ class EllipticalModel(_AffineFront):
         squared; r is divided by ``rate`` last."""
         a, _, c, _, _ = self.shape
         k2 = 1.0 / (self.hb_ratio * a * a)
-
-        def reach(dx, dy):
-            u, v = self._to_frame(dx, dy, 0.0, 1.0)
-            rho = np.hypot(u, v)
-            ew = (c / a) * np.fmin(u / rho, 1.0)
-            g = np.sqrt(ew * ew + k2)
-            return np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)
-
         # The branch not taken may divide by 0, and a time past the largest
         # float is inf. w is NaN at the ignition (0/0) and where u and rho
         # are inf: taken as 1 there, it gives rho's time, 0 or inf.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xs, ys = np.asarray(xs), np.asarray(ys)
-            r = reach(xs - ignition.x, ys - ignition.y)
+        overflow = []
+        with np.errstate(divide="ignore", invalid="ignore", over="call",
+                         call=lambda *_: overflow.append(True)):
+            u, v = self._to_frame(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y, 0.0, 1.0)
+            rho = np.hypot(u, v)
+            ew = (c / a) * np.fmin(u / rho, 1.0)
+            g = np.sqrt(ew * ew + k2)
+            r = np.where(ew > 0.0, rho / (ew + g), rho * (g - ew) / k2)
             times = r / self.rate
-            far = np.isinf(r)
-            if far.any():
-                # A distance past the largest float in the frame is measured
-                # again in units of 2^14: scaling by a power of two is exact,
-                # and only these elements take it.
+            if overflow:
+                # A point whose distance in the frame passes the largest
+                # float is measured again in units of 2^14: scaling by a
+                # power of two is exact, and the other points keep their bits.
                 unit = 2.0**14
-                r = reach(xs / unit - ignition.x / unit, ys / unit - ignition.y / unit)
-                times = np.where(far, r / self.rate * unit, times)
+                dx = np.asarray(xs) / unit - ignition.x / unit
+                dy = np.asarray(ys) / unit - ignition.y / unit
+                far = np.isinf(rho) & np.isfinite(dx) & np.isfinite(dy)
+                if far.any():
+                    times = np.where(far, self.reach_times(Point(0.0, 0.0), dx, dy) * unit, times)
             return times
 
     def covers(self, ignition: Point, t, xs, ys):
