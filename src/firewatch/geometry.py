@@ -10,10 +10,11 @@ here: fronts are seen only through the model's methods.
 In the model's frame every front is a disk, so which fronts meet is a test
 on the distances of their centres, and the groups of fronts that meet are
 the connected components of the pairs that pass it. Fronts that meet no
-other are measured alone, all in one array pass. A group is measured by
-Green's theorem in the frame: the boundary of the clipped union is cut
-into arcs and pieces of the region's edges, each classified by its
-midpoint.
+other are measured alone, all in one array pass, and every group of a call
+in a second one, by Green's theorem in the frame: the boundary of each
+clipped union is cut into arcs and pieces of the region's edges, and the
+pieces of all groups are classified by their midpoints in one call of the
+model's ``covers``.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ def _hypot(x, y):
     return _map(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
 
 
-def _within(counts) -> np.ndarray:
-    """For runs of ``counts`` elements laid end to end, the position of each
-    element in its run."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _tri_disk_areas(ax, ay, bx, by, r2):
@@ -190,13 +187,6 @@ def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
         return _float_or_array(np.where(r == 0.0, 0.0, area * unit * unit))
 
 
-def _clamp(z):
-    """``max(-1.0, min(1.0, z))`` elementwise, with Python's choice of
-    operand: NaN gives 1.0."""
-    z = np.where(z < 1.0, z, 1.0)
-    return np.where(z > -1.0, z, -1.0)
-
-
 def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     """Exact areas of the unions of groups of fronts of one model, each
     clipped to ``region``.
@@ -252,7 +242,7 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     # earlier one adds nothing.
     later = (starts + size)[group] - np.arange(n) - 1
     i = np.repeat(np.arange(n), later)
-    j = i + 1 + _within(later)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
     repeat = np.zeros(n, bool)
     repeat[j[(cx[i] == cx[j]) & (cy[i] == cy[j]) & (r[i] == r[j])]] = True
     circles = (~repeat).nonzero()[0]
@@ -305,8 +295,10 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     # The cuts on each circle: by each circle it crosses or touches, and at
     # the ends of its chords.
     dd, ri2, rj2 = d * d, ri * ri, rj * rj
-    acos = _map(math.acos, _clamp(np.concatenate(((dd + ri2 - rj2) / (2.0 * d * ri),
-                                                  (dd + rj2 - ri2) / (2.0 * d * rj)))))
+    z = np.concatenate(((dd + ri2 - rj2) / (2.0 * d * ri), (dd + rj2 - ri2) / (2.0 * d * rj)))
+    # max(-1.0, min(1.0, z)), with Python's choice of operand: NaN gives 1.0.
+    z = np.where(z < 1.0, z, 1.0)
+    acos = _map(math.acos, np.where(z > -1.0, z, -1.0))
     ai, aj = acos[: d.size], acos[d.size :]
     atan = _map(math.atan2, np.concatenate((dy, along * uy[e] - off * ux[e])),
                 np.concatenate((dx, along * ux[e] + off * uy[e])))
@@ -463,10 +455,11 @@ def burned_union_area(
     ``area(t)``, ``covers`` and ``clipped_area_exact``, and the frame that
     both spread models inherit: ``bounding_box``, ``frame`` and
     ``frame_centre(x, y, t)``. Fronts at t = 0 burn nothing; the rest are
-    grouped by the pairs that meet. A front that meets no other is measured
-    alone (``_lone_areas``), a group by Green's theorem in the model's frame
-    (``_union_area``), and the areas are added in the order of each group's
-    first front.
+    grouped by the pairs that meet. The fronts that meet no other are
+    measured alone in one array pass (``_lone_areas``), and all the groups
+    of the call in another, by Green's theorem in the model's frame with
+    one ``covers`` call (``_union_areas``); the areas are added in the order
+    of each group's first front.
 
     Each ignition's ``x`` and ``y`` and each ``t`` may be arrays that
     broadcast: the result is then the array of the areas of the unions

@@ -2,9 +2,10 @@
 
 Each model exposes the total burned area ``F(t)`` of the free-growing front
 (``area``), first-reach times from an ignition to arbitrary points
-(``reach_times``), whether the front at ``t`` covers given points
-(``covers``), and the ratio of its reach times to those of a circular
-front of equal rate (``time_scale``).  Both models grow affinely (the front
+(``reach_times``), whether fronts at times ``t`` cover given points
+(``covers``, which takes arrays of ignitions and times), and the ratio of
+its reach times to those of a circular front of equal rate
+(``time_scale``).  Both models grow affinely (the front
 at time ``t`` is ``rate * t`` times their ``shape``, the front once the head
 has spread a unit distance), so ``F`` is exactly quadratic in ``t``, and one
 base class derives both frames.
