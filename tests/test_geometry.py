@@ -509,9 +509,13 @@ def _union_groups(draw, models):
     front after a group's first lies anywhere, repeats the front before it,
     meets it (in chains along the group's angle, where A meets B and B meets
     C but A misses C) or touches it. Ignitions lie on the region's edges and
-    corners as well as in and near it; a region may have a subnormal width."""
+    corners as well as in and near it. A region may have a subnormal width:
+    at 5e-324 its bottom and top edges have no length in the frame of a
+    group whose latest time passes 2."""
     model = draw(st.sampled_from(models))
-    region = draw(st.sampled_from([REGION, RectRegion(3.0, 7.5), RectRegion(1e-320, 10.0)]))
+    region = draw(st.sampled_from(
+        [REGION, RectRegion(3.0, 7.5), RectRegion(1e-320, 10.0), RectRegion(5e-324, 10.0)]
+    ))
     time = st.one_of(st.just(math.inf), st.floats(0.05, 4.0))
     share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.2, 1.2))
     how = st.sampled_from(["anywhere", "repeat", "meet", "tangent"])
