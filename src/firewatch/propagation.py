@@ -221,8 +221,8 @@ class EllipticalModel(_AffineFront):
         # The frame at scale r = rate * t takes the front to the unit disk and
         # the region to a parallelogram, still counterclockwise, of area / (a b r^2).
         # As disk_rect_area, it takes arrays of ignitions and times of one shape.
-        x, y, t = np.asarray(ignition.x, dtype=float), np.asarray(ignition.y, dtype=float), as_floats(
-            "front time", t)
+        x, y = np.asarray(ignition.x, dtype=float), np.asarray(ignition.y, dtype=float)
+        t = as_floats("front time", t)
         r = self.rate * t
         a, b = self.shape[:2]
         w, h = region.width, region.height
