@@ -30,7 +30,6 @@ from .errors import DomainError, ParameterError, as_floats, check_finite, check_
 __all__ = [
     "Point",
     "RectRegion",
-    "disk_polygon_area",
     "disk_rect_area",
     "burned_union_area",
 ]
@@ -78,15 +77,6 @@ def _map(f, *arrays) -> np.ndarray:
     arrays of one length: numpy's own functions differ from ``math``'s in
     the last bit."""
     return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, arrays[0].size)
-
-
-def _hypot(x, y):
-    """math.hypot, elementwise over two arrays of one shape."""
-    if not isinstance(x, np.ndarray):
-        return math.hypot(x, y)
-    return _map(math.hypot, x.ravel(), y.ravel()).reshape(x.shape)
-
-
 
 
 def _tri_disk_areas(ax, ay, bx, by, r2):
@@ -151,17 +141,6 @@ def _float_or_array(area):
     return float(area) if area.ndim == 0 else area
 
 
-def disk_polygon_area(vertices, radius: float) -> float:
-    """Exact area of disk(origin, radius) intersected with a convex polygon.
-
-    ``vertices`` lists the polygon's corners counterclockwise, relative to
-    the disk's center. The area is the sum, over the edges, of the signed
-    overlap of the disk with the triangle spanned by the center and the edge.
-    """
-    corners = np.array(vertices, dtype=float).reshape(-1, 2)
-    return float(_disk_polygon_areas(corners[:, 0], corners[:, 1], radius))
-
-
 def disk_rect_area(center: Point, radius: float, region: RectRegion) -> float:
     """Exact area of disk(center, radius) intersected with ``region``.
 
@@ -192,8 +171,8 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     clipped to ``region``.
 
     ``x``, ``y`` and ``t`` are 1-D arrays of the fronts of every group, one
-    group after another, all at t > 0, and ``starts`` holds the index of
-    each group's first front. The model's frame maps each front at time t
+    group after another, all at finite t > 0, and ``starts`` holds the
+    index of each group's first front. The model's frame maps each front at time t
     to the disk of radius t about its ``frame_centre``, and the region to a
     parallelogram. A group's frame is taken about its first front, with its
     ignition subtracted in the plane, and scaled by 1/s, s the group's
@@ -204,7 +183,7 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     of its group, and the pieces of the region's edges that some front of
     the group covers. The pieces are cut at every crossing and classified
     by their midpoints in the plane, against the region's bounds and, in
-    one ``covers`` call, each front of their group. A group's kept terms
+    one ``covers`` call, each other front of their group. A group's kept terms
     are summed by ``math.fsum``; times ``model.area(s) / pi``, that is its
     area.
 
@@ -214,14 +193,6 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     """
     size = np.concatenate((starts[1:], [t.size])) - starts
     s = np.maximum.reduceat(t, starts)
-    area = np.full(starts.size, region.area, dtype=float)  # a front of infinite age covers it
-    finite = s < math.inf
-    if not finite.any():
-        return area
-    if not finite.all():
-        keep = np.repeat(finite, size)
-        x, y, t, s, size = x[keep], y[keep], t[keep], s[finite], size[finite]
-        starts = np.cumsum(size) - size
     n, groups = t.size, starts.size
     group = np.repeat(np.arange(groups), size)
     # The frame's map is linear plus a drift in t, so the frame centre of
@@ -250,7 +221,7 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     i, j = i[pair], j[pair]
     # The pairs of circles that cross or touch.
     dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-    d = _hypot(dx, dy)
+    d = _map(math.hypot, dx, dy)
     ri, rj = r[i], r[j]
     cross = (abs(ri - rj) <= d) & (d <= ri + rj)
     i, j, dx, dy, d, ri, rj = (v[cross] for v in (i, j, dx, dy, d, ri, rj))
@@ -264,7 +235,7 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     ex, ey = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
     length = np.array([w, h, w, h])
     lx, ly = model.frame_centre(ex * length, ey * length, 0.0)
-    lam = _hypot(lx, ly)
+    lam = _map(math.hypot, lx, ly)
     ux, uy = lx / lam, ly / lam
     scale = lam / s[:, None] / length
     # Points of the edge's line are measured by their length s' along
@@ -353,15 +324,17 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
         np.concatenate(v) for v in (terms, px, py, owner, piece_group)
     )
 
-    # Each piece is tested against every front of its group but repeats, in
-    # one call: slot k of a piece is the k-th circle of its group.
+    # Each piece is tested against every front of its group but repeats and
+    # its own circle, in one call: slot k of a piece is the k-th circle of
+    # its group.
     per_group = np.bincount(group[circles], minlength=groups)
     slots = np.arange(per_group.max())
     tested, slot = (slots < per_group[piece_group][:, None]).nonzero()
     front = circles[(np.cumsum(per_group) - per_group)[piece_group[tested]] + slot]
+    other = front != owner[tested]
+    tested, front = tested[other], front[other]
     covered = model.covers(_Ignitions(x[front], y[front]), t[front], px[tested], py[tested])
-    # An arc's own circle does not count against it, whatever rounding says.
-    others = np.bincount(tested[covered & (front != owner[tested])], minlength=terms.size)
+    others = np.bincount(tested[covered], minlength=terms.size)
     inside = (px >= 0.0) & (px <= w) & (py >= 0.0) & (py <= h)
     keep = np.where(owner >= 0, inside & (others == 0), others > 0)
     kept_group = piece_group[keep]
@@ -369,37 +342,19 @@ def _union_areas(model, region: RectRegion, x, y, t, starts) -> np.ndarray:
     kept = terms[keep][order].tolist()
     bounds = np.searchsorted(kept_group[order], np.arange(groups + 1)).tolist()
     total = np.array([math.fsum(kept[a:b]) for a, b in zip(bounds, bounds[1:])])
-    area[finite] = np.where(0.0 > total, 0.0, total) * (model.area(s) / math.pi)
-    return area
-
-
-def _box_inside(model, xs, ys, t, x0, y0, x1, y1) -> np.ndarray:
-    """Whether the bounding box of each front from ``(xs, ys)`` at time ``t``
-    lies in the rectangle [x0, x1] x [y0, y1]; infinite sides hold any box."""
-    # The box at t = 1 around an ignition at the origin; fronts grow
-    # affinely, so at time t it is t times this box.
-    bx0, by0, bx1, by1 = model.bounding_box(Point(0.0, 0.0), 1.0)
-    return (
-        (xs + t * bx0 >= x0) & (ys + t * by0 >= y0) & (xs + t * bx1 <= x1) & (ys + t * by1 <= y1)
-    )
+    return np.where(0.0 > total, 0.0, total) * (model.area(s) / math.pi)
 
 
 def _lone_areas(model, region: RectRegion, xs, ys, t) -> np.ndarray:
-    """Areas of the fronts from ``(xs, ys)`` at ``t``, 1-D arrays of one
-    length, each measured alone: ``area(t)`` if its bounding box lies in the
-    region, 0 if the box misses the region, else its exact clip."""
+    """Areas of the fronts from ``(xs, ys)`` at finite ``t``, 1-D arrays of
+    one length, each measured alone: 0 if its bounding box misses the
+    region, ``area(t)`` if the box lies in it, else its exact clip."""
     w, h = region.width, region.height
-    area = model.area(t)
-    # A front inside the region by 1e-9 of its sides burns area(t): the margin
-    # covers the rounding of _box_inside against the front's bounding_box,
-    # which decides the rest.
-    mx, my = 1e-9 * w, 1e-9 * h
-    edge = np.flatnonzero(~_box_inside(model, xs, ys, t, mx, my, w - mx, h - my))
-    x0, y0, x1, y1 = model.bounding_box(_Ignitions(xs[edge], ys[edge]), t[edge])
+    x0, y0, x1, y1 = model.bounding_box(_Ignitions(xs, ys), t)
     miss = (np.maximum(x0, 0.0) >= np.minimum(x1, w)) | (np.maximum(y0, 0.0) >= np.minimum(y1, h))
     inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= w) & (y1 <= h)
-    area[edge[miss]] = 0.0
-    clip = edge[~miss & ~inside]
+    area = np.where(miss, 0.0, model.area(t))
+    clip = np.flatnonzero(~miss & ~inside)
     if clip.size:
         area[clip] = model.clipped_area_exact(_Ignitions(xs[clip], ys[clip]), t[clip], region)
     return area
@@ -423,7 +378,7 @@ def _groups(model, xs, ys, t) -> tuple[np.ndarray, np.ndarray]:
         dx, dy = cx[:, i, None] - cx[:, i + 1 :], cy[:, i, None] - cy[:, i + 1 :]
         # math.hypot's distance is at least each gap; a NaN one keeps the pair.
         meet = live[:, i, None] & live[:, i + 1 :] & ~((abs(dx) > reach) | (abs(dy) > reach))
-        meet[meet] = ~(_hypot(dx[meet], dy[meet]) > reach[meet])
+        meet[meet] = ~(_map(math.hypot, dx[meet], dy[meet]) > reach[meet])
         row, j = np.nonzero(meet)
         pairs.append((row * k + i, row * k + i + 1 + j))
     a, b = (np.concatenate(v) for v in zip(*pairs))
@@ -454,12 +409,14 @@ def burned_union_area(
     spread model (else ``ParameterError``). The model gives each front's
     ``area(t)``, ``covers`` and ``clipped_area_exact``, and the frame that
     both spread models inherit: ``bounding_box``, ``frame`` and
-    ``frame_centre(x, y, t)``. Fronts at t = 0 burn nothing; the rest are
-    grouped by the pairs that meet. The fronts that meet no other are
-    measured alone in one array pass (``_lone_areas``), and all the groups
-    of the call in another, by Green's theorem in the model's frame with
-    one ``covers`` call (``_union_areas``); the areas are added in the order
-    of each group's first front.
+    ``frame_centre(x, y, t)``. A union that holds a front of infinite age
+    burns the whole region. In the others, fronts at t = 0 burn nothing, and
+    the rest are grouped by the pairs that meet. The fronts that meet no
+    other are measured alone in one array pass (``_lone_areas``), each
+    decided by its ``bounding_box``, and all the groups of the call in
+    another, by Green's theorem in the model's frame with one ``covers``
+    call (``_union_areas``); the areas are added in the order of each
+    group's first front.
 
     Each ignition's ``x`` and ``y`` and each ``t`` may be arrays that
     broadcast: the result is then the array of the areas of the unions
@@ -482,7 +439,16 @@ def burned_union_area(
     bad = ~(t >= 0.0)
     if bad.any():
         raise DomainError(f"front time must be a nonnegative number, got {t[bad][0]}")
-    # Fronts of infinite age take steps past the floats.
+    # A row that holds a front of infinite age burns the whole region; the
+    # fronts of the other rows are measured. The region's area is read only
+    # then: int sides may multiply past the floats.
+    finite = ~np.isinf(t).any(axis=1)
+    total = np.zeros(len(t))
+    if not finite.all():
+        total[~finite] = region.area
+    xs, ys, t = xs[finite], ys[finite], t[finite]
+    # Steps past the floats, and those of the branches not taken, give inf or
+    # NaN as in Python floats.
     with np.errstate(all="ignore"):
         area = _lone_areas(model, region, xs.ravel(), ys.ravel(), t.ravel())
         members, starts = _groups(model, xs, ys, t) if k > 1 else (np.empty(0, int),) * 2
@@ -492,7 +458,6 @@ def burned_union_area(
             area[members] = 0.0
             area[members[starts]] = union
     area = area.reshape(-1, k)
-    total = np.zeros(len(area))
     for j in range(k):
-        total = total + area[:, j]
+        total[finite] += area[:, j]
     return _float_or_array(total.reshape(shape))

@@ -57,7 +57,7 @@ import numpy.random  # noqa: F401
 
 from .analytic import AnalyticLaw, limit_burned_area_law, scenario_laws
 from .errors import DomainError, EstimatorError, ParameterError, check_count
-from .geometry import Point, RectRegion, _box_inside, _Ignitions, burned_union_area
+from .geometry import Point, RectRegion, _Ignitions, burned_union_area
 from .philox import philox4x64
 from .placement import GridPlacement, RandomPlacement, _check_master_seed, build_layout
 from .propagation import SpreadModel
@@ -358,12 +358,12 @@ def _front_inside(cells: _Cells, xs, ys, t, cx, cy, r: int) -> np.ndarray:
     # Sides at the region's edge are open: the front is clipped there.
     west, south = cx - r <= 0, cy - r <= 0
     east, north = cx + r >= cells.nx - 1, cy + r >= cells.ny - 1
-    return (west & south & east & north) | _box_inside(
-        cells.model, xs, ys, t,
-        np.where(west, -math.inf, (cx - r) * cells.cw + cells.mx),
-        np.where(south, -math.inf, (cy - r) * cells.ch + cells.my),
-        np.where(east, math.inf, (cx + r + 1) * cells.cw - cells.mx),
-        np.where(north, math.inf, (cy + r + 1) * cells.ch - cells.my),
+    x0, y0, x1, y1 = cells.model.bounding_box(_Ignitions(xs, ys), t)
+    return (west & south & east & north) | (
+        (x0 >= np.where(west, -math.inf, (cx - r) * cells.cw + cells.mx))
+        & (y0 >= np.where(south, -math.inf, (cy - r) * cells.ch + cells.my))
+        & (x1 <= np.where(east, math.inf, (cx + r + 1) * cells.cw - cells.mx))
+        & (y1 <= np.where(north, math.inf, (cy + r + 1) * cells.ch - cells.my))
     )
 
 

@@ -7,8 +7,9 @@ Each model exposes the total burned area ``F(t)`` of the free-growing front
 its reach times to those of a circular front of equal rate
 (``time_scale``).  Both models grow affinely (the front
 at time ``t`` is ``rate * t`` times their ``shape``, the front once the head
-has spread a unit distance), so ``F`` is exactly quadratic in ``t``, and one
-base class derives both frames.
+has spread a unit distance), so ``F`` is exactly quadratic in ``t``, the
+front's bounding box is its ignition plus ``t`` times the box at ``t = 1``,
+and one base class derives both frames.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, as_floats, check_finite, check_positive
-from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, _hypot, disk_rect_area
+from .geometry import Point, RectRegion, _disk_polygon_areas, _float_or_array, disk_rect_area
 
 __all__ = ["CircularModel", "EllipticalModel", "SpreadModel"]
 
@@ -75,13 +76,15 @@ class _AffineFront:
         return ignition.x + c * r * cos_h, ignition.y + c * r * sin_h, a * r, b * r, cos_h, sin_h
 
     def bounding_box(self, ignition: Point, t):
-        """The front's box ``(x0, y0, x1, y1)``. The ignition's ``x`` and
-        ``y`` and ``t`` may be arrays that broadcast; each box then has the
-        bits of the call for one front."""
-        cx, cy, at, bt, cos_h, sin_h = self.frame(ignition, t)
-        ex = _hypot(at * cos_h, bt * sin_h)
-        ey = _hypot(at * sin_h, bt * cos_h)
-        return (cx - ex, cy - ey, cx + ex, cy + ey)
+        """The front's box ``(x0, y0, x1, y1)``: the ignition plus ``t``
+        times the box at ``t = 1`` about the origin, as the front grows
+        affinely. The ignition's ``x`` and ``y`` and ``t`` may be arrays
+        that broadcast; each box then has the bits of the call for one
+        front."""
+        cx, cy, a, b, cos_h, sin_h = self.frame(Point(0.0, 0.0), 1.0)
+        ex, ey = math.hypot(a * cos_h, b * sin_h), math.hypot(a * sin_h, b * cos_h)
+        x, y = ignition.x, ignition.y
+        return (x + t * (cx - ex), y + t * (cy - ey), x + t * (cx + ex), y + t * (cy + ey))
 
     def frame_centre(self, x, y, t):
         """Centre of the front at ``t`` from the ignition ``(x, y)`` in the
@@ -106,16 +109,11 @@ class CircularModel(_AffineFront):
         return 1.0
 
     def area(self, t):
-        t = _times(t)
-        if isinstance(t, np.ndarray):
-            # np.float_power gives the bytes of a Python float's ** (np.square
-            # and x * x differ in the last bit).
-            with np.errstate(over="ignore"):
-                return math.pi * np.float_power(self.rate * t, 2.0)
-        try:
-            return math.pi * (self.rate * t) ** 2
-        except OverflowError:  # a Python float's ** raises where numpy's gives inf
-            return math.inf
+        # rt * rt is correctly rounded, so a time scaled by 2^e gives the
+        # area scaled by 4^e bit for bit; a Python float's ** is not.
+        rt = self.rate * _times(t)
+        with np.errstate(over="ignore"):
+            return math.pi * (rt * rt)
 
     def reach_times(self, ignition: Point, xs, ys):
         return np.hypot(np.asarray(xs) - ignition.x, np.asarray(ys) - ignition.y) / self.rate

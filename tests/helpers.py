@@ -344,9 +344,9 @@ def scalar_clipped_area(model, ign, t, region):
 
 def scalar_union_area(fronts, region):
     """Exact area of the union of ``fronts``, ``(Point, model, t)`` triples
-    of one model, clipped to ``region``, one group in Python floats: the
-    formula that ``geometry._union_areas`` runs for many groups on arrays,
-    and must give the bits of.
+    of one model at finite t, clipped to ``region``, one group in Python
+    floats: the formula that ``geometry._union_areas`` runs for many groups
+    on arrays, and must give the bits of.
 
     The model's frame maps each front at time t to the disk of radius t about
     its ``frame_centre``, and the region to a parallelogram. The frame is
@@ -365,8 +365,6 @@ def scalar_union_area(fronts, region):
         return 0.0
     model = fronts[0][1]
     s = max(t for _, _, t in fronts)
-    if s == math.inf:
-        return region.area  # a front of infinite age covers the region
     # The frame's map is linear plus a drift in t, so the frame centre of
     # (x, y) at t less that of the first front is the frame centre of (x, y)
     # less the first ignition, at t, less that of the origin at the first t.
@@ -531,11 +529,14 @@ def _group_fronts(fronts):
 def scalar_burned_union_area(fronts, region):
     """Area of the union of ``fronts``, ``(Point, model, t)`` triples of one
     model, clipped to ``region``, one front at a time in Python floats: the
-    fronts at t > 0 grouped by a union-find over the pairs that meet, each
-    group of several measured by ``scalar_union_area``, each lone front by
-    its bounding box, ``area(t)`` and ``scalar_clipped_area``, and the
-    groups added in the order of their first fronts. ``burned_union_area``
-    must give these bits, and measure the same groups."""
+    whole region if a front is of infinite age, else the fronts at t > 0
+    grouped by a union-find over the pairs that meet, each group of several
+    measured by ``scalar_union_area``, each lone front by its bounding box,
+    ``area(t)`` and ``scalar_clipped_area``, and the groups added in the
+    order of their first fronts. ``burned_union_area`` must give these
+    bits, and measure the same groups."""
+    if any(t == math.inf for _, _, t in fronts):
+        return region.area
     fronts = [f for f in fronts if f[2] > 0.0]
     total = 0.0
     w, h = region.width, region.height

@@ -14,7 +14,6 @@ from firewatch.geometry import (
     Point,
     RectRegion,
     burned_union_area,
-    disk_polygon_area,
     disk_rect_area,
 )
 from firewatch.geometry import _Ignitions
@@ -33,6 +32,7 @@ from helpers import (
     record_unions,
     scalar_burned_union_area,
     scalar_clipped_area,
+    scalar_disk_polygon_area,
     scalar_union_area,
     time_to,
     union_groups,
@@ -266,16 +266,24 @@ class TestBurnedUnionArea:
         ids=["circular", "elliptical-round", "elliptical"],
     )
     def test_front_of_infinite_age(self, model):
-        # Alone, its exact clip is NaN, which the engine rejects; in a group
-        # it covers the region. A shared frame's centre drift c t is then
-        # 0 * inf = NaN for a round front, and must change neither answer.
+        # A union that holds one burns the whole region, whether the front
+        # is alone, meets others or not (a front at t = 0 meets none). Its
+        # exact clip alone would be NaN, and for a round front its frame
+        # centre's drift c t is 0 * inf = NaN.
         inf = math.inf
-        assert math.isnan(burned_union_area([(Point(3, 4), model, inf)], REGION))
         for fronts in (
+            [(Point(3, 4), model, inf)],
             [(Point(3, 4), model, inf), (Point(5, 5), model, 1.0)],
             [(Point(3, 4), model, 1.0), (Point(9, 9), model, inf)],
+            [(Point(3, 4), model, 0.0), (Point(9, 9), model, inf)],
         ):
             assert burned_union_area(fronts, REGION) == REGION.area
+
+    def test_lone_front_in_a_region_whose_int_area_passes_the_floats(self):
+        # Only a union with a front of infinite age reads the region's area,
+        # here 10**400, which no float holds.
+        region = RectRegion(10**200, 10**200)
+        assert burned_union_area([(Point(1, 1), CircularModel(1.0), 1.0)], region) == math.pi
 
     def test_front_whose_box_misses_the_region_burns_nothing(self):
         # Its exact clip would give a few ulps (8.9e-16), not 0.
@@ -511,12 +519,13 @@ def _union_groups(draw, models):
     C but A misses C) or touches it. Ignitions lie on the region's edges and
     corners as well as in and near it. A region may have a subnormal width:
     at 5e-324 its bottom and top edges have no length in the frame of a
-    group whose latest time passes 2."""
+    group whose latest time passes 2. Times are finite: a union with a front
+    of infinite age never reaches the pass (see TestArrayUnion)."""
     model = draw(st.sampled_from(models))
     region = draw(st.sampled_from(
         [REGION, RectRegion(3.0, 7.5), RectRegion(1e-320, 10.0), RectRegion(5e-324, 10.0)]
     ))
-    time = st.one_of(st.just(math.inf), st.floats(0.05, 4.0))
+    time = st.floats(0.05, 4.0)
     share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.2, 1.2))
     how = st.sampled_from(["anywhere", "repeat", "meet", "tangent"])
     front = st.tuples(how, time, share, share, st.floats(0.55, 0.95))
@@ -535,11 +544,8 @@ def _union_groups(draw, models):
                 x, y = u * region.width, v * region.height
             else:
                 (px, py), _, prev_t = group[-1]
-                # Fronts at t = inf are placed as if at t = 1.
-                prev_t = prev_t if prev_t < math.inf else 1.0
-                place_t = t if t < math.inf else 1.0
-                gap = (prev_t + place_t) * (f if kind == "meet" else 1.0)
-                x, y = _placed(model, (px, py, prev_t), place_t, gap, angle)
+                gap = (prev_t + t) * (f if kind == "meet" else 1.0)
+                x, y = _placed(model, (px, py, prev_t), t, gap, angle)
             group.append(((x, y), model, t))
         out.append([(Point(*p), m, t) for p, m, t in group])
     return region, out
@@ -646,7 +652,7 @@ class TestUnionArea:
             if isinstance(model, CircularModel):
                 r = model.rate * t
                 corners = [(x - ign.x, y - ign.y) for x, y in ((0, 0), (10, 0), (10, 10), (0, 10))]
-                want = disk_polygon_area(corners, r)
+                want = scalar_disk_polygon_area(corners, r)
             else:
                 want = model.clipped_area_exact(ign, t, REGION)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)

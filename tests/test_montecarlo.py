@@ -476,31 +476,35 @@ class TestGoldenOutcomes:
     and 2: the three benchmark workloads, several ignitions in dense, sparse
     and long narrow regions, clipped grids, a fixed random layout and lone
     clipped fronts in a region scaled by 2^-300. A refactor of the geometry
-    or the spread models must keep every byte."""
+    or the spread models must keep every byte.
+
+    The circular scenarios marked below were re-pinned when the circular
+    area became correctly rounded: each comment gives the count of A_d that
+    moved, by at most 2.6e-16 relative. No T_d moved."""
 
     CASES = {
-        "random-dense": (
+        "random-dense": (  # 3 of 2000 A_d moved
             RectRegion(100, 100), RandomPlacement(10_000), CircularModel(1.0), 2000, {},
-            "ca0a7d14ae997672d353607a50c55b26df6fb2d4380c97211c1e9892adfdc2db",
+            "a6efd3e82e12c216d966fce4031c9fb2262f753fa4e3149b77c1b5720aec5fc1",
         ),
         "ellipse3-sparse": (
             RectRegion(10, 10), RandomPlacement(100), EllipticalModel(1.0, 2.0, 2.0), 3000,
             {"ignition_count": 3},
             "90c02e84b11bbf7422ac0e04419338fd7d041c9f6173ecc03688f1e141ffb036",
         ),
-        "grid-csv": (
+        "grid-csv": (  # 11 of 20 000 A_d moved
             RectRegion(10, 10), GridPlacement(1.0), CircularModel(1.0), 20000, {},
-            "6b896c58f9f6a0c612a512d8783b811d2f0647a50cd0727fbb1dc7cac4bb2bd1",
+            "d2de0dda5aa9029c92f87e31975f45896f29112a635dca3720364ae7286ba3e7",
         ),
         "circular-k3-dense": (
             RectRegion(100, 100), RandomPlacement(10_000), CircularModel(1.0), 1000,
             {"ignition_count": 3},
             "005d692b7b496f5917a1074d3c4c0d2fcba5177bd37b996d53d3cb6a9f929e58",
         ),
-        "circular-k3-sparse": (
+        "circular-k3-sparse": (  # 1 of 3000 A_d moved
             RectRegion(10, 10), RandomPlacement(100), CircularModel(1.0), 3000,
             {"ignition_count": 3},
-            "e67eb61c2ae3b3721cf73581ed15bd78dbb447a0abfd97a5d6bb6c63dcf25b21",
+            "a0ef66899b97de416759edd4abf9e64e9ee8840795cff1f17d3f26857530979c",
         ),
         "elliptical-k3-strip": (
             RectRegion(40, 5), RandomPlacement(100), EllipticalModel(1.0, 2.5, 1.7, heading=0.7),
@@ -512,15 +516,15 @@ class TestGoldenOutcomes:
             3000, {"ignition_count": 2, "clip_to_region": True},
             "754ae0cd75d2e449d97629d03a63917ca39d2b238540f791b32e28c351788686",
         ),
-        "fixed-random-k3": (
+        "fixed-random-k3": (  # 1 of 1500 A_d moved
             RectRegion(10, 10), RandomPlacement(100), CircularModel(1.0), 1500,
             {"ignition_count": 3, "resample_layout_each_trial": False},
-            "c3eca437d5fc5405c20c570570e272da91bc403ee08d19b2e421b3e4ae5e40ec",
+            "9b2afffec53316538b01aa6a654c61e302f17fcb0fca568a191e05c7e6094237",
         ),
-        "circular-grid-clipped": (
+        "circular-grid-clipped": (  # 4 of 5000 A_d moved
             RectRegion(10, 10), GridPlacement(1.0), CircularModel(1.0), 5000,
             {"clip_to_region": True},
-            "5b33a27536909d26f46d502ffba291341d3583fae1a5d299ea919e3028aa1757",
+            "c8126c3197c71cb601b0690b741d68c03d3eacf646342ef9027f7af8cecf836f",
         ),
         # About three fronts in four are lone and cross the strip's long edges.
         "elliptical-k3-lone-clipped-tiny": (
@@ -583,7 +587,7 @@ class TestBurnedAreaPass:
                 t[i] = np.nextafter(t[i], math.inf if i % 2 else 0.0)
         for i in range(120, 200):
             # A front whose box edge lies from -2e-9 to 2e-9 of the side from
-            # it, in steps of 5e-10: on the side, and in and past the margin.
+            # it, in steps of 5e-10: on the side, and just inside and outside.
             x0, y0, x1, y1 = model.bounding_box(Point(0.0, 0.0), float(t[i]))
             gap = (i % 9 - 4) * 5e-10 * w
             j = i % k

@@ -5,9 +5,11 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firewatch.errors import ParameterError
-from firewatch.geometry import Point
+from firewatch.geometry import Point, _Ignitions
 from firewatch.propagation import CircularModel, EllipticalModel
 
 from helpers import bisect_reach_time, exact_reach_times, front_member, time_to
@@ -160,37 +162,68 @@ def test_non_finite_parameters_rejected(make):
         make()
 
 
-class TestFloatPower:
-    """CircularModel.area squares arrays with np.float_power because it gives
-    the bytes of a Python float's ** (np.square and x * x differ in the last
-    bit); if numpy ever changes that, these fail and the area bytes of array
-    and scalar calls must be revisited."""
+_MODELS = st.one_of(
+    st.builds(CircularModel, st.floats(1e-3, 1e3)),
+    st.builds(EllipticalModel, st.floats(1e-3, 1e3), st.floats(1.0, 1e3), st.floats(1.0, 1e3),
+              st.floats(-7.0, 7.0)),
+)
 
-    @staticmethod
-    def python_square(v: float) -> float:
-        try:
-            return v**2
-        except OverflowError:
-            return math.inf
 
-    def test_matches_python_power_over_many_magnitudes(self):
-        rng = np.random.Generator(np.random.Philox(key=[67, 0]))
-        x = rng.random(200_000) * np.exp2(rng.integers(-560, 560, 200_000))
-        x = np.concatenate([x, [0.0, 1.0, 2.0**-537, 2.0**511, 2.0**512, 1e200, math.inf]])
-        with np.errstate(over="ignore", under="ignore"):
-            got = np.float_power(x, 2.0)
-        want = np.array([self.python_square(v) for v in x.tolist()])
-        assert got.tobytes() == want.tobytes()
-        assert np.isinf(got[x > 2.0**512]).all()
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_MODELS,
+    scale=st.sampled_from([2.0**-300, 1.0, 2.0**300]),
+    ignition=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    t=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+)
+def test_bounding_box_is_the_unit_box_moved_and_scaled(model, scale, ignition, t):
+    # The box is the ignition plus t times the box at t = 1 about the
+    # origin, bit for bit, for a scalar or an array call; it holds the
+    # front's points from ``frame`` to within a few ulps of its extent, and
+    # the front reaches each side.
+    ign, t = Point(ignition[0] * scale, ignition[1] * scale), t * scale
+    box = model.bounding_box(ign, t)
+    unit = model.bounding_box(Point(0.0, 0.0), 1.0)
+    assert box == tuple(p + t * q for p, q in zip((ign.x, ign.y, ign.x, ign.y), unit))
+    arrays = model.bounding_box(_Ignitions(np.array([ign.x]), np.array([ign.y])), np.array([t]))
+    assert [float(v[0]) for v in arrays] == list(box)
+
+    cx, cy, at, bt, cos_h, sin_h = model.frame(ign, t)
+    a, b = model.shape[:2]
+    # The angles of the front's leftmost, rightmost, lowest and highest points.
+    ends = [math.atan2(-b * sin_h, a * cos_h), math.atan2(b * cos_h, a * sin_h)]
+    theta = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 64), ends, np.add(ends, math.pi)])
+    u, v = at * np.cos(theta), bt * np.sin(theta)
+    xs, ys = cx + u * cos_h - v * sin_h, cy + u * sin_h + v * cos_h
+    x0, y0, x1, y1 = box
+    tol_x = 8 * np.spacing(max(abs(x0), abs(x1)))
+    tol_y = 8 * np.spacing(max(abs(y0), abs(y1)))
+    assert x0 - tol_x <= xs.min() <= x0 + tol_x and x1 - tol_x <= xs.max() <= x1 + tol_x
+    assert y0 - tol_y <= ys.min() <= y0 + tol_y and y1 - tol_y <= ys.max() <= y1 + tol_y
+
+
+class TestCircularArea:
+    """CircularModel.area is pi * (rt * rt), rt = rate * t, for scalars and
+    arrays alike: rt * rt is correctly rounded, so scaling t by 2^e scales
+    the area by 4^e bit for bit, as README promises for regions."""
 
     def test_circular_area_of_an_array_is_the_scalar_areas(self):
         rng = np.random.Generator(np.random.Philox(key=[67, 1]))
         t = np.concatenate([rng.random(20_000) * 10.0, [0.0, 1e155, 1e160, math.inf]])
         for model in (CircularModel(1.0), CircularModel(0.37), CircularModel(3e-7)):
             got = model.area(t)
-            want = np.array([model.area(v) for v in t.tolist()])
+            want = np.array([math.pi * (rt * rt) for rt in (model.rate * t).tolist()])
             assert got.tobytes() == want.tobytes()
+            assert [model.area(v) for v in t.tolist()] == got.tolist()
             assert all(type(model.area(v)) is float for v in t[:5].tolist())
+            assert got[-1] == math.inf
+
+    def test_scaled_time_scales_the_area_exactly(self):
+        # A Python float's ** misrounds the square of this time, so the area
+        # was off by an ulp at 2^-300 from its scaled copy.
+        circ, t = CircularModel(1.0), 0.7001728528672594
+        assert circ.area(t * 2.0**-300) == circ.area(t) * 4.0**-300
+        assert circ.area(np.array([t * 2.0**-300]))[0] == circ.area(t) * 4.0**-300
 
 
 def test_reach_time_past_the_floats_is_inf_without_a_warning():
