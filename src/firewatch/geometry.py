@@ -49,7 +49,8 @@ class Point:
 
 @dataclass(frozen=True)
 class RectRegion:
-    """Axis-aligned protected rectangle with its lower-left corner at (0, 0)."""
+    """Axis-aligned protected rectangle with its lower-left corner at (0, 0).
+    Its sides are kept as floats, whatever number type they were given as."""
 
     width: float
     height: float
@@ -57,6 +58,8 @@ class RectRegion:
     def __post_init__(self):
         check_positive("region width", self.width)
         check_positive("region height", self.height)
+        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "height", float(self.height))
 
     @property
     def area(self) -> float:

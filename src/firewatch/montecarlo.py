@@ -12,16 +12,21 @@ fixed grid of equal cells, and rings of cells are visited outward from each
 ignition's cell, one ring per step for every trial of the block that is still
 searching. A trial stops searching around an ignition once that front's
 bounding box at the trial's best reach time so far lies inside the visited
-cells: fronts only grow, so no sensor outside them can be reached sooner. A
-trial's search also ends once its time is NaN, which no later sensor can
-undo, once it has no sensors left, or once no sensor outside the visited
-cells can have a finite time.
+square of cells: fronts only grow, so no sensor outside it can be reached
+sooner. A trial's search also ends once its time is NaN, which no later
+sensor can undo, once it has no sensors left, or once no sensor outside the
+visited cells can have a finite time.
 
 A fixed layout (a grid, or random sensors with resampling off) is bucketed
-into the cells once, and each ring step times the sensors of the new cells.
-Every reach time is the float that timing all sensors would give, and the
-search ends only when the minimum is among the timed ones, so the outcomes
-are byte for byte those of timing every sensor trial by trial.
+once by the cells of the grid padded with one ring of empty cells. Its first
+step visits the whole square of radius 1 around each ignition's cell, whose
+sensors are three runs of the bucketed ones, one per column; each later step
+times the sensors of the next ring. Every reach time is the float that timing
+all sensors would give, and the search ends only when the minimum is among
+the timed ones, so the outcomes are byte for byte those of timing every
+sensor trial by trial. A resampled layout's first step is the ignition's
+cell alone: its draws depend on the cells it visits, and its stream is
+pinned.
 
 A resampled layout draws its sensors in the cells as they are visited, for a
 block of _BLOCK trials at a time, from one stream per block keyed by
@@ -107,7 +112,8 @@ _BLOCK = 1 << 9
 _BLOCK_TAG = 1 << 62
 # A fixed-layout run draws and times the ignitions of _TRIAL_BLOCK trials at
 # a time. The ring search's temporaries then peak near 2 MB on a 10x10 grid;
-# blocks of 2^9 trials held 1 MB less and ran 10-20% slower.
+# blocks of 2^9 trials held 1 MB less and ran 10-20% slower, and blocks of
+# 2^12 ran 5-30% slower on grids and fixed random layouts (2 vCPUs).
 _TRIAL_BLOCK = 1 << 11
 # About what starting a pool of worker processes costs a run: a trivial
 # two-worker map took 10.5 ms on 2 vCPUs, and a worker replays the block it
@@ -177,10 +183,13 @@ def _philox_words(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     """The first ``count`` words of ``Philox(key=[master_seed, i]).random_raw()``
     for each trial ``i`` in [lo, hi), as a (hi - lo, count) uint64 array."""
     keys = np.arange(lo, hi, dtype=np.uint64)
-    words = []
-    for counter in range(1, (count + 3) // 4 + 1):
-        words += philox4x64(master_seed, keys, counter)
-    return np.stack(words[:count], axis=1)
+    counters = np.arange(1, (count + 3) // 4 + 1, dtype=np.uint64)[:, None]
+    # Each word is a (counters, trials) array, so that every step of the
+    # rounds runs along the trials. Word j of counter c is word 4 * (c - 1) + j
+    # of a trial's stream; with one counter only the first count words are
+    # stacked, and the reshape is a view.
+    words = philox4x64(master_seed, keys, counters)
+    return np.stack(words[:count], axis=2).transpose(1, 0, 2).reshape(hi - lo, -1)[:, :count]
 
 
 def _trial_uniforms(master_seed: int, lo: int, hi: int, count: int) -> np.ndarray:
@@ -194,10 +203,11 @@ class _Cells:
     of ``count`` sensors each, searched ring by ring around ignitions.
 
     A layout gives only where a ring's sensors come from: its ``_block(b0,
-    trials, k)`` returns ``ring_sensors(pairs, cells)``, which gives the new
-    sensors of the cells that the (trial, ignition) ``pairs`` visit as
-    ``(pair, x, y)``, one entry per pair that times a sensor, grouped by
-    trial, and the count of sensors each trial has left."""
+    trials, k)`` returns ``ring_sensors(pairs, cx, cy, r)``, which gives the
+    new sensors that the (trial, ignition) ``pairs``, in cells ``(cx, cy)``,
+    visit at step r as ``(pair, x, y)``, one entry per pair that times a
+    sensor, grouped by trial; the count of sensors each trial has left; and
+    the radius of the first step, whose square of cells it visits at once."""
 
     def __init__(self, config: ScenarioConfig, count: int, per_cell: int, margin: float):
         region = config.region
@@ -244,12 +254,10 @@ class _Cells:
         cx, cy = self.cell_of(px, py)
         owner = np.repeat(np.arange(trials), k)  # trial of each (trial, ignition) pair
         best = np.full(trials, math.inf)
-        ring_sensors, remaining = self._block(b0, trials, k)
+        ring_sensors, remaining, r = self._block(b0, trials, k)
         live = np.arange(trials * k)
-        r = 0
         while live.size:
-            rows, cell = self.ring_cells(cx[live], cy[live], r)
-            pair, sx, sy = ring_sensors(live[rows], cell)
+            pair, sx, sy = ring_sensors(live, cx[live], cy[live], r)
             if pair.size:
                 t = self.model.reach_times(_Ignitions(px[pair], py[pair]), sx, sy)
                 starts = _runs(owner[pair])[0]
@@ -272,30 +280,43 @@ class _Cells:
 
 
 class _FixedSensors(_Cells):
-    """A layout that stays put across trials, bucketed once by cell."""
+    """A layout that stays put across trials, bucketed once by the cell of
+    the grid padded with one ring of empty cells, so that a square of radius
+    1 needs no clipping."""
 
     def __init__(self, config: ScenarioConfig):
         positions = build_layout(config.placement, config.region, seed=config.master_seed).positions
         super().__init__(config, len(positions), _FIXED_SENSORS_PER_CELL, _STOP_MARGIN)
         cx, cy = self.cell_of(positions[:, 0], positions[:, 1])
-        cell = cx * self.ny + cy
+        cell = (cx + 1) * (self.ny + 2) + cy + 1
         order = np.argsort(cell, kind="stable")
         self.sx, self.sy = positions[order, 0], positions[order, 1]
-        # The sensors of cell c are sx[start[c]:start[c + 1]].
-        self.start = np.searchsorted(cell[order], np.arange(self.nx * self.ny + 1))
+        # The sensors of padded cell c are sx[start[c]:start[c + 1]].
+        self.start = np.searchsorted(cell[order], np.arange((self.nx + 2) * (self.ny + 2) + 1))
 
     def _block(self, b0: int, trials: int, k: int):
         """Each sensor of a cell, once for each pair that visits the cell;
-        no trial runs out of sensors."""
+        no trial runs out of sensors. The first step visits the square of
+        radius 1: its sensors are three runs, one per column of the square."""
+        start, ny2 = self.start, self.ny + 2
 
-        def ring_sensors(pairs, cell):
-            first, n = self.start[cell], self.start[cell + 1] - self.start[cell]
+        def ring_sensors(pairs, cx, cy, r):
+            if r == 1:
+                # The first step. The lowest padded cell of each column of
+                # the square: the column's three cells are the run from it.
+                low = (((cx + 1) * ny2 + cy)[:, None] + np.array([-ny2, 0, ny2])).ravel()
+                pairs, first, end = np.repeat(pairs, 3), start[low], start[low + 3]
+            else:
+                rows, cell = self.ring_cells(cx, cy, r)
+                cell += 2 * (cell // self.ny) + ny2 + 1
+                pairs, first, end = pairs[rows], start[cell], start[cell + 1]
             # One entry per (pair, sensor) of the ring, grouped by pair.
+            n = end - first
             ends = np.cumsum(n)
             ids = np.arange(ends[-1]) + np.repeat(first - (ends - n), n)
             return np.repeat(pairs, n), self.sx[ids], self.sy[ids]
 
-        return ring_sensors, np.full(trials, self.sx.size)
+        return ring_sensors, np.full(trials, self.sx.size), 1
 
 
 class _CellSampler(_Cells):
@@ -322,9 +343,10 @@ class _CellSampler(_Cells):
         undrawn = np.full(trials, cells)
         drawn = np.empty(0, dtype=np.intp)  # keys trial * cells + cell
 
-        def ring_sensors(pairs, cell):
+        def ring_sensors(pairs, cx, cy, r):
             nonlocal drawn
-            keys = np.sort(pairs // k * cells + cell)
+            rows, cell = self.ring_cells(cx, cy, r)
+            keys = np.sort(pairs[rows] // k * cells + cell)
             keys = keys[_runs(keys)[0]]
             new = keys[~np.isin(keys, drawn, assume_unique=True, kind="sort")]
             drawn = np.concatenate([drawn, new])
@@ -341,7 +363,7 @@ class _CellSampler(_Cells):
             pair = (of[:, None] * k + np.arange(k)).ravel()
             return pair, np.repeat(sx, k), np.repeat(sy, k)
 
-        return ring_sensors, remaining
+        return ring_sensors, remaining, 0
 
 
 def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -281,9 +281,21 @@ class TestBurnedUnionArea:
 
     def test_lone_front_in_a_region_whose_int_area_passes_the_floats(self):
         # Only a union with a front of infinite age reads the region's area,
-        # here 10**400, which no float holds.
+        # here inf: no float holds 10**400.
         region = RectRegion(10**200, 10**200)
         assert burned_union_area([(Point(1, 1), CircularModel(1.0), 1.0)], region) == math.pi
+
+    @pytest.mark.parametrize("height", [10**200, 10**100])
+    def test_group_in_a_region_of_huge_int_sides(self, height):
+        # Int sides once reached the union pass as Python ints, and its
+        # array steps ended in an OverflowError or a TypeError (sqrt of an
+        # object array).
+        region = RectRegion(10**200, height)
+        assert (region.width, region.height) == (1e200, float(height))
+        circ = CircularModel(1.0)
+        fronts = [(Point(1, 1), circ, 1.0), (Point(1.5, 1), circ, 1.0)]
+        assert burned_union_area(fronts, region) == burned_union_area(fronts, RectRegion(10, 10))
+        assert burned_union_area(fronts, region) == 4.131076082149877
 
     def test_front_whose_box_misses_the_region_burns_nothing(self):
         # Its exact clip would give a few ulps (8.9e-16), not 0.

@@ -944,11 +944,16 @@ class TestRingSearch:
         [
             (RectRegion(10, 10), GridPlacement(spacing=1.0)),
             (RectRegion(40, 5), GridPlacement(spacing=1.0)),
+            # One column and one row of cells: every square of radius 1
+            # reaches into the padding on two sides.
+            (RectRegion(1, 10), GridPlacement(spacing=1.0)),
+            (RectRegion(10, 1), GridPlacement(spacing=1.0)),
             (RectRegion(10, 10), RandomPlacement(count=1)),
             (RectRegion(10, 10), RandomPlacement(count=3)),
             (RectRegion(10, 10), RandomPlacement(count=50)),
         ],
-        ids=["grid", "grid 40x5", "fixed N=1", "fixed N=3", "fixed N=50"],
+        ids=["grid", "grid 40x5", "grid 1x10", "grid 10x1", "fixed N=1", "fixed N=3",
+             "fixed N=50"],
     )
     def test_matches_timing_every_sensor(self, region, placement, model, ignitions):
         config = fixed_config(
@@ -965,6 +970,56 @@ class TestRingSearch:
         want = np.array([detection_time(model, positions, ign) for ign in trials])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "region,placement",
+        [
+            (RectRegion(10, 10), GridPlacement(spacing=1.0)),
+            (RectRegion(40, 5), GridPlacement(spacing=2.5)),
+            (RectRegion(1, 10), GridPlacement(spacing=1.0)),
+            (RectRegion(10, 10), RandomPlacement(count=50)),
+            (RectRegion(30, 7), RandomPlacement(count=400)),
+        ],
+        ids=["grid", "grid 40x5", "grid 1x10", "fixed N=50", "fixed N=400"],
+    )
+    def test_first_step_is_the_square_of_radius_1(self, region, placement):
+        # Every cell of the grid, corners and edges included, as the cell of
+        # a pair: the first step gives each pair, once, exactly the sensors
+        # whose cell lies within Chebyshev distance 1 of its own.
+        config = fixed_config(
+            region=region, placement=placement,
+            resample_layout_each_trial=False if isinstance(placement, RandomPlacement) else None,
+        )
+        sensors = _FixedSensors(config)
+        positions = build_layout(placement, region, seed=config.master_seed).positions
+        gx, gy = sensors.cell_of(positions[:, 0], positions[:, 1])
+        cx, cy = np.divmod(np.arange(sensors.nx * sensors.ny), sensors.ny)
+        ring_sensors, _, r = sensors._block(0, cx.size, 1)
+        assert r == 1
+        pair, sx, sy = ring_sensors(np.arange(cx.size), cx, cy, r)
+        assert np.all(np.diff(pair) >= 0)
+        got = sorted(zip(pair.tolist(), sx.tolist(), sy.tolist()))
+        want = sorted(
+            (p, x, y)
+            for p in range(cx.size)
+            for x, y, i, j in zip(positions[:, 0].tolist(), positions[:, 1].tolist(), gx, gy)
+            if max(abs(i - cx[p]), abs(j - cy[p])) <= 1
+        )
+        assert got == want
+
+    def test_no_fixed_search_visits_a_ring_below_2_alone(self, monkeypatch):
+        # The first step of a fixed layout takes the square of radius 1 at
+        # once; only later rings come from ring_cells.
+        rings = count_rings(monkeypatch)
+        for config in (
+            fixed_config(),
+            fixed_config(region=RectRegion(1, 10), ignition_count=3, clip_to_region=True),
+            fixed_config(model=EllipticalModel(1.0, 2.0, 50.0, heading=0.7)),
+            fixed_config(region=RectRegion(100, 100), placement=RandomPlacement(count=9000),
+                         resample_layout_each_trial=False),
+        ):
+            _simulate_range(config, 0, 500)
+        assert rings and min(rings) >= 2
+
 
 class TestPhiloxWords:
     """The vectorised Philox must give numpy's words; if numpy ever changes
@@ -979,6 +1034,16 @@ class TestPhiloxWords:
         words = _philox_words(seed, index, index + 1, 8)
         key = np.array([seed, index], dtype=np.uint64)
         assert words.tolist() == [np.random.Philox(key=key).random_raw(8).tolist()]
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_words_of_every_count_match_numpy(self, count):
+        # One to three counters, each computed for all trials in one call.
+        lo = 2**62 - 3
+        words = _philox_words(self.SEEDS[3], lo, lo + 3, count)
+        assert words.shape == (3, count)
+        for row, i in zip(words.tolist(), range(lo, lo + 3)):
+            key = np.array([self.SEEDS[3], i], dtype=np.uint64)
+            assert row == np.random.Philox(key=key).random_raw(count).tolist()
 
     def test_core_matches_numpy_at_any_key_and_counter(self):
         # Keys and counters with their high bits set too; numpy's Philox
