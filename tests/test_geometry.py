@@ -287,15 +287,14 @@ class TestBurnedUnionArea:
 
     @pytest.mark.parametrize("height", [10**200, 10**100])
     def test_group_in_a_region_of_huge_int_sides(self, height):
-        # Int sides once reached the union pass as Python ints, and its
-        # array steps ended in an OverflowError or a TypeError (sqrt of an
-        # object array).
+        # Kept as Python ints, sides this large ended the union pass's array
+        # steps in an OverflowError or a TypeError (sqrt of an object array).
         region = RectRegion(10**200, height)
         assert (region.width, region.height) == (1e200, float(height))
         circ = CircularModel(1.0)
         fronts = [(Point(1, 1), circ, 1.0), (Point(1.5, 1), circ, 1.0)]
-        assert burned_union_area(fronts, region) == burned_union_area(fronts, RectRegion(10, 10))
-        assert burned_union_area(fronts, region) == 4.131076082149877
+        assert burned_union_area(fronts, region) == burned_union_area(fronts, REGION)
+        assert burned_union_area(fronts, REGION) == 4.131076082149877
 
     def test_front_whose_box_misses_the_region_burns_nothing(self):
         # Its exact clip would give a few ulps (8.9e-16), not 0.
